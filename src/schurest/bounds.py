@@ -10,11 +10,6 @@ The two tail bounds are named by the tail they control:
 - tail_bound_above: mass of estimates above a rate R, nontrivial for R
   over the true divergence; driven by Renyi orders above 1, with an
   auxiliary split parameter trading the two terms.
-
-For tail_bound_above the exponent is evaluated in the form
-exp(-n a (R - r - renyi(1+a))); a reading that leaves the divergence term
-outside the a factor is also evaluated and reported as alt_value, but
-validity claims use the primary form.
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ class TailBound:
     exponent: float  # optimized log of the unclamped bound
     alpha: float
     split: float | None = None  # auxiliary parameter of the above-tail bound
-    alt_value: float | None = None  # alternative-reading diagnostic
 
 
 def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
@@ -128,21 +122,10 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     alpha = alpha_of(u_opt)
     offset = -n * alpha * (rate - renyi(1 + alpha))
     value, r_star = _split_term(n, log_dim, alpha, offset)
-
-    def alt_for(u: float) -> float:
-        # alternative reading: divergence term not scaled by a
-        a = alpha_of(u)
-        offset_alt = n * renyi(1 + a) - n * a * rate
-        v, _ = _split_term(n, log_dim, a, offset_alt)
-        return math.log(v) if v < math.inf else math.inf
-
-    _, alt_log = _refine(alt_for, grid, 1e-4, 1 - 1e-4)
-    alt_value = min(1.0, math.exp(alt_log)) if alt_log < math.inf else 1.0
     if value is math.inf or value >= 1:
         return TailBound(value=1.0, exponent=min(best_log, 0.0) if best_log < math.inf else 0.0,
-                         alpha=alpha, split=r_star if r_star > 0 else None, alt_value=alt_value)
-    return TailBound(value=value, exponent=math.log(value), alpha=alpha,
-                     split=r_star, alt_value=alt_value)
+                         alpha=alpha, split=r_star if r_star > 0 else None)
+    return TailBound(value=value, exponent=math.log(value), alpha=alpha, split=r_star)
 
 
 @dataclass(frozen=True)

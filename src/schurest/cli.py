@@ -38,7 +38,7 @@ from .estimator import (
 )
 from .distribution import distribution
 from .partitions import enumerate_young, sn_dim, total_schur_dim, weyl_dim
-from .scaling import calibrated_budget, complexity_row, varentropy_scale_proxy
+from .scaling import SCAN_MAX_D, calibrated_budget, complexity_row, varentropy_scale_proxy
 from .states import (
     DensityMatrix,
     diagonal_state,
@@ -164,7 +164,7 @@ def _load_density(path: str, label: str) -> DensityMatrix:
         return load_state(path)
     except FileNotFoundError:
         raise CliError("io", f"{label} file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError("validation", f"{label} file {path}: {exc}")
 
 
@@ -334,8 +334,8 @@ def cmd_normality(args) -> int:
 def cmd_complexity_scan(args) -> int:
     rows = []
     for d in sorted(set(args.d)):
-        if not 2 <= d <= 4:
-            raise CliError("validation", f"complexity-scan supports d in [2, 4], got {d}")
+        if not 2 <= d <= SCAN_MAX_D:
+            raise CliError("validation", f"complexity-scan supports d in [2, {SCAN_MAX_D}], got {d}")
         c0 = varentropy_scale_proxy(d, seeds=range(args.seed, args.seed + 8))
         c = args.c if args.c is not None else calibrated_budget(c0, epsilon=args.epsilon)
         try:
@@ -534,6 +534,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        sys.stderr.write(f"error: io: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .partitions import (
     kostka,
     sn_dim,
     total_schur_dim,
+    type_entropy_bounds,
     weyl_dim,
 )
 from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
@@ -114,22 +117,68 @@ class OutcomeDistribution:
         return {young: math.fsum(values) for young, values in out.items()}
 
 
-# ------------------------------------------------------------ shared layout
+# ------------------------------------------------------------ shared atom table
+
+
+@dataclass(frozen=True)
+class _AtomTable:
+    """Everything the exact path needs that depends on (n, d) alone.
+
+    Per-Young arrays follow enumerate_young order; atoms list the weights
+    with a nonzero Kostka number under each Young index, in weight order.
+    """
+
+    columns: tuple[tuple[int, ...], ...]  # every weight; the trace-row columns
+    coeffs: np.ndarray  # (Young index, class): dimV * class size * character / n!
+    log_v: np.ndarray  # per Young index: log dimV
+    log_ratio: np.ndarray  # per Young index: log of the sn_dim size ratio
+    entropy: np.ndarray  # per Young index: Shannon entropy of lam / n
+    young_idx: np.ndarray  # per atom
+    weight_pos: np.ndarray  # per atom: column of its weight
+    mult: np.ndarray  # per atom: Kostka number
+    youngs: tuple[tuple[int, ...], ...]  # per atom
+    weights: tuple[tuple[int, ...], ...]  # per atom
+
+    def weight_log_s(self, log_s: np.ndarray) -> np.ndarray:
+        """Per atom: sum_i mu_i log s_i, one dot product per weight."""
+        per_column = np.array([float(np.dot(weight, log_s)) for weight in self.columns])
+        return per_column[self.weight_pos]
 
 
 @lru_cache(maxsize=None)
-def _atom_layout(n: int, d: int):
-    """Atom skeleton: per Young index, the admissible weights and Kostka numbers."""
-    layout = []
-    weights = list(compositions(n, d))
-    for young in enumerate_young(n, d):
-        entries = []
-        for pos, weight in enumerate(weights):
+def _atom_table(n: int, d: int) -> _AtomTable:
+    columns = tuple(compositions(n, d))
+    classes = cycle_types(n)
+    sizes = [ct.size for ct in classes]
+    n_fact = math.factorial(n)
+    young_list = enumerate_young(n, d)
+    coeffs, log_v, log_ratio, entropy = [], [], [], []
+    young_idx, weight_pos, mult = [], [], []
+    for yi, young in enumerate(young_list):
+        v_dim, ratio = sn_dim(young)
+        coeffs.append([float(Fraction(v_dim * size * character(young, ct), n_fact))
+                       for ct, size in zip(classes, sizes)])
+        log_v.append(math.log(v_dim))
+        log_ratio.append(math.log(ratio))
+        entropy.append(type_entropy_bounds(young)[0])
+        for pos, weight in enumerate(columns):
             k = kostka(young, weight)
             if k:
-                entries.append((pos, weight, k))
-        layout.append((young, entries))
-    return layout, weights
+                young_idx.append(yi)
+                weight_pos.append(pos)
+                mult.append(k)
+    return _AtomTable(
+        columns=columns,
+        coeffs=np.array(coeffs),
+        log_v=np.array(log_v),
+        log_ratio=np.array(log_ratio),
+        entropy=np.array(entropy),
+        young_idx=np.array(young_idx, dtype=np.int64),
+        weight_pos=np.array(weight_pos, dtype=np.int64),
+        mult=np.array(mult, dtype=np.int64),
+        youngs=tuple(young_list[i] for i in young_idx),
+        weights=tuple(columns[pos] for pos in weight_pos),
+    )
 
 
 def _rho_in_reference_basis(rho: DensityMatrix, spec: SigmaSpectrum) -> np.ndarray:
@@ -142,22 +191,6 @@ def _coerce_spectrum(sigma) -> SigmaSpectrum:
     if isinstance(sigma, SigmaSpectrum):
         return sigma
     return sigma_spectrum(sigma)
-
-
-@lru_cache(maxsize=32)
-def _block_class_coefficients(n: int, d: int) -> np.ndarray:
-    """Exact rational weights (block dim * class size * character / n!) as floats."""
-    n_fact = math.factorial(n)
-    rows = []
-    for young in enumerate_young(n, d):
-        v_dim, _ = sn_dim(young)
-        rows.append(
-            [
-                float(Fraction(v_dim * ct.size * character(young, ct), n_fact))
-                for ct in cycle_types(n)
-            ]
-        )
-    return np.array(rows)
 
 
 def _neumaier_accumulate(coeff_matrix: np.ndarray, t_real: np.ndarray) -> np.ndarray:
@@ -175,48 +208,33 @@ def _neumaier_accumulate(coeff_matrix: np.ndarray, t_real: np.ndarray) -> np.nda
     return acc + comp
 
 
-def _assemble(n, d, backend, spec, classes, t_real, t_imag_max):
+def _assemble(n, d, backend, spec, t_real, t_imag_max):
     """Build the distribution from per-class weight-indexed trace rows."""
-    layout, _ = _atom_layout(n, d)
-    log_s = np.log(spec.values)
-    youngs: list[tuple[int, ...]] = []
-    weights_out: list[tuple[int, ...]] = []
-    p_out: list[float] = []
-    log_q_out: list[float] = []
-    mult_out: list[int] = []
+    table = _atom_table(n, d)
+    block_rows = _neumaier_accumulate(table.coeffs, t_real)
+    p = block_rows[table.young_idx, table.weight_pos]
+    negative = p < 0
     neg_clip = 0.0
-    block_rows = _neumaier_accumulate(_block_class_coefficients(n, d), t_real)
-    for row, (young, entries) in zip(block_rows, layout):
-        v_dim, _ = sn_dim(young)
-        log_v = math.log(v_dim)
-        for pos, weight, k in entries:
-            p_val = float(row[pos])
-            if p_val < 0:
-                if p_val <= NEG_ABORT:
-                    raise ArithmeticError(
-                        f"probability {p_val:.3e} at {young}, {weight}: "
-                        "accumulated roundoff exceeds the abort threshold"
-                    )
-                neg_clip = min(neg_clip, p_val)
-                p_val = 0.0
-            youngs.append(young)
-            weights_out.append(weight)
-            p_out.append(p_val)
-            log_q_out.append(log_v + float(np.dot(weight, log_s)))
-            mult_out.append(k)
-    p_arr = np.array(p_out)
-    if neg_clip:
-        p_arr = p_arr / p_arr.sum()
+    if negative.any():
+        first = int(np.argmax(p <= NEG_ABORT))
+        if p[first] <= NEG_ABORT:
+            raise ArithmeticError(
+                f"probability {float(p[first]):.3e} at {table.youngs[first]}, "
+                f"{table.weights[first]}: accumulated roundoff exceeds the abort threshold"
+            )
+        neg_clip = float(p.min())
+        p[negative] = 0.0
+        p = p / p.sum()
     return OutcomeDistribution(
         n=n,
         d=d,
         backend=backend,
         sigma_values=spec.values.copy(),
-        youngs=tuple(youngs),
-        weights=tuple(weights_out),
-        p=p_arr,
-        log_q=np.array(log_q_out),
-        mult=np.array(mult_out, dtype=np.int64),
+        youngs=table.youngs,
+        weights=table.weights,
+        p=p,
+        log_q=table.log_v[table.young_idx] + table.weight_log_s(np.log(spec.values)),
+        mult=table.mult.copy(),
         max_imag=t_imag_max,
         neg_clip=neg_clip,
     )
@@ -235,7 +253,7 @@ def string_digits(n: int, d: int) -> np.ndarray:
     return digits
 
 
-def _weight_codes(weights: list[tuple[int, ...]], n: int) -> np.ndarray:
+def _weight_codes(weights: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
     base = n + 1
     powers = base ** np.arange(len(weights[0]) - 1, -1, -1)
     return np.array([np.dot(w, powers) for w in weights], dtype=np.int64)
@@ -276,7 +294,7 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
     if d**n > BRUTE_MAX_STRINGS or n > BRUTE_MAX_N:
         raise ValueError(f"brute backend limited to d^n <= {BRUTE_MAX_STRINGS}, n <= {BRUTE_MAX_N}")
     rt = _rho_in_reference_basis(rho, spec)
-    _, weights = _atom_layout(n, d)
+    weights = _atom_table(n, d).columns
     digits = string_digits(n, d)
     occ = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
     codes = _weight_codes([tuple(row) for row in occ], n)
@@ -288,7 +306,7 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
         inv = _class_representative_inverse(ct)
         t_rows[ci] = _projected_traces(rt, digits, type_idx, len(weights), inv)
     max_imag = float(np.abs(t_rows.imag).max())
-    return _assemble(n, d, "brute", spec, classes, t_rows.real.copy(), max_imag)
+    return _assemble(n, d, "brute", spec, t_rows.real.copy(), max_imag)
 
 
 # ---------------------------------------------------------- cycle backend
@@ -372,7 +390,7 @@ def cycle_poly_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistrib
     descend(n, n, (), t_polys[0], 0)
     assert emitted == len(classes)
     max_imag = float(np.abs(t_rows.imag).max())
-    return _assemble(n, d, "cycle_poly", spec, classes, t_rows.real.copy(), max_imag)
+    return _assemble(n, d, "cycle_poly", spec, t_rows.real.copy(), max_imag)
 
 
 def distribution(rho: DensityMatrix, sigma, n: int, backend: str = "auto") -> OutcomeDistribution:
@@ -459,10 +477,11 @@ def block_projectors(n: int, d: int) -> list[tuple[tuple[int, ...], tuple[int, .
     """Joint (Young index, weight) projectors; they tile the identity."""
     _check_dense_guard(n, d)
     out = []
-    layout, _ = _atom_layout(n, d)
-    for young, entries in layout:
+    table = _atom_table(n, d)
+    atoms = zip(table.youngs, table.weights)
+    for young, group in groupby(atoms, key=lambda atom: atom[0]):
         p_lam = schur_projector(n, d, young)
-        for _, weight, _k in entries:
+        for _, weight in group:
             mask = type_mask(n, d, weight)
             block = p_lam * 0.0
             block[np.ix_(mask, mask)] = p_lam[np.ix_(mask, mask)]
@@ -548,7 +567,8 @@ def renyi_trace_check(rho: DensityMatrix, sigma, n: int, alpha: float) -> tuple[
     gamma = (gamma + gamma.conj().T) / 2
     vals, vecs = np.linalg.eigh(gamma)
     vals = np.clip(vals, 0.0, None)
-    gamma_pow = (vecs * np.power(vals, alpha, where=vals > 0) * (vals > 0)) @ vecs.conj().T
+    powered = np.power(vals, alpha, out=np.zeros_like(vals), where=vals > 0)
+    gamma_pow = (vecs * powered) @ vecs.conj().T
     sigma_diag = kron_power(np.diag(spec.values), n).real.diagonal()
     lhs = float(np.real(gamma_pow.diagonal() @ np.power(sigma_diag, 1 - alpha)))
     exponent = (1 - alpha) / (2 * alpha)

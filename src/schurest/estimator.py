@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bounds import mse_bound, tail_bound_above, tail_bound_below
-from .distribution import OutcomeDistribution, distribution
-from .partitions import sn_dim, total_schur_dim
+from .distribution import OutcomeDistribution, _atom_table, distribution
+from .partitions import total_schur_dim
 from .states import relative_entropy, relative_varentropy, renyi_curve
 
 BOUNDARY_TOL = 1e-12
@@ -47,33 +47,16 @@ class AnnotatedDistribution:
         return math.fsum((self.p * self.x).tolist())
 
 
-def type_entropy(young, n: int) -> float:
-    return -math.fsum(part / n * math.log(part / n) for part in young if part)
-
-
-def approximation_gap_bound(young, n: int, d: int) -> float:
-    """Per-block bound (d log(n+1) - log e)/n on the approximation gap."""
-    _, ratio = sn_dim(tuple(young))
-    return (d * math.log(n + 1) - math.log(ratio)) / n
-
-
 def annotate_estimates(dist: OutcomeDistribution) -> AnnotatedDistribution:
     n, d = dist.n, dist.d
+    table = _atom_table(n, d)
     x = -dist.log_q / n
-    log_s = np.log(dist.sigma_values)
-    x_star = np.empty_like(x)
-    gap_bound = np.empty_like(x)
-    gap_bound_tight = np.empty_like(x)
-    entropy_cache: dict[tuple[int, ...], tuple[float, float]] = {}
-    for i, (young, weight) in enumerate(zip(dist.youngs, dist.weights)):
-        if young not in entropy_cache:
-            _, ratio = sn_dim(young)
-            entropy_cache[young] = (type_entropy(young, n), math.log(ratio))
-        h, log_ratio = entropy_cache[young]
-        x_star[i] = -h - float(np.dot(weight, log_s)) / n
-        gap_bound[i] = (d * math.log(n + 1) - log_ratio) / n
-        gap_bound_tight[i] = ((d - 1) * math.log(n + 1) - log_ratio) / n
-    return AnnotatedDistribution(dist, x, x_star, gap_bound, gap_bound_tight)
+    x_star = -table.entropy[table.young_idx] - table.weight_log_s(np.log(dist.sigma_values)) / n
+    gap_bound = (d * math.log(n + 1) - table.log_ratio) / n
+    gap_bound_tight = ((d - 1) * math.log(n + 1) - table.log_ratio) / n
+    return AnnotatedDistribution(
+        dist, x, x_star, gap_bound[table.young_idx], gap_bound_tight[table.young_idx]
+    )
 
 
 @dataclass(frozen=True)

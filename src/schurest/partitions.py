@@ -25,7 +25,6 @@ __all__ = [
     "cycle_types",
     "enumerate_young",
     "kostka",
-    "log_sn_dim",
     "multinomial",
     "schur_eval",
     "sn_dim",
@@ -138,12 +137,6 @@ def sn_dim(lam: Sequence[int]) -> tuple[int, Fraction]:
     return dim, ratio
 
 
-def log_sn_dim(lam: Sequence[int]) -> float:
-    """log of the symmetric-group block dimension (float; exact path under the hood)."""
-    dim, _ = sn_dim(lam)
-    return math.log(dim)
-
-
 @dataclass(frozen=True)
 class CycleType:
     """Conjugacy class of the permutation group on n letters."""
@@ -180,15 +173,17 @@ def _partitions_desc(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def cycle_types(n: int) -> list[CycleType]:
+@cache
+def cycle_types(n: int) -> tuple[CycleType, ...]:
     """All conjugacy classes of the permutation group on n letters.
 
     Deterministic order: cycle tuples in decreasing lexicographic order,
     starting with the single n-cycle and ending with the identity class.
+    Built once per n and shared, hence a tuple.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return [CycleType(c) for c in _partitions_desc(n, n)]
+    return tuple(CycleType(c) for c in _partitions_desc(n, n))
 
 
 @cache

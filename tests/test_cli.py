@@ -232,6 +232,23 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: validation:")
 
+    @pytest.mark.parametrize("payload", ['{"spectrum": 5}\n', '[[0.5, 0], [0, 0.5]]\n'])
+    def test_malformed_state_file(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code = main(["divergence", "--rho", str(bad), "--sigma", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: validation:")
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--n", "2", "--d", "2"],
+        ["gen-state", "diagonal", "--spectrum", "1,1"],
+    ])
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "missing" / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: io:")
+
     def test_dimension_mismatch(self, tmp_path, states, capsys):
         other = tmp_path / "qutrit.json"
         assert main(["gen-state", "random_mixed", "--d", "3", "--seed", "1",

@@ -324,10 +324,10 @@ def test_full_group_average_matches_representative():
     spec = sigma_spectrum(sigma)
     rt = spec.basis.conj().T @ rho.mat @ spec.basis
     digits = string_digits(n, 2)
-    from schurest.distribution import _atom_layout, _class_representative_inverse, _projected_traces, _weight_codes
-    from schurest.partitions import cycle_types
+    from schurest.distribution import _class_representative_inverse, _projected_traces, _weight_codes
+    from schurest.partitions import compositions, cycle_types
 
-    _, weights = _atom_layout(n, 2)
+    weights = list(compositions(n, 2))
     occ = np.stack([(digits == a).sum(axis=1) for a in range(2)], axis=1)
     codes = _weight_codes([tuple(r) for r in occ], n)
     sorted_codes = _weight_codes(weights, n)
@@ -496,3 +496,31 @@ def test_exact_rational_reconstruction():
     walk = coupling_walk([0.25, 0.75], n)
     for key, mass in walk.items():
         assert atoms_dict(dist)[key] == pytest.approx(mass, abs=1e-14)
+
+
+# Trace rows at n = d = 2 for I/2: class (2,) is the swap, class (1, 1) the
+# identity; columns are the weights (0, 2), (1, 1), (2, 0).  The atoms are
+# ((0, 2), mu) for each mu, with p = (swap + identity) / 2, then
+# ((1, 1), (1, 1)) with p = (identity - swap) / 2.
+def _two_copy_rows(swap):
+    return np.array([swap, [0.25, 0.5, 0.25]])
+
+
+def test_small_negative_probability_is_clamped():
+    from schurest.distribution import _assemble
+
+    spec = sigma_spectrum(DensityMatrix(np.eye(2) / 2))
+    dist = _assemble(2, 2, "brute", spec, _two_copy_rows([0.25, 0.5 + 2e-8, 0.25]), 0.0)
+    assert dist.weights[-1] == (1, 1) and dist.youngs[-1] == (1, 1)
+    assert dist.neg_clip == pytest.approx(-1e-8, rel=1e-6)
+    assert dist.p[-1] == 0.0
+    assert dist.total_probability() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_large_negative_probability_aborts_at_first_atom():
+    from schurest.distribution import _assemble
+
+    spec = sigma_spectrum(DensityMatrix(np.eye(2) / 2))
+    rows = _two_copy_rows([-0.25 - 4e-6, 0.5 + 4e-6, 0.25])  # two atoms at -2e-6
+    with pytest.raises(ArithmeticError, match=r"at \(0, 2\), \(0, 2\):"):
+        _assemble(2, 2, "brute", spec, rows, 0.0)

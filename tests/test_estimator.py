@@ -24,7 +24,6 @@ from schurest.distribution import (
 )
 from schurest.estimator import (
     annotate_estimates,
-    approximation_gap_bound,
     estimate_report,
     exact_mse,
     log_mass_second_moment,
@@ -101,14 +100,19 @@ def test_gap_within_per_block_bounds(d, n):
     assert (gap <= ann.gap_bound_tight + 1e-12).all()
     assert (ann.gap_bound_tight <= ann.gap_bound + 1e-15).all()
     for i, young in enumerate(ann.dist.youngs):
-        assert ann.gap_bound[i] == pytest.approx(approximation_gap_bound(young, n, d), abs=1e-13)
+        ratio = sn_dim(young)[1]
+        assert ann.gap_bound[i] == pytest.approx(
+            (d * math.log(n + 1) - math.log(ratio)) / n, abs=1e-13
+        )
 
 
 def test_gap_bound_formula():
     # two-row balanced block: ratio e = 1/2, so the bound is explicit
-    assert approximation_gap_bound((1, 1), 2, 2) == pytest.approx(
-        (2 * math.log(3) - math.log(0.5)) / 2, abs=1e-14
-    )
+    rho, sigma = random_pair(2, seed=3)
+    ann = annotated(rho, sigma, 2)
+    i = ann.dist.youngs.index((1, 1))
+    assert sn_dim((1, 1))[1] == 0.5
+    assert ann.gap_bound[i] == pytest.approx((2 * math.log(3) - math.log(0.5)) / 2, abs=1e-14)
 
 
 # ------------------------------------------------------------ mean and MSE
