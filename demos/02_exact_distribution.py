@@ -16,7 +16,7 @@ Run:  python3 demos/02_exact_distribution.py
 
 import numpy as np
 
-from schurest.distribution import brute_distribution, cycle_poly_distribution
+from schurest.distribution import brute_distribution, jacobi_trudi_distribution
 from schurest.estimator import annotate_estimates
 from schurest.states import random_mixed, relative_entropy, relative_varentropy
 
@@ -31,7 +31,7 @@ def main() -> None:
     print(f"Random qubit pair: D = {d_true:.6f}, V = {v_true:.6f}")
     print(f"Joint measurement on n = {N} copies\n")
 
-    dist = cycle_poly_distribution(rho, sigma, N)
+    dist = jacobi_trudi_distribution(rho, sigma, N)
     ann = annotate_estimates(dist)
 
     print(f"{'young':>8} {'weight':>8} {'mult':>5} {'probability':>13} {'x':>9} {'x_star':>9}")
@@ -44,12 +44,12 @@ def main() -> None:
     print(f"\nTotal probability: {total:.15f}")
     assert abs(total - 1.0) < 1e-12
 
-    # Independent backend: direct diagonalization of the permutation blocks.
+    # Independent backend: projected traces summed over all basis strings.
     brute = brute_distribution(rho, sigma, N)
     worst = max(
         abs(pb - pc) for pb, pc in zip(brute.p, dist.p)
     )
-    print(f"Backend cross-check (character sums vs dense projectors): max |dp| = {worst:.3e}")
+    print(f"Backend cross-check (Jacobi-Trudi vs basis-string sums): max |dp| = {worst:.3e}")
     assert worst < 1e-12
 
     mean_x = ann.mean_x()

@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", required=True, help="reference state JSON file")
 
     def add_backend(p):
-        p.add_argument("--backend", choices=["auto", "brute", "cycle_poly"], default="auto")
+        p.add_argument("--backend", choices=["auto", "brute", "jacobi_trudi"], default="auto")
 
     def add_out(p, formats=None, default=None):
         p.add_argument("--out", help="output file (default: stdout)")

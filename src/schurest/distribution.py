@@ -17,14 +17,17 @@ p(lam, mu) = Tr[rho_tilde^(x)n P_lam P_mu]:
 - brute: enumerate all d**n basis strings and evaluate the projected trace
   for one representative permutation per conjugacy class (the trace is a
   class function, so a representative suffices; a full class average is
-  kept in the tests as a secondary oracle).
-- cycle_poly: represent Tr[rho_tilde^(x)n U(pi) Z^(x)n] as a polynomial in
-  diagonal markers Z via per-cycle traces Tr[(rho_tilde Z)^l], multiply the
-  cycle polynomials per class, and read off monomial coefficients.
+  kept in the tests as a secondary oracle), then weight the class traces
+  with dimV * class size * character / n!.
+- jacobi_trudi: since (rho_tilde Z)^(x)n commutes with P_lam for diagonal
+  markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).  The
+  Schur polynomial is a Jacobi-Trudi determinant in the complete symmetric
+  functions h_k(rho_tilde Z), evaluated on a grid of roots of unity; one FFT
+  per Young index reads off every coefficient.
 
-Character-sum cancellation can leave tiny negative raw probabilities:
-values in (-1e-6, 0) are clamped to zero (and the worst one recorded);
-anything at or below -1e-6 aborts.
+Roundoff can leave tiny negative raw probabilities: values in (-1e-6, 0)
+are clamped to zero (and the worst one recorded); anything at or below
+-1e-6 aborts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +57,8 @@ from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
 
 BRUTE_MAX_STRINGS = 2**14
 BRUTE_MAX_N = 8
-CYCLE_MAX_N = 30
-CYCLE_MAX_D = 4
+JT_MAX_N = 30
+JT_MAX_D = 4
 DENSE_MAX_STRINGS = 256  # guard for explicit d^n x d^n operators
 NEG_ABORT = -1e-6
 
@@ -128,8 +131,9 @@ class _AtomTable:
     with a nonzero Kostka number under each Young index, in weight order.
     """
 
-    columns: tuple[tuple[int, ...], ...]  # every weight; the trace-row columns
-    coeffs: np.ndarray  # (Young index, class): dimV * class size * character / n!
+    columns: tuple[tuple[int, ...], ...]  # every weight; the per-Young row columns
+    blocks: tuple[tuple[int, ...], ...]  # every Young index, enumerate_young order
+    v_dim: np.ndarray  # per Young index: dimV as a float
     log_v: np.ndarray  # per Young index: log dimV
     log_ratio: np.ndarray  # per Young index: log of the sn_dim size ratio
     entropy: np.ndarray  # per Young index: Shannon entropy of lam / n
@@ -148,16 +152,12 @@ class _AtomTable:
 @lru_cache(maxsize=None)
 def _atom_table(n: int, d: int) -> _AtomTable:
     columns = tuple(compositions(n, d))
-    classes = cycle_types(n)
-    sizes = [ct.size for ct in classes]
-    n_fact = math.factorial(n)
     young_list = enumerate_young(n, d)
-    coeffs, log_v, log_ratio, entropy = [], [], [], []
+    v_dims, log_v, log_ratio, entropy = [], [], [], []
     young_idx, weight_pos, mult = [], [], []
     for yi, young in enumerate(young_list):
         v_dim, ratio = sn_dim(young)
-        coeffs.append([float(Fraction(v_dim * size * character(young, ct), n_fact))
-                       for ct, size in zip(classes, sizes)])
+        v_dims.append(float(v_dim))
         log_v.append(math.log(v_dim))
         log_ratio.append(math.log(ratio))
         entropy.append(type_entropy_bounds(young)[0])
@@ -169,7 +169,8 @@ def _atom_table(n: int, d: int) -> _AtomTable:
                 mult.append(k)
     return _AtomTable(
         columns=columns,
-        coeffs=np.array(coeffs),
+        blocks=tuple(young_list),
+        v_dim=np.array(v_dims),
         log_v=np.array(log_v),
         log_ratio=np.array(log_ratio),
         entropy=np.array(entropy),
@@ -193,25 +194,12 @@ def _coerce_spectrum(sigma) -> SigmaSpectrum:
     return sigma_spectrum(sigma)
 
 
-def _neumaier_accumulate(coeff_matrix: np.ndarray, t_real: np.ndarray) -> np.ndarray:
-    """Compensated per-block sums over classes, vectorized across weights."""
-    n_young = coeff_matrix.shape[0]
-    width = t_real.shape[1]
-    acc = np.zeros((n_young, width))
-    comp = np.zeros((n_young, width))
-    for ci in range(t_real.shape[0]):
-        y = coeff_matrix[:, ci : ci + 1] * t_real[ci][None, :]
-        t = acc + y
-        swap = np.abs(acc) >= np.abs(y)
-        comp += np.where(swap, (acc - t) + y, (y - t) + acc)
-        acc = t
-    return acc + comp
+def _assemble(n, d, backend, spec, block_rows, max_imag):
+    """Build the distribution from per-Young rows of raw probabilities.
 
-
-def _assemble(n, d, backend, spec, t_real, t_imag_max):
-    """Build the distribution from per-class weight-indexed trace rows."""
+    block_rows[y, c] is the raw p of Young index y and weight columns[c].
+    """
     table = _atom_table(n, d)
-    block_rows = _neumaier_accumulate(table.coeffs, t_real)
     p = block_rows[table.young_idx, table.weight_pos]
     negative = p < 0
     neg_clip = 0.0
@@ -235,7 +223,7 @@ def _assemble(n, d, backend, spec, t_real, t_imag_max):
         p=p,
         log_q=table.log_v[table.young_idx] + table.weight_log_s(np.log(spec.values)),
         mult=table.mult.copy(),
-        max_imag=t_imag_max,
+        max_imag=max_imag,
         neg_clip=neg_clip,
     )
 
@@ -281,6 +269,33 @@ def _projected_traces(rt: np.ndarray, digits: np.ndarray, type_idx: np.ndarray,
     return re + 1j * im
 
 
+@lru_cache(maxsize=None)
+def _class_coefficients(n: int, d: int) -> np.ndarray:
+    """(Young index, class): dimV * class size * character / n!."""
+    classes = cycle_types(n)
+    n_fact = math.factorial(n)
+    return np.array([
+        [float(Fraction(sn_dim(young)[0] * ct.size * character(young, ct), n_fact))
+         for ct in classes]
+        for young in enumerate_young(n, d)
+    ])
+
+
+def _neumaier_accumulate(coeff_matrix: np.ndarray, t_real: np.ndarray) -> np.ndarray:
+    """Compensated per-block sums over classes, vectorized across weights."""
+    n_young = coeff_matrix.shape[0]
+    width = t_real.shape[1]
+    acc = np.zeros((n_young, width))
+    comp = np.zeros((n_young, width))
+    for ci in range(t_real.shape[0]):
+        y = coeff_matrix[:, ci : ci + 1] * t_real[ci][None, :]
+        t = acc + y
+        swap = np.abs(acc) >= np.abs(y)
+        comp += np.where(swap, (acc - t) + y, (y - t) + acc)
+        acc = t
+    return acc + comp
+
+
 def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     """Exact distribution by summing over all d**n basis strings.
 
@@ -306,101 +321,84 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
         inv = _class_representative_inverse(ct)
         t_rows[ci] = _projected_traces(rt, digits, type_idx, len(weights), inv)
     max_imag = float(np.abs(t_rows.imag).max())
-    return _assemble(n, d, "brute", spec, t_rows.real.copy(), max_imag)
+    block_rows = _neumaier_accumulate(_class_coefficients(n, d), t_rows.real.copy())
+    return _assemble(n, d, "brute", spec, block_rows, max_imag)
 
 
-# ---------------------------------------------------------- cycle backend
+# --------------------------------------------------- Jacobi-Trudi backend
 
 
-@lru_cache(maxsize=None)
-def _monomial_keys(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Per total degree m <= n: sorted integer keys of the degree-m monomials."""
-    base = n + 1
-    powers = base ** np.arange(d - 1, -1, -1)
-    keys = []
-    for m in range(n + 1):
-        comps = np.array(list(compositions(m, d)), dtype=np.int64)
-        keys.append(comps @ powers)
-    return tuple(keys)
+def _elementary_on_torus(rt: np.ndarray, n: int) -> np.ndarray:
+    """e_j(rho_tilde Z) for j = 0..d at every grid point, as a (d+1, G) array.
 
-
-def _convolve(a: np.ndarray, b: np.ndarray, keys, deg_a: int, deg_b: int) -> np.ndarray:
-    """Multiply homogeneous coefficient vectors of degrees deg_a and deg_b."""
-    target = keys[deg_a + deg_b]
-    pos = np.searchsorted(target, keys[deg_a][:, None] + keys[deg_b][None, :]).ravel()
-    outer = (a[:, None] * b[None, :]).ravel()
-    re = np.bincount(pos, weights=outer.real, minlength=len(target))
-    im = np.bincount(pos, weights=outer.imag, minlength=len(target))
-    return re + 1j * im
-
-
-def _cycle_trace_polys(rt: np.ndarray, n: int, keys) -> list[np.ndarray]:
-    """t[l] = coefficients of Tr[(rho_tilde Z)^l] as a degree-l polynomial in z."""
+    z_k runs over the (n+1)-th roots of unity for k < d-1 and z_(d-1) = 1;
+    grid points are in C order over (j_0, ..., j_(d-2)).  e_j is the sum over
+    j-subsets S of det(rho_tilde[S, S]) * prod_(k in S) z_k.
+    """
     d = rt.shape[0]
-    shifts = []
-    base = n + 1
-    for m in range(n):
-        row = [
-            np.searchsorted(keys[m + 1], keys[m] + base ** (d - 1 - k)) for k in range(d)
-        ]
-        shifts.append(row)
-    t_polys: list[np.ndarray] = [np.array([1.0 + 0j])]  # degree 0: empty product
-    m_cur = np.zeros((d, d, d), dtype=complex)  # degree-1 matrix entries
-    for i in range(d):
-        for k in range(d):
-            m_cur[i, k, shifts[0][k][0]] = rt[i, k]
-    t_polys.append(np.einsum("iik->k", m_cur).copy())
-    for deg in range(1, n):
-        mixed = np.einsum("ijm,jk->ikm", m_cur, rt)
-        nxt = np.zeros((d, d, len(keys[deg + 1])), dtype=complex)
-        for k in range(d):
-            nxt[:, k, shifts[deg][k]] = mixed[:, k, :]
-        m_cur = nxt
-        t_polys.append(np.einsum("iik->k", m_cur).copy())
-    return t_polys
+    size = n + 1
+    grid = np.indices((size,) * (d - 1)).reshape(d - 1, size ** (d - 1))
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
+    e = np.zeros((d + 1, grid.shape[1]), dtype=complex)
+    e[0] = 1.0
+    for j in range(1, d + 1):
+        for subset in combinations(range(d), j):
+            exponent = grid[[k for k in subset if k < d - 1]].sum(axis=0) % size
+            e[j] += np.linalg.det(rt[np.ix_(subset, subset)]) * roots[exponent]
+    return e
 
 
-def cycle_poly_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
-    """Exact distribution via cycle-index polynomials; scales to n = 30 at d <= 4."""
+def jacobi_trudi_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
+    """Exact distribution from one Jacobi-Trudi determinant per Young index; d <= 4, n <= 30.
+
+    On the grid, h_k = sum_j (-1)^(j-1) e_j h_(k-j), and with descending parts
+    lam_1 >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
+    The last row of that d x d matrix is (0, ..., 0, 1), so the leading
+    (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
+    the determinant the cancellation it suffers on near-pure states.  s_lam
+    has degree n, so its values on the (n+1)^(d-1) grid fix every
+    coefficient, and one FFT per Young index returns them all.
+    """
     spec = _coerce_spectrum(sigma)
     d = rho.dim
     if n < 1:
         raise ValueError("need n >= 1")
-    if d > CYCLE_MAX_D or n > CYCLE_MAX_N:
-        raise ValueError(f"cycle backend limited to d <= {CYCLE_MAX_D}, n <= {CYCLE_MAX_N}")
-    rt = _rho_in_reference_basis(rho, spec)
-    keys = _monomial_keys(n, d)
-    t_polys = _cycle_trace_polys(rt, n, keys)
-    classes = cycle_types(n)
-    class_pos = {ct.cycles: i for i, ct in enumerate(classes)}
-    t_rows = np.empty((len(classes), len(keys[n])), dtype=complex)
-    emitted = 0
-
-    def descend(rem: int, cap: int, prefix: tuple[int, ...], poly: np.ndarray, deg: int):
-        nonlocal emitted
-        for head in range(min(cap, rem), 0, -1):
-            grown = _convolve(poly, t_polys[head], keys, deg, head)
-            cycles = prefix + (head,)
-            if rem == head:
-                t_rows[class_pos[cycles]] = grown
-                emitted += 1
-            else:
-                descend(rem - head, head, cycles, grown, deg + head)
-
-    descend(n, n, (), t_polys[0], 0)
-    assert emitted == len(classes)
-    max_imag = float(np.abs(t_rows.imag).max())
-    return _assemble(n, d, "cycle_poly", spec, t_rows.real.copy(), max_imag)
+    if d > JT_MAX_D or n > JT_MAX_N:
+        raise ValueError(f"jacobi_trudi backend limited to d <= {JT_MAX_D}, n <= {JT_MAX_N}")
+    table = _atom_table(n, d)
+    e = _elementary_on_torus(_rho_in_reference_basis(rho, spec), n)
+    # h_(-1) is the zero row at the end, so negative indices read zero
+    h = np.zeros((n + d, e.shape[1]), dtype=complex)
+    h[0] = 1.0
+    for k in range(1, n + d - 1):
+        for j in range(1, min(k, d) + 1):
+            h[k] += (-1) ** (j - 1) * e[j] * h[k - j]
+    shape = (n + 1,) * (d - 1)
+    # grid index of each weight's coefficient: its first d-1 exponents
+    columns = np.ravel_multi_index(np.array(table.columns, dtype=np.int64).T[:-1], shape)
+    block_rows = np.empty((len(table.blocks), len(table.columns)))
+    max_imag = 0.0
+    for yi, young in enumerate(table.blocks):
+        lam = young[::-1]
+        idx = np.array([[max(lam[i] - lam[-1] - i + j, -1) for j in range(d - 1)]
+                        for i in range(d - 1)], dtype=np.int64).reshape(d - 1, d - 1)
+        minor = np.linalg.det(np.moveaxis(h[idx], -1, 0))
+        values = (e[d] ** lam[-1] * minor).reshape(shape)
+        coeffs = table.v_dim[yi] * np.fft.fftn(values, norm="forward").ravel()[columns]
+        block_rows[yi] = coeffs.real
+        max_imag = max(max_imag, float(np.abs(coeffs.imag).max()))
+    return _assemble(n, d, "jacobi_trudi", spec, block_rows, max_imag)
 
 
 def distribution(rho: DensityMatrix, sigma, n: int, backend: str = "auto") -> OutcomeDistribution:
-    """Dispatch to a backend; auto picks brute for d**n <= 2**14, else cycle_poly."""
+    """Dispatch to a backend; auto picks brute within its limits, else jacobi_trudi."""
     if backend == "auto":
-        backend = "brute" if rho.dim**n <= BRUTE_MAX_STRINGS and n <= BRUTE_MAX_N else "cycle_poly"
+        fits_brute = rho.dim**n <= BRUTE_MAX_STRINGS and n <= BRUTE_MAX_N
+        backend = "brute" if fits_brute else "jacobi_trudi"
     if backend == "brute":
         return brute_distribution(rho, sigma, n)
-    if backend == "cycle_poly":
-        return cycle_poly_distribution(rho, sigma, n)
+    if backend == "jacobi_trudi":
+        return jacobi_trudi_distribution(rho, sigma, n)
     raise ValueError(f"unknown backend {backend!r}")
 
 

@@ -166,21 +166,6 @@ def _shift_parts(parts: np.ndarray) -> np.ndarray:
     return parts + np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def log_perm_block_dims(parts: np.ndarray, n: int) -> np.ndarray:
-    """log dimV for a (K, d) batch of descending Young parts, via the
-    shifted-parts product n! * prod(a_i - a_j) / prod(a_i!)."""
-    return _ScanTables(n, parts.shape[1]).log_dims(_shift_parts(parts), n)
-
-
-def log_schur_geometric(parts: np.ndarray, q: float) -> np.ndarray:
-    """log of the Schur polynomial at (1, q, ..., q^(d-1)) for a (K, d)
-    batch of descending parts, by the principal-specialization product
-    prod over i < j of (q^a_j - q^a_i) / (q^b_j - q^b_i)."""
-    n = int(parts[:, 0].max()) * parts.shape[1] if parts.size else 0
-    tables = _ScanTables(n, parts.shape[1], q)
-    return tables.log_schur(_shift_parts(parts))
-
-
 @dataclass(frozen=True)
 class UniformReferenceScan:
     d: int

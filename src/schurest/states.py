@@ -99,7 +99,9 @@ def sigma_spectrum(sigma: DensityMatrix, min_eig: float = 1e-12) -> SigmaSpectru
         raise ValueError(
             f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})"
         )
-    assert abs(float(vals.sum()) - 1.0) < 1e-10
+    trace = float(vals.sum())
+    if not abs(trace - 1.0) < 1e-10:
+        raise ValueError(f"reference state must have unit trace (trace {trace!r})")
     return SigmaSpectrum(values=vals, basis=vecs)
 
 

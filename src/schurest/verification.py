@@ -200,15 +200,15 @@ def _family_backend_equivalence(seed: int) -> None:
     for d, n in _SMALL_GRID:
         for s in (seed, seed + 1):
             brute = _dist(d, n, s, "brute")
-            cycle = _dist(d, n, s, "cycle_poly")
-            _check(brute.youngs == cycle.youngs, f"atom keys differ at d={d}, n={n}")
-            gap = float(np.max(np.abs(brute.p - cycle.p)))
+            jt = _dist(d, n, s, "jacobi_trudi")
+            _check(brute.youngs == jt.youngs, f"atom keys differ at d={d}, n={n}")
+            gap = float(np.max(np.abs(brute.p - jt.p)))
             _check(gap <= 1e-9, f"backend probability gap {gap:.2e} at d={d}, n={n}")
 
 
 def _family_normalization(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        for backend in ("brute", "cycle_poly"):
+        for backend in ("brute", "jacobi_trudi"):
             dist = _dist(d, n, seed, backend)
             _check(
                 abs(dist.total_probability() - 1) <= 1e-9,
@@ -311,7 +311,7 @@ def _family_dense_mse_oracle(seed: int) -> None:
 
 def _family_gap_window(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        ann = annotate_estimates(_dist(d, n, seed, "cycle_poly"))
+        ann = annotate_estimates(_dist(d, n, seed, "jacobi_trudi"))
         gap = ann.x - ann.x_star
         _check(float(gap.min()) >= -1e-12, f"negative approximation gap at d={d}, n={n}")
         excess = float((gap - ann.gap_bound).max())

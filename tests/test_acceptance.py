@@ -59,7 +59,7 @@ def _pair(d: int, seed: int):
 
 # ---------------------------------------------------------- shared instance grids
 
-_equivalence_grid = None  # (d, n, i) -> (rho, sigma, brute, cycle)
+_equivalence_grid = None  # (d, n, i) -> (rho, sigma, brute, jacobi_trudi)
 _mse_grid = None  # (d, n, i) -> (ann, div, varentropy)
 
 
@@ -75,7 +75,7 @@ def equivalence_instances():
                         rho,
                         sigma,
                         distribution(rho, sigma, n, backend="brute"),
-                        distribution(rho, sigma, n, backend="cycle_poly"),
+                        distribution(rho, sigma, n, backend="jacobi_trudi"),
                     )
         _equivalence_grid = grid
     return _equivalence_grid
@@ -118,14 +118,14 @@ def test_criterion_01_dimension_identity():
 def test_criterion_02_backend_equivalence():
     start = time.time()
     worst = 0.0
-    for (d, n, i), (_, _, brute, cycle) in equivalence_instances().items():
-        assert brute.youngs == cycle.youngs and brute.weights == cycle.weights
-        gap = float(np.max(np.abs(brute.p - cycle.p)))
+    for (d, n, i), (_, _, brute, jt) in equivalence_instances().items():
+        assert brute.youngs == jt.youngs and brute.weights == jt.weights
+        gap = float(np.max(np.abs(brute.p - jt.p)))
         worst = max(worst, gap)
         assert gap <= 1e-9, f"backends disagree by {gap:.2e} at d={d}, n={n}, pair {i}"
     elapsed = time.time() - start
     assert elapsed < 300.0
-    _line(2, f"brute and cycle-polynomial backends agree atomwise; "
+    _line(2, f"brute and Jacobi-Trudi backends agree atomwise; "
              f"worst gap {worst:.2e} over {len(equivalence_instances())} pairs in {elapsed:.1f}s")
 
 
@@ -252,7 +252,7 @@ def test_criterion_09_normality_trend():
         div = relative_entropy(rho, sigma)
         ks = {}
         for n in (6, 24):
-            ann = annotate_estimates(distribution(rho, sigma, n, backend="cycle_poly"))
+            ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
             ks[n] = normality_report(ann, div, varentropy).ks
         assert ks[24] < ks[6], f"KS distance failed to shrink on pair {k}: {ks}"
     _line(9, "KS distance to the normal limit shrinks from n=6 to n=24 on "
@@ -282,8 +282,8 @@ def test_criterion_10_cramer_rao():
 @pytest.mark.xfail(strict=True, reason="the estimate dominates its entropy surrogate, "
                                        "so the surrogate-minus-estimate ordering fails")
 def test_criterion_11_gap_as_stated():
-    for (_, _, _), (_, _, _, cycle) in equivalence_instances().items():
-        ann = annotate_estimates(cycle)
+    for (_, _, _), (_, _, _, jt) in equivalence_instances().items():
+        ann = annotate_estimates(jt)
         reversed_gap = ann.x_star - ann.x
         assert float(reversed_gap.min()) >= -1e-12
         assert float((reversed_gap - ann.gap_bound).max()) <= 1e-12
@@ -292,8 +292,8 @@ def test_criterion_11_gap_as_stated():
 def test_criterion_11_gap_window():
     atoms = 0
     worst = 0.0
-    for (d, n, i), (_, _, _, cycle) in equivalence_instances().items():
-        ann = annotate_estimates(cycle)
+    for (d, n, i), (_, _, _, jt) in equivalence_instances().items():
+        ann = annotate_estimates(jt)
         gap = ann.x - ann.x_star
         assert float(gap.min()) >= -1e-12, f"negative gap at d={d}, n={n}, pair {i}"
         excess = float((gap - ann.gap_bound).max())

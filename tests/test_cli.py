@@ -121,8 +121,8 @@ class TestDistribution:
 
     def test_backend_flag(self, states, capsys):
         assert main(["distribution", "--rho", states["rho"], "--sigma", states["sigma"],
-                     "--n", "3", "--backend", "cycle_poly", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["backend"] == "cycle_poly"
+                     "--n", "3", "--backend", "jacobi_trudi", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "jacobi_trudi"
 
 
 class TestDims:

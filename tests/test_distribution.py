@@ -7,13 +7,19 @@ Oracles kept independent of the engines under test:
 - dense projector algebra on the full n-copy space,
 - a full permutation-group average (the engines only ever touch one
   representative per class),
-- the exact identity tying the estimate's mean to the relative entropy.
+- the exact identity tying the estimate's mean to the relative entropy,
+- a 50-digit Jacobi-Trudi expansion in coefficient space (mpmath, no FFT).
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,8 +28,8 @@ from schurest.distribution import (
     block_projectors,
     block_spectrum,
     brute_distribution,
-    cycle_poly_distribution,
     distribution,
+    jacobi_trudi_distribution,
     kron_power,
     pinching_defect,
     renyi_trace_check,
@@ -147,11 +153,11 @@ def test_coupling_walk_matches_brute(n):
 
 
 @pytest.mark.parametrize("n", [10, 12])
-def test_coupling_walk_matches_cycle_poly(n):
+def test_coupling_walk_matches_jacobi_trudi(n):
     rho = diagonal_state([0.9, 0.1])
     sigma = diagonal_state([0.55, 0.45])
     walk = coupling_walk([0.9, 0.1], n)
-    table = atoms_dict(cycle_poly_distribution(rho, sigma, n))
+    table = atoms_dict(jacobi_trudi_distribution(rho, sigma, n))
     for key, mass in walk.items():
         assert table[key] == pytest.approx(mass, abs=1e-12)
 
@@ -239,7 +245,7 @@ def test_backend_equivalence(d, n):
     for seed in range(3):
         rho, sigma = random_pair(d, seed=1000 * d + 10 * n + seed)
         a = brute_distribution(rho, sigma, n)
-        b = cycle_poly_distribution(rho, sigma, n)
+        b = jacobi_trudi_distribution(rho, sigma, n)
         assert a.youngs == b.youngs and a.weights == b.weights
         assert (a.mult == b.mult).all()
         np.testing.assert_allclose(a.p, b.p, atol=1e-9)
@@ -249,21 +255,21 @@ def test_backend_equivalence(d, n):
 def test_backend_dispatch():
     rho, sigma = random_pair(2, seed=77)
     assert distribution(rho, sigma, 3).backend == "brute"
-    assert distribution(rho, sigma, 15).backend == "cycle_poly"
-    assert distribution(rho, sigma, 3, backend="cycle_poly").backend == "cycle_poly"
+    assert distribution(rho, sigma, 15).backend == "jacobi_trudi"
+    assert distribution(rho, sigma, 3, backend="jacobi_trudi").backend == "jacobi_trudi"
     with pytest.raises(ValueError):
         distribution(rho, sigma, 3, backend="nope")
     with pytest.raises(ValueError):
         brute_distribution(rho, sigma, 9)
     with pytest.raises(ValueError):
-        cycle_poly_distribution(rho, sigma, 31)
+        jacobi_trudi_distribution(rho, sigma, 31)
     with pytest.raises(ValueError):
-        cycle_poly_distribution(random_mixed(5, seed=1), random_mixed(5, seed=2), 2)
+        jacobi_trudi_distribution(random_mixed(5, seed=1), random_mixed(5, seed=2), 2)
 
 
 def test_large_n_stability():
     rho, sigma = random_pair(2, seed=88)
-    dist = cycle_poly_distribution(rho, sigma, 30)
+    dist = jacobi_trudi_distribution(rho, sigma, 30)
     assert dist.total_probability() == pytest.approx(1.0, abs=1e-9)
     assert dist.max_imag < 1e-9
     assert dist.neg_clip > -1e-6
@@ -273,6 +279,107 @@ def test_large_n_stability():
         v_dim, _ = sn_dim(young)
         expected = v_dim * schur_eval(young, rho_spec.tolist())
         assert marginal[young] == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+
+# ------------------------------------------ high-precision coefficient oracle
+
+REFERENCE_DIGITS = 50
+
+
+def _poly_add(total, term, scale=1):
+    """total += scale * term for polynomials stored as {exponent tuple: coefficient}."""
+    for key, value in term.items():
+        total[key] = total.get(key, 0) + scale * value
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def _leibniz_det(matrix, d):
+    """Determinant of a square matrix of polynomials, term by term."""
+    total = {}
+    size = len(matrix)
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = {(0,) * d: mpmath.mpc((-1) ** inversions)}
+        for row, col in enumerate(perm):
+            term = _poly_mul(term, matrix[row][col])
+        _poly_add(total, term)
+    return total
+
+
+def reference_atoms(rho, sigma, n):
+    """{(young, weight): p} with p = dimV * [z^weight] s_lam(rho_tilde Z).
+
+    Everything after rho_tilde runs at REFERENCE_DIGITS digits on exact
+    coefficients: e_j as sums of principal minors of rho_tilde Z, h_k by
+    h_k = sum_j (-1)^(j-1) e_j h_(k-j), and s_lam as the full d x d
+    Jacobi-Trudi determinant, with no factor pulled out.
+    """
+    spec = sigma_spectrum(sigma)
+    rt = spec.basis.conj().T @ rho.mat @ spec.basis
+    d = rho.dim
+    out = {}
+    with mpmath.workdps(REFERENCE_DIGITS):
+        unit = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        rz = [[{unit[b]: mpmath.mpc(rt[a, b].real, rt[a, b].imag)} for b in range(d)]
+              for a in range(d)]
+        e = [{(0,) * d: mpmath.mpc(1)}]
+        for j in range(1, d + 1):
+            e.append({})
+            for s in combinations(range(d), j):
+                _poly_add(e[j], _leibniz_det([[rz[a][b] for b in s] for a in s], d))
+        h = [e[0]]
+        for k in range(1, n + d):
+            h.append({})
+            for j in range(1, min(k, d) + 1):
+                _poly_add(h[k], _poly_mul(e[j], h[k - j]), (-1) ** (j - 1))
+        for young in enumerate_young(n, d):
+            lam = young[::-1]
+            s_lam = _leibniz_det(
+                [[h[lam[i] - i + j] if lam[i] - i + j >= 0 else {} for j in range(d)]
+                 for i in range(d)], d)
+            v_dim, _ = sn_dim(young)
+            for weight, value in s_lam.items():
+                out[(young, weight)] = v_dim * value.real
+    return out
+
+
+def test_near_pure_state_matches_high_precision_reference():
+    # A near-pure state at the largest supported n is where the Schur
+    # polynomial cancels hardest; no raw probability may need clamping.
+    rho = random_pure_depolarized(2, 42, 0.05)
+    sigma = random_mixed(2, 102)
+    dist = jacobi_trudi_distribution(rho, sigma, 30)
+    assert dist.neg_clip == 0.0
+    ref = reference_atoms(rho, sigma, 30)
+    error = max(abs(mpmath.mpf(float(p)) - ref.get((young, weight), 0))
+                for young, weight, p in zip(dist.youngs, dist.weights, dist.p))
+    assert error <= 1e-14
+
+
+def test_jacobi_trudi_builds_no_character_table():
+    # only brute weights traces with characters; a fresh process that runs
+    # the Jacobi-Trudi backend must leave the character memo empty
+    code = (
+        "from schurest import partitions\n"
+        "from schurest.distribution import distribution\n"
+        "from schurest.states import random_mixed\n"
+        "dist = distribution(random_mixed(2, 1), random_mixed(2, 2), 30)\n"
+        "print(dist.backend, partitions._mn_character.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["jacobi_trudi", "0"]
 
 
 # ----------------------------------------------- full-group dense oracle
@@ -498,12 +605,13 @@ def test_exact_rational_reconstruction():
         assert atoms_dict(dist)[key] == pytest.approx(mass, abs=1e-14)
 
 
-# Trace rows at n = d = 2 for I/2: class (2,) is the swap, class (1, 1) the
-# identity; columns are the weights (0, 2), (1, 1), (2, 0).  The atoms are
-# ((0, 2), mu) for each mu, with p = (swap + identity) / 2, then
-# ((1, 1), (1, 1)) with p = (identity - swap) / 2.
+# Per-Young rows at n = d = 2 for I/2, built from the swap trace row and the
+# identity trace row [0.25, 0.5, 0.25] over the weights (0, 2), (1, 1),
+# (2, 0).  Young index (0, 2) has p = (swap + identity) / 2 and (1, 1) has
+# p = (identity - swap) / 2; its only atom is ((1, 1), (1, 1)).
 def _two_copy_rows(swap):
-    return np.array([swap, [0.25, 0.5, 0.25]])
+    swap, identity = np.array(swap), np.array([0.25, 0.5, 0.25])
+    return np.array([(swap + identity) / 2, (identity - swap) / 2])
 
 
 def test_small_negative_probability_is_clamped():

@@ -346,7 +346,7 @@ def test_normality_trend_commuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotated(rho, sigma, n, backend="cycle_poly")
+        ann = annotated(rho, sigma, n, backend="jacobi_trudi")
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 
@@ -358,7 +358,7 @@ def test_normality_trend_noncommuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotated(rho, sigma, n, backend="cycle_poly")
+        ann = annotated(rho, sigma, n, backend="jacobi_trudi")
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 

@@ -17,12 +17,12 @@ from schurest.partitions import enumerate_young, schur_eval, sn_dim
 from schurest.scaling import (
     ComplexityRow,
     UniformReferenceScan,
+    _ScanTables,
     _descending_parts_batches,
+    _shift_parts,
     calibrated_budget,
     complexity_row,
     geometric_spectrum,
-    log_perm_block_dims,
-    log_schur_geometric,
     uniform_reference_scan,
     varentropy_scale_proxy,
 )
@@ -73,8 +73,9 @@ class TestEnumeration:
 class TestLogDimensions:
     @pytest.mark.parametrize("n,d", [(10, 2), (12, 3), (9, 4)])
     def test_perm_dims_match_exact(self, n, d):
+        tables = _ScanTables(n, d)
         for batch in _descending_parts_batches(n, d):
-            logs = log_perm_block_dims(batch, n)
+            logs = tables.log_dims(_shift_parts(batch), n)
             for row, value in zip(batch, logs):
                 exact, _ = sn_dim(tuple(reversed(tuple(int(v) for v in row))))
                 assert value == pytest.approx(math.log(exact), rel=1e-12)
@@ -82,8 +83,9 @@ class TestLogDimensions:
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_schur_values_match_expansion(self, q):
         point = [q**k for k in range(3)]
+        tables = _ScanTables(6, 3, q)
         for batch in _descending_parts_batches(6, 3):
-            logs = log_schur_geometric(batch, q)
+            logs = tables.log_schur(_shift_parts(batch))
             for row, value in zip(batch, logs):
                 lam = tuple(reversed(tuple(int(v) for v in row)))
                 assert math.exp(value) == pytest.approx(schur_eval(lam, point), rel=1e-10)
@@ -102,7 +104,7 @@ class TestScan:
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
         assert scan.divergence == pytest.approx(relative_entropy(rho, sigma), abs=1e-12)
-        ann = annotate_estimates(distribution(rho, sigma, n, backend="cycle_poly"))
+        ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
@@ -114,7 +116,7 @@ class TestScan:
         rho = DensityMatrix(np.diag(spectrum).astype(complex))
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
-        ann = annotate_estimates(distribution(rho, sigma, n, backend="cycle_poly"))
+        ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)

@@ -73,6 +73,13 @@ def test_sigma_spectrum_orders_and_rejects_rank_deficiency():
         sigma_spectrum(diagonal_state([1.0, 0.0]))
 
 
+def test_sigma_spectrum_rejects_non_unit_trace():
+    # DensityMatrix itself does not validate, so the check must be a real
+    # error rather than an assert that python -O strips
+    with pytest.raises(ValueError, match="unit trace"):
+        sigma_spectrum(DensityMatrix(np.eye(2)))
+
+
 # -------------------------------------------------------- relative entropy
 
 
