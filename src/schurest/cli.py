@@ -37,7 +37,7 @@ from .estimator import (
     tail_report,
 )
 from .distribution import distribution
-from .partitions import enumerate_young, sn_dim, total_schur_dim, weyl_dim
+from .partitions import enumerate_young, sn_dim, total_schur_dim, weyl_dim, young_count
 from .scaling import SCAN_MAX_D, calibrated_budget, complexity_row, varentropy_scale_proxy
 from .states import (
     DensityMatrix,
@@ -51,6 +51,7 @@ from .states import (
 )
 
 SCAN_SPECTRUM_RATIO = 0.9  # geometric eigenvalue ratio used by complexity-scan states
+DIMS_MAX_BLOCKS = 100_000  # dims --n 100 --d 6 (189,509 Young indices) needs 0.4 GB
 
 
 class CliError(Exception):
@@ -156,6 +157,10 @@ def _parse_spectrum(text: str) -> list[float]:
         raise CliError("parse", f"bad spectrum {text!r}, expected comma-separated numbers")
     if not values:
         raise CliError("parse", "spectrum is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise CliError("parse", f"bad spectrum {text!r}, entries must be finite")
+    if not sum(values) > 0:
+        raise CliError("validation", "spectrum must have a positive sum")
     return values
 
 
@@ -180,6 +185,11 @@ def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 def cmd_dims(args) -> int:
+    if young_count(args.n, args.d, DIMS_MAX_BLOCKS) > DIMS_MAX_BLOCKS:
+        raise CliError(
+            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices; (n, d) = "
+            f"({args.n}, {args.d}) has more"
+        )
     summary = total_schur_dim(args.n, args.d)
     blocks = [
         (young, weyl_dim(young), sn_dim(young)[0])
@@ -219,7 +229,7 @@ def cmd_divergence(args) -> int:
 def cmd_distribution(args) -> int:
     rho, sigma = _load_pair(args)
     try:
-        dist = distribution(rho, sigma, args.n, backend=args.backend)
+        dist = distribution(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
     ann = annotate_estimates(dist)
@@ -259,7 +269,7 @@ def cmd_distribution(args) -> int:
 def cmd_estimate(args) -> int:
     rho, sigma = _load_pair(args)
     try:
-        report = estimate_report(rho, sigma, args.n, backend=args.backend)
+        report = estimate_report(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
     payload = {
@@ -282,7 +292,7 @@ def cmd_estimate(args) -> int:
 def cmd_tail(args) -> int:
     rho, sigma = _load_pair(args)
     try:
-        report = tail_report(rho, sigma, args.n, args.epsilon, backend=args.backend)
+        report = tail_report(rho, sigma, args.n, args.epsilon)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
     payload = {
@@ -314,7 +324,7 @@ def cmd_normality(args) -> int:
     rows = []
     for n in n_values:
         try:
-            ann = annotate_estimates(distribution(rho, sigma, n, backend=args.backend))
+            ann = annotate_estimates(distribution(rho, sigma, n))
         except (ValueError, ArithmeticError) as exc:
             raise CliError("compute", f"n={n}: {exc}")
         rows.append((n, normality_report(ann, div, varentropy).ks))
@@ -449,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", required=True, help="state JSON file")
         p.add_argument("--sigma", required=True, help="reference state JSON file")
 
-    def add_backend(p):
-        p.add_argument("--backend", choices=["auto", "brute", "jacobi_trudi"], default="auto")
-
     def add_out(p, formats=None, default=None):
         p.add_argument("--out", help="output file (default: stdout)")
         if formats:
@@ -471,14 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distribution", help="exact outcome table")
     add_pair(p)
     p.add_argument("--n", type=_positive_int, required=True)
-    add_backend(p)
     add_out(p, formats=["csv", "json"])
     p.set_defaults(func=cmd_distribution)
 
     p = sub.add_parser("estimate", help="estimator statistics with the MSE bound")
     add_pair(p)
     p.add_argument("--n", type=_positive_int, required=True)
-    add_backend(p)
     add_out(p)
     p.set_defaults(func=cmd_estimate)
 
@@ -486,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=_positive_float, required=True)
-    add_backend(p)
     add_out(p)
     p.set_defaults(func=cmd_tail)
 
@@ -494,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair(p)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--n-range", dest="n_range", help="A:B:step, inclusive")
-    add_backend(p)
     add_out(p, formats=["csv", "json"])
     p.set_defaults(func=cmd_normality)
 

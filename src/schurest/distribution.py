@@ -14,16 +14,19 @@ every basis gives the same table).
 Two independent backends compute the atom probabilities
 p(lam, mu) = Tr[rho_tilde^(x)n P_lam P_mu]:
 
-- brute: enumerate all d**n basis strings and evaluate the projected trace
-  for one representative permutation per conjugacy class (the trace is a
-  class function, so a representative suffices; a full class average is
-  kept in the tests as a secondary oracle), then weight the class traces
-  with dimV * class size * character / n!.
 - jacobi_trudi: since (rho_tilde Z)^(x)n commutes with P_lam for diagonal
   markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).  The
   Schur polynomial is a Jacobi-Trudi determinant in the complete symmetric
   functions h_k(rho_tilde Z), evaluated on a grid of roots of unity; one FFT
-  per Young index reads off every coefficient.
+  per Young index reads off every coefficient.  `distribution` runs it for
+  every d <= JT_MAX_D.
+- brute: enumerate all d**n basis strings and evaluate the projected trace
+  for one representative permutation per conjugacy class (the trace is a
+  class function, so a representative suffices; a full class average is
+  kept in the tests as a secondary oracle), then weight the class traces
+  with dimV * class size * character / n!.  `distribution` runs it for
+  d > JT_MAX_D, which jacobi_trudi cannot serve; otherwise it is the
+  independent reference the tests and `verify` compare against.
 
 Roundoff can leave tiny negative raw probabilities: values in (-1e-6, 0)
 are clamped to zero (and the worst one recorded); anything at or below
@@ -154,19 +157,25 @@ def _atom_table(n: int, d: int) -> _AtomTable:
     columns = tuple(compositions(n, d))
     young_list = enumerate_young(n, d)
     v_dims, log_v, log_ratio, entropy = [], [], [], []
-    young_idx, weight_pos, mult = [], [], []
-    for yi, young in enumerate(young_list):
+    for young in young_list:
         v_dim, ratio = sn_dim(young)
         v_dims.append(float(v_dim))
         log_v.append(math.log(v_dim))
         log_ratio.append(math.log(ratio))
         entropy.append(type_entropy_bounds(young)[0])
-        for pos, weight in enumerate(columns):
-            k = kostka(young, weight)
-            if k:
-                young_idx.append(yi)
-                weight_pos.append(pos)
-                mult.append(k)
+    # kostka is symmetric in the weight, and the sorted weights of (n, d) are
+    # exactly its Young indices: one Kostka matrix over Young index pairs
+    # covers every column
+    kostka_matrix = np.array(
+        [[kostka(young, sorted_weight) for sorted_weight in young_list] for young in young_list],
+        dtype=np.int64,
+    )
+    young_pos = {young: i for i, young in enumerate(young_list)}
+    sorted_pos = np.array([young_pos[tuple(sorted(weight))] for weight in columns], dtype=np.int64)
+    mult_matrix = kostka_matrix[:, sorted_pos]
+    # row-major nonzeros: Young index first, then weight order
+    young_idx, weight_pos = np.nonzero(mult_matrix)
+    mult = mult_matrix[young_idx, weight_pos]
     return _AtomTable(
         columns=columns,
         blocks=tuple(young_list),
@@ -174,9 +183,9 @@ def _atom_table(n: int, d: int) -> _AtomTable:
         log_v=np.array(log_v),
         log_ratio=np.array(log_ratio),
         entropy=np.array(entropy),
-        young_idx=np.array(young_idx, dtype=np.int64),
-        weight_pos=np.array(weight_pos, dtype=np.int64),
-        mult=np.array(mult, dtype=np.int64),
+        young_idx=young_idx,
+        weight_pos=weight_pos,
+        mult=mult,
         youngs=tuple(young_list[i] for i in young_idx),
         weights=tuple(columns[pos] for pos in weight_pos),
     )
@@ -390,16 +399,15 @@ def jacobi_trudi_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistr
     return _assemble(n, d, "jacobi_trudi", spec, block_rows, max_imag)
 
 
-def distribution(rho: DensityMatrix, sigma, n: int, backend: str = "auto") -> OutcomeDistribution:
-    """Dispatch to a backend; auto picks brute within its limits, else jacobi_trudi."""
-    if backend == "auto":
-        fits_brute = rho.dim**n <= BRUTE_MAX_STRINGS and n <= BRUTE_MAX_N
-        backend = "brute" if fits_brute else "jacobi_trudi"
-    if backend == "brute":
-        return brute_distribution(rho, sigma, n)
-    if backend == "jacobi_trudi":
+def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
+    """Exact outcome distribution: jacobi_trudi for d <= JT_MAX_D, brute above.
+
+    The choice depends on d alone; the `backend` field of the result names
+    the path that ran.
+    """
+    if rho.dim <= JT_MAX_D:
         return jacobi_trudi_distribution(rho, sigma, n)
-    raise ValueError(f"unknown backend {backend!r}")
+    return brute_distribution(rho, sigma, n)
 
 
 # --------------------------------------------------------- dense block ops

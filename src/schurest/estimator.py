@@ -87,13 +87,13 @@ def exact_mse_star(ann: AnnotatedDistribution, center: float) -> float:
     return math.fsum((ann.p * (ann.x_star - center) ** 2).tolist())
 
 
-def estimate_report(rho, sigma, n: int, backend: str = "auto") -> EstimatorReport:
+def estimate_report(rho, sigma, n: int) -> EstimatorReport:
     """Exact estimator statistics for one instance, with the MSE bound."""
     div = relative_entropy(rho, sigma)
     if not math.isfinite(div):
         raise ValueError("relative entropy is infinite; the estimator needs full support")
     varentropy = relative_varentropy(rho, sigma)
-    dist = distribution(rho, sigma, n, backend=backend)
+    dist = distribution(rho, sigma, n)
     ann = annotate_estimates(dist)
     mean_x = ann.mean_x()
     mse = exact_mse(ann, div)
@@ -160,11 +160,11 @@ def tail_probabilities(ann: AnnotatedDistribution, center: float, epsilon: float
     )
 
 
-def tail_report(rho, sigma, n: int, epsilon: float, backend: str = "auto") -> TailReport:
+def tail_report(rho, sigma, n: int, epsilon: float) -> TailReport:
     div = relative_entropy(rho, sigma)
     if not math.isfinite(div):
         raise ValueError("relative entropy is infinite; tails are not defined")
-    ann = annotate_estimates(distribution(rho, sigma, n, backend=backend))
+    ann = annotate_estimates(distribution(rho, sigma, n))
     return tail_probabilities(ann, div, epsilon, renyi=renyi_curve(rho, sigma))
 
 

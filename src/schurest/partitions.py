@@ -32,6 +32,7 @@ __all__ = [
     "type_entropy_bounds",
     "weyl_dim",
     "weyl_dim_log_bound",
+    "young_count",
 ]
 
 
@@ -68,6 +69,27 @@ def enumerate_young(n: int, d: int) -> list[tuple[int, ...]]:
 
     extend((), n, 0)
     return result
+
+
+def young_count(n: int, d: int, cap: int) -> int:
+    """Number of Young indices of (n, d) without enumerating them, or cap + 1 past cap.
+
+    The count is p_d(n), the partitions of n into at most d parts, from
+    p_k(m) = p_(k-1)(m) + p_k(m - k).  It never decreases in n or in d, so
+    the recurrence stops at the first k whose count passes cap, and n is
+    cut to 2 * cap: p_2 passes cap there, and p_1 = 1 for every n.  The
+    cost is O(cap * k) for the k passes made, whatever n and d are.
+    """
+    if n < 0 or d < 1 or cap < 0:
+        raise ValueError("need n >= 0, d >= 1 and cap >= 0")
+    m = min(n, 2 * cap)
+    counts = [1] + [0] * m
+    for k in range(1, min(d, m) + 1):
+        for j in range(k, m + 1):
+            counts[j] += counts[j - k]
+        if counts[m] > cap:
+            return cap + 1
+    return counts[m]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

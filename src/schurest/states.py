@@ -50,6 +50,8 @@ def validate_state(raw) -> DensityMatrix:
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has non-finite entries")
     herm_defect = float(np.max(np.abs(arr - arr.conj().T))) / 2 if arr.size else 0.0
     herm = (arr + arr.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
@@ -385,8 +387,9 @@ def random_mixed(d: int, seed: int, spectrum=None, floor: float = 0.0) -> Densit
     if spectrum is None:
         spectrum = rng.dirichlet(np.ones(d))
     spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.shape != (d,) or np.any(spectrum < 0):
-        raise ValueError("spectrum must be d non-negative numbers")
+    if (spectrum.shape != (d,) or not np.isfinite(spectrum).all() or np.any(spectrum < 0)
+            or not spectrum.sum() > 0):
+        raise ValueError("spectrum must be d finite non-negative numbers with a positive sum")
     spectrum = spectrum / spectrum.sum()
     u = haar_unitary(d, rng)
     mat = (u * spectrum) @ u.conj().T

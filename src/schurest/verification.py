@@ -23,7 +23,9 @@ import numpy as np
 from .bounds import mse_bound, mse_bound_counting, sample_complexity_bound
 from .distribution import (
     block_projectors,
+    brute_distribution,
     distribution,
+    jacobi_trudi_distribution,
     kron_power,
     pinching_defect,
     schur_projector,
@@ -72,9 +74,9 @@ def _pair(d: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 @lru_cache(maxsize=64)
-def _dist(d: int, n: int, seed: int, backend: str):
+def _dist(compute, d: int, n: int, seed: int):
     rho, sigma = _pair(d, seed)
-    return distribution(rho, sigma, n, backend=backend)
+    return compute(rho, sigma, n)
 
 
 _SMALL_GRID = ((2, 3), (2, 6), (3, 3), (3, 4))
@@ -199,8 +201,8 @@ def _family_unitary_invariance(seed: int) -> None:
 def _family_backend_equivalence(seed: int) -> None:
     for d, n in _SMALL_GRID:
         for s in (seed, seed + 1):
-            brute = _dist(d, n, s, "brute")
-            jt = _dist(d, n, s, "jacobi_trudi")
+            brute = _dist(brute_distribution, d, n, s)
+            jt = _dist(jacobi_trudi_distribution, d, n, s)
             _check(brute.youngs == jt.youngs, f"atom keys differ at d={d}, n={n}")
             gap = float(np.max(np.abs(brute.p - jt.p)))
             _check(gap <= 1e-9, f"backend probability gap {gap:.2e} at d={d}, n={n}")
@@ -208,15 +210,15 @@ def _family_backend_equivalence(seed: int) -> None:
 
 def _family_normalization(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        for backend in ("brute", "jacobi_trudi"):
-            dist = _dist(d, n, seed, backend)
+        for compute in (brute_distribution, jacobi_trudi_distribution):
+            dist = _dist(compute, d, n, seed)
             _check(
                 abs(dist.total_probability() - 1) <= 1e-9,
-                f"p does not sum to 1 ({backend}, d={d}, n={n})",
+                f"p does not sum to 1 ({dist.backend}, d={d}, n={n})",
             )
             _check(
                 abs(dist.total_unit_probability() - 1) <= 1e-9,
-                f"multiplicity * q_unit does not sum to 1 ({backend}, d={d}, n={n})",
+                f"multiplicity * q_unit does not sum to 1 ({dist.backend}, d={d}, n={n})",
             )
 
 
@@ -249,7 +251,7 @@ def _family_pinching_defect(seed: int) -> None:
 
 def _family_multiplicity_tiling(seed: int) -> None:
     for d, n in ((2, 4), (3, 3)):
-        dist = _dist(d, n, seed, "brute")
+        dist = _dist(brute_distribution, d, n, seed)
         per_young: dict = {}
         for young, m in zip(dist.youngs, dist.mult):
             per_young[young] = per_young.get(young, 0) + int(m)
@@ -269,9 +271,17 @@ def _family_mean_bias_window(seed: int) -> None:
         _check(-1e-9 <= bias <= cap + 1e-9, f"mean bias {bias:.3e} outside [0, {cap:.3e}]")
 
 
-def _family_dense_mse_oracle(seed: int) -> None:
-    d, n = 2, 3
-    rho, sigma = _pair(d, seed + 37)
+def operator_identity_mse(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
+    """MSE of the estimate from the dense n-copy operator, bypassing the atom table.
+
+    The per-outcome value x makes X = -(1/n)(log of the reference n-copy
+    state + per-block log-dimension), and X - center coincides with
+    (1/n)(log of the n-copy state - log of the reference n-copy state)
+    - center - (1/n) sum over blocks of log(block component), because the
+    n-copy state is exactly the direct sum of its block components.  The
+    MSE is the trace moment of that operator against the n-copy state.
+    """
+    d = rho.dim
     spec = sigma_spectrum(sigma)
     rt = spec.basis.conj().T @ rho.mat @ spec.basis
 
@@ -304,14 +314,21 @@ def _family_dense_mse_oracle(seed: int) -> None:
         - center * np.eye(d**n)
         - block_log / n
     )
-    dense = float(np.real(np.trace(big @ g @ g)))
+    return float(np.real(np.trace(big @ g @ g)))
+
+
+def _family_dense_mse_oracle(seed: int) -> None:
+    n = 3
+    rho, sigma = _pair(2, seed + 37)
+    dense = operator_identity_mse(rho, sigma, n)
+    center = relative_entropy(rho, sigma)
     atoms = exact_mse(annotate_estimates(distribution(rho, sigma, n)), center)
     _check(abs(dense - atoms) <= 1e-8, f"dense MSE {dense!r} != atom MSE {atoms!r}")
 
 
 def _family_gap_window(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        ann = annotate_estimates(_dist(d, n, seed, "jacobi_trudi"))
+        ann = annotate_estimates(_dist(jacobi_trudi_distribution, d, n, seed))
         gap = ann.x - ann.x_star
         _check(float(gap.min()) >= -1e-12, f"negative approximation gap at d={d}, n={n}")
         excess = float((gap - ann.gap_bound).max())

@@ -14,12 +14,13 @@ import time
 
 import numpy as np
 import pytest
-from test_estimator import operator_identity_mse
 
 from schurest.bounds import mse_bound
 from schurest.distribution import (
     block_projectors,
+    brute_distribution,
     distribution,
+    jacobi_trudi_distribution,
     kron_power,
     pinching_defect,
 )
@@ -41,6 +42,7 @@ from schurest.states import (
     sigma_spectrum,
     sld_quantities,
 )
+from schurest.verification import operator_identity_mse
 
 PAIRS_PER_POINT = 20
 MEAN_WINDOW_TOL = 1e-9
@@ -74,8 +76,8 @@ def equivalence_instances():
                     grid[(d, n, i)] = (
                         rho,
                         sigma,
-                        distribution(rho, sigma, n, backend="brute"),
-                        distribution(rho, sigma, n, backend="jacobi_trudi"),
+                        brute_distribution(rho, sigma, n),
+                        jacobi_trudi_distribution(rho, sigma, n),
                     )
         _equivalence_grid = grid
     return _equivalence_grid
@@ -252,7 +254,7 @@ def test_criterion_09_normality_trend():
         div = relative_entropy(rho, sigma)
         ks = {}
         for n in (6, 24):
-            ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
+            ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
             ks[n] = normality_report(ann, div, varentropy).ks
         assert ks[24] < ks[6], f"KS distance failed to shrink on pair {k}: {ks}"
     _line(9, "KS distance to the normal limit shrinks from n=6 to n=24 on "

@@ -58,6 +58,16 @@ class TestGenState:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: parse:")
 
+    @pytest.mark.parametrize("argv", [
+        ["diagonal", "--spectrum", "nan,1"],
+        ["random_mixed", "--d", "2", "--spectrum", "inf,1"],
+    ])
+    def test_rejects_non_finite_spectrum(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert main(["gen-state", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: parse:")
+        assert not out.exists()
+
     def test_diagonal_needs_spectrum(self, tmp_path, capsys):
         code = main(["gen-state", "diagonal", "--out", str(tmp_path / "x.json")])
         assert code == 2
@@ -113,16 +123,18 @@ class TestDistribution:
                      "--n", "2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 2 and payload["d"] == 2
-        assert payload["backend"] == "brute"
+        assert payload["backend"] == "jacobi_trudi"
         assert len(payload["sigma_spectrum"]) == 2
         assert {"lambda", "mu", "p", "q_unit", "multiplicity", "x", "x_star"} == set(
             payload["atoms"][0]
         )
 
-    def test_backend_flag(self, states, capsys):
-        assert main(["distribution", "--rho", states["rho"], "--sigma", states["sigma"],
-                     "--n", "3", "--backend", "jacobi_trudi", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["backend"] == "jacobi_trudi"
+    def test_backend_flag(self, states):
+        # the path is chosen by d alone; the option is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--rho", states["rho"], "--sigma", states["sigma"],
+                  "--n", "3", "--backend", "brute"])
+        assert exc.value.code == 2
 
 
 class TestDims:
@@ -140,6 +152,14 @@ class TestDims:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "young,weyl_dim,sn_dim"
         assert len(lines) - 1 == total_schur_dim(5, 2).count
+
+    @pytest.mark.parametrize("n,d", [("200", "9"), ("1000000000", "2")])
+    def test_refuses_too_many_blocks(self, capsys, n, d):
+        # (200, 9) has 405,047,836 Young indices; enumerating them runs out of memory
+        assert main(["dims", "--n", n, "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: validation:")
+        assert captured.out == ""
 
 
 class TestDivergence:
@@ -232,13 +252,20 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: validation:")
 
-    @pytest.mark.parametrize("payload", ['{"spectrum": 5}\n', '[[0.5, 0], [0, 0.5]]\n'])
+    @pytest.mark.parametrize("payload", [
+        '{"spectrum": 5}\n',
+        '[[0.5, 0], [0, 0.5]]\n',
+        '{"spectrum": [NaN, 0.5]}\n',
+        '{"spectrum": [Infinity, 0.5]}\n',
+    ])
     def test_malformed_state_file(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(payload)
         code = main(["divergence", "--rho", str(bad), "--sigma", str(bad)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: validation:")
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["dims", "--n", "2", "--d", "2"],

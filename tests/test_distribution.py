@@ -37,7 +37,15 @@ from schurest.distribution import (
     string_digits,
     type_mask,
 )
-from schurest.partitions import enumerate_young, schur_eval, sn_dim, total_schur_dim, weyl_dim
+from schurest.partitions import (
+    compositions,
+    enumerate_young,
+    kostka,
+    schur_eval,
+    sn_dim,
+    total_schur_dim,
+    weyl_dim,
+)
 from schurest.states import (
     DensityMatrix,
     diagonal_state,
@@ -254,11 +262,11 @@ def test_backend_equivalence(d, n):
 
 def test_backend_dispatch():
     rho, sigma = random_pair(2, seed=77)
-    assert distribution(rho, sigma, 3).backend == "brute"
+    assert distribution(rho, sigma, 3).backend == "jacobi_trudi"
     assert distribution(rho, sigma, 15).backend == "jacobi_trudi"
-    assert distribution(rho, sigma, 3, backend="jacobi_trudi").backend == "jacobi_trudi"
-    with pytest.raises(ValueError):
-        distribution(rho, sigma, 3, backend="nope")
+    assert distribution(*random_pair(5, seed=77), 3).backend == "brute"
+    with pytest.raises(TypeError):
+        distribution(rho, sigma, 3, backend="brute")
     with pytest.raises(ValueError):
         brute_distribution(rho, sigma, 9)
     with pytest.raises(ValueError):
@@ -569,6 +577,20 @@ def test_renyi_trace_alpha_validation():
 
 
 # ----------------------------------------------------------- diagnostics
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (6, 4), (4, 5), (3, 6)])
+def test_atom_table_matches_kostka_loop(n, d):
+    from schurest.distribution import _atom_table
+
+    # reference: one kostka call per (Young index, weight), Young index first
+    atoms = [(young, weight, kostka(young, weight))
+             for young in enumerate_young(n, d) for weight in compositions(n, d)]
+    atoms = [atom for atom in atoms if atom[2]]
+    table = _atom_table(n, d)
+    assert table.youngs == tuple(young for young, _, _ in atoms)
+    assert table.weights == tuple(weight for _, weight, _ in atoms)
+    assert table.mult.tolist() == [k for _, _, k in atoms]
 
 
 def test_total_schur_block_count_matches_atoms():

@@ -1,13 +1,9 @@
 """Estimator tests.
 
-The strongest oracle here rebuilds the estimate as a dense operator on the
-full n-copy space: the per-outcome value x makes
-X = -(1/n)(log of the reference n-copy state + per-block log-dimension),
-and X - center coincides with
-(1/n)(log of the n-copy state - log of the reference n-copy state)
-- center - (1/n) sum over blocks of log(block component), because the
-n-copy state is exactly the direct sum of its block components.  The MSE
-from the outcome table must match the trace moment of that operator.
+The strongest oracle here, `verification.operator_identity_mse`, rebuilds
+the estimate as a dense operator on the full n-copy space, without the
+atom table.  The MSE from the outcome table must match the trace moment of
+that operator.
 """
 
 import math
@@ -19,8 +15,7 @@ from schurest.bounds import mse_bound
 from schurest.distribution import (
     block_spectrum,
     distribution,
-    kron_power,
-    schur_projector,
+    jacobi_trudi_distribution,
 )
 from schurest.estimator import (
     annotate_estimates,
@@ -38,16 +33,16 @@ from schurest.states import (
     random_mixed,
     relative_entropy,
     relative_varentropy,
-    sigma_spectrum,
 )
+from schurest.verification import operator_identity_mse
 
 
 def random_pair(d, seed, floor=0.05):
     return random_mixed(d, seed=seed, floor=floor), random_mixed(d, seed=seed + 1000, floor=floor)
 
 
-def annotated(rho, sigma, n, backend="auto"):
-    return annotate_estimates(distribution(rho, sigma, n, backend=backend))
+def annotated(rho, sigma, n):
+    return annotate_estimates(distribution(rho, sigma, n))
 
 
 # -------------------------------------------------------------- estimates
@@ -155,46 +150,6 @@ def test_exact_mse_rejects_infinite_center():
 
 
 # ------------------------------------------------- operator-identity oracle
-
-
-def operator_identity_mse(rho, sigma, n):
-    """MSE via the dense n-copy operator identity, bypassing q-unit values."""
-    spec = sigma_spectrum(sigma)
-    rt = spec.basis.conj().T @ rho.mat @ spec.basis
-    d = rho.dim
-
-    def matrix_log(mat):
-        vals, vecs = np.linalg.eigh(mat)
-        return (vecs * np.log(vals)) @ vecs.conj().T
-
-    def kron_sum(single):
-        total = np.zeros((d**n, d**n), dtype=complex)
-        for k in range(n):
-            factors = [np.eye(d)] * n
-            factors[k] = single
-            term = np.array([[1.0 + 0j]])
-            for f in factors:
-                term = np.kron(term, f)
-            total += term
-        return total
-
-    log_rho_n = kron_sum(matrix_log(rt))
-    log_sigma_n = kron_sum(np.diag(np.log(spec.values)).astype(complex))
-    center = relative_entropy(rho, sigma)
-    big = kron_power(rt, n)
-
-    block_log = np.zeros((d**n, d**n), dtype=complex)
-    for young in enumerate_young(n, d):
-        proj = schur_projector(n, d, young)
-        v_dim, _ = sn_dim(young)
-        inside = proj @ big @ proj
-        inside = (inside + inside.conj().T) / 2
-        vals, vecs = np.linalg.eigh(inside)
-        keep = vals > 1e-13
-        block_log += (vecs[:, keep] * np.log(v_dim * vals[keep])) @ vecs[:, keep].conj().T
-
-    g = (log_rho_n - log_sigma_n) / n - center * np.eye(d**n) - block_log / n
-    return float(np.real(np.trace(big @ g @ g)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -346,7 +301,7 @@ def test_normality_trend_commuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotated(rho, sigma, n, backend="jacobi_trudi")
+        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 
@@ -358,7 +313,7 @@ def test_normality_trend_noncommuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotated(rho, sigma, n, backend="jacobi_trudi")
+        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 

@@ -22,6 +22,7 @@ from schurest.partitions import (
     type_entropy_bounds,
     weyl_dim,
     weyl_dim_log_bound,
+    young_count,
 )
 
 
@@ -113,6 +114,21 @@ def test_enumerate_young_properties(n, d):
     for lam in lams:
         assert len(lam) == d and sum(lam) == n
         assert all(lam[i] <= lam[i + 1] for i in range(d - 1))
+
+
+def test_young_count_matches_enumeration():
+    for n in range(0, 25):
+        for d in range(1, 8):
+            count = len(enumerate_young(n, d))
+            assert young_count(n, d, 10**6) == count
+            assert young_count(n, d, 40) == min(count, 41)  # cap + 1 past the cap
+
+
+def test_young_count_is_cheap_for_any_size():
+    assert young_count(10**12, 1, 100) == 1
+    assert young_count(10**12, 2, 100) == 101
+    assert young_count(10**12, 10**12, 100) == 101
+    assert young_count(200, 9, 10**5) == 10**5 + 1  # 405,047,836 in full
 
 
 def test_compositions_cover_and_order():

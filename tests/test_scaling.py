@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from schurest.bounds import sample_complexity_bound
-from schurest.distribution import distribution
+from schurest.distribution import jacobi_trudi_distribution
 from schurest.estimator import annotate_estimates, tail_probabilities
 from schurest.partitions import enumerate_young, schur_eval, sn_dim
 from schurest.scaling import (
@@ -104,7 +104,7 @@ class TestScan:
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
         assert scan.divergence == pytest.approx(relative_entropy(rho, sigma), abs=1e-12)
-        ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
+        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
@@ -116,7 +116,7 @@ class TestScan:
         rho = DensityMatrix(np.diag(spectrum).astype(complex))
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
-        ann = annotate_estimates(distribution(rho, sigma, n, backend="jacobi_trudi"))
+        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
