@@ -169,7 +169,7 @@ def _load_density(path: str, label: str) -> DensityMatrix:
         return load_state(path)
     except FileNotFoundError:
         raise CliError("io", f"{label} file not found: {path}")
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError("validation", f"{label} file {path}: {exc}")
 
 
@@ -185,6 +185,14 @@ def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 def cmd_dims(args) -> int:
+    # sn_dim < d^n has at most n log10(d) digits; past the interpreter's
+    # int-to-str limit it could not be written out
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit and args.n * math.log10(args.d) > digit_limit:
+        raise CliError(
+            "validation", f"dims limited to sn_dim below {digit_limit} digits; (n, d) = "
+            f"({args.n}, {args.d}) may pass it"
+        )
     if young_count(args.n, args.d, DIMS_MAX_BLOCKS) > DIMS_MAX_BLOCKS:
         raise CliError(
             "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices; (n, d) = "

@@ -56,7 +56,7 @@ from .partitions import (
     type_entropy_bounds,
     weyl_dim,
 )
-from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
+from .states import DensityMatrix, SigmaSpectrum, sandwiched_renyi, sigma_spectrum
 
 BRUTE_MAX_STRINGS = 2**14
 BRUTE_MAX_N = 8
@@ -577,11 +577,6 @@ def renyi_trace_check(rho: DensityMatrix, sigma, n: int, alpha: float) -> tuple[
     gamma_pow = (vecs * powered) @ vecs.conj().T
     sigma_diag = kron_power(np.diag(spec.values), n).real.diagonal()
     lhs = float(np.real(gamma_pow.diagonal() @ np.power(sigma_diag, 1 - alpha)))
-    exponent = (1 - alpha) / (2 * alpha)
-    s_vals, s_vecs = np.linalg.eigh(_coerce_spectrum(sigma).matrix())
-    half = (s_vecs * np.power(s_vals, exponent)) @ s_vecs.conj().T
-    core = half @ rho.mat @ half
-    core = (core + core.conj().T) / 2
-    single = float(np.power(np.clip(np.linalg.eigvalsh(core), 0, None), alpha).sum())
+    single = math.exp((alpha - 1) * sandwiched_renyi(rho, DensityMatrix(spec.matrix()), alpha))
     rhs = total_schur_dim(n, d).total ** (1 - alpha) * single**n
     return lhs, rhs

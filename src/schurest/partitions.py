@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "CycleType",
     "SchurDimSummary",
@@ -32,6 +34,7 @@ __all__ = [
     "type_entropy_bounds",
     "weyl_dim",
     "weyl_dim_log_bound",
+    "young_columns",
     "young_count",
 ]
 
@@ -48,27 +51,35 @@ def as_young(lam: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
+def young_columns(n: int, d: int) -> list[np.ndarray]:
+    """The Young indices of (n, d) as d int64 columns, in enumerate_young order.
+
+    Built one part at a time: part k runs from part k-1 up to rem // slots
+    (the parts still to place are at least as large), and every prefix row
+    is expanded by one np.repeat.  The last part is the remainder.
+    """
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    columns: list[np.ndarray] = []
+    rem = np.array([n], dtype=np.int64)
+    lo = np.zeros(1, dtype=np.int64)
+    for slots in range(d, 1, -1):
+        # every count is >= 1: a part <= rem // slots leaves room for the rest
+        counts = rem // slots - lo + 1
+        row = np.repeat(np.arange(len(rem)), counts)
+        starts = np.cumsum(counts) - counts
+        lo = lo[row] + np.arange(len(row)) - starts[row]
+        columns = [column[row] for column in columns] + [lo]
+        rem = rem[row] - lo
+    return columns + [rem]
+
+
 def enumerate_young(n: int, d: int) -> list[tuple[int, ...]]:
     """All non-decreasing d-tuples of non-negative integers summing to n.
 
     Lexicographic order; the list has at most (n+1)**(d-1) entries.
     """
-    if n < 0 or d < 1:
-        raise ValueError("need n >= 0 and d >= 1")
-    result: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], rem: int, lo: int) -> None:
-        slots = d - len(prefix)
-        if slots == 1:
-            if rem >= lo:
-                result.append(prefix + (rem,))
-            return
-        # the smallest remaining part is at most rem // slots
-        for v in range(lo, rem // slots + 1):
-            extend(prefix + (v,), rem - v, v)
-
-    extend((), n, 0)
-    return result
+    return list(zip(*(column.tolist() for column in young_columns(n, d))))
 
 
 def young_count(n: int, d: int, cap: int) -> int:
@@ -105,14 +116,12 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def multinomial(lam: Sequence[int]) -> int:
-    """n! / prod(lam_i!) as an exact integer."""
-    parts = [int(x) for x in lam]
-    n = sum(parts)
-    den = 1
-    for x in parts:
-        den *= math.factorial(x)
-    value, r = divmod(math.factorial(n), den)
-    assert r == 0
+    """n! / prod(lam_i!) as an exact integer, a product of binomials."""
+    value = 1
+    total = 0
+    for x in map(int, lam):
+        total += x
+        value *= math.comb(total, x)
     return value
 
 

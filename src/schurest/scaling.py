@@ -10,9 +10,10 @@ over Young indices with vectorized log-space arithmetic.  This powers the
 sample-complexity checks at n of order d^2 times a constant in the
 hundreds, far beyond the generic backends.
 
-Enumeration is batched by the largest part of the Young index; each batch
-is a flat vectorized block, so dimension d <= 4 runs in a few numpy calls
-per batch rather than a Python loop per index.
+The scan walks one batch per smallest part a of the Young index: the
+batch is a + (0, *partitions.young_columns(n - d a, d - 1)), and one
+kernel turns its 1-D columns into log dimV and log Schur values, so each
+batch costs a few numpy calls rather than a Python loop per index.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import sample_complexity_bound, tomography_baseline
+from .partitions import young_columns
 from .states import DensityMatrix, relative_varentropy
 
 SCAN_MAX_D = 4
@@ -67,103 +69,64 @@ class _LogSum:
         return math.exp(self.log) if self.log < 50 else math.inf
 
 
-def _descending_parts_batches(n: int, d: int):
-    """Yield (K, d) arrays of descending Young parts summing to n."""
-    if d == 1:
-        yield np.array([[n]], dtype=np.int64)
-        return
-    for m in range((n + d - 1) // d, n + 1):
-        rem = n - m
-        if d == 2:
-            if rem > m:
-                continue
-            yield np.array([[m, rem]], dtype=np.int64)
-        elif d == 3:
-            lo = (rem + 1) // 2
-            hi = min(m, rem)
-            if hi < lo:
-                continue
-            second = np.arange(lo, hi + 1, dtype=np.int64)
-            batch = np.empty((len(second), 3), dtype=np.int64)
-            batch[:, 0] = m
-            batch[:, 1] = second
-            batch[:, 2] = rem - second
-            yield batch
-        else:
-            lo3 = (rem + 2) // 3
-            hi3 = min(m, rem)
-            if hi3 < lo3:
-                continue
-            third = np.arange(lo3, hi3 + 1, dtype=np.int64)
-            rem2 = rem - third
-            lo2 = (rem2 + 1) // 2
-            hi2 = np.minimum(third, rem2)
-            counts = np.maximum(hi2 - lo2 + 1, 0)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            keep = counts > 0
-            third, lo2, counts = third[keep], lo2[keep], counts[keep]
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            ragged = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-            batch = np.empty((total, 4), dtype=np.int64)
-            batch[:, 0] = m
-            batch[:, 1] = np.repeat(third, counts)
-            batch[:, 2] = np.repeat(lo2, counts) + ragged
-            batch[:, 3] = n - batch[:, :3].sum(axis=1)
-            yield batch
-
-
 class _ScanTables:
     """Integer-indexed lookup tables for one (n, d, q) scan.
 
     Every transcendental evaluation in the scan has a small-integer
     argument (shifted parts and their gaps live in [0, n + d]), so the
     inner loop over hundreds of millions of Young indices reduces to
-    fancy indexing into three precomputed vectors.
+    fancy indexing into precomputed vectors.
     """
 
-    def __init__(self, n: int, d: int, q: float | None = None):
+    def __init__(self, n: int, d: int, q: float):
         size = n + d + 1
+        self.n = n
         self.log_factorial = gammaln(np.arange(size, dtype=float) + 1.0)
         self.log_int = np.zeros(size)
         self.log_int[1:] = np.log(np.arange(1, size, dtype=float))
-        self.log_q = None
-        if q is not None:
-            self.log_q = math.log(q)
-            # log(1 - q^gap); gap 0 never occurs since shifted parts are distinct
-            self.log_one_minus_qpow = np.full(size, -math.inf)
-            self.log_one_minus_qpow[1:] = np.log1p(
-                -np.exp(np.arange(1, size, dtype=float) * self.log_q)
-            )
-            d_range = np.arange(d)
-            pair_i, pair_j = np.triu_indices(d, k=1)
-            self.empty_shape_log = float(
-                ((d - 1 - pair_j) * self.log_q + self.log_one_minus_qpow[pair_j - pair_i]).sum()
-            )
-            self.column_weight = d_range.astype(float)
+        self.log_q = math.log(q)
+        # log(1 - q^gap); gap 0 never occurs since shifted parts are distinct
+        self.log_one_minus_qpow = np.full(size, -math.inf)
+        self.log_one_minus_qpow[1:] = np.log1p(
+            -np.exp(np.arange(1, size, dtype=float) * self.log_q)
+        )
+        pair_i, pair_j = np.triu_indices(d, k=1)
+        self.empty_shape_log = float(
+            ((d - 1 - pair_j) * self.log_q + self.log_one_minus_qpow[pair_j - pair_i]).sum()
+        )
 
-    def log_dims(self, shifted: np.ndarray, n: int) -> np.ndarray:
-        logs = np.full(shifted.shape[0], math.lgamma(n + 1))
-        d = shifted.shape[1]
-        for i in range(d):
-            for j in range(i + 1, d):
-                logs += self.log_int[shifted[:, i] - shifted[:, j]]
-        logs -= self.log_factorial[shifted].sum(axis=1)
-        return logs
+    def batch_logs(self, a: int, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(log dimV, log Schur value) of the Young indices a + (0, *columns).
 
-    def log_schur(self, shifted: np.ndarray) -> np.ndarray:
-        d = shifted.shape[1]
-        logs = (shifted @ self.column_weight) * self.log_q - self.empty_shape_log
-        for i in range(d):
-            for j in range(i + 1, d):
-                logs += self.log_one_minus_qpow[shifted[:, i] - shifted[:, j]]
-        return logs
+        In the increasing convention part i is shifted by i and carries the
+        linear weight d - 1 - i.  Gaps and factorials are read through
+        offset views of the tables, so no shifted copy of a column is made;
+        part 0 is a itself, so its gaps are the columns.
+        """
+        d = len(columns) + 1
+        size = len(columns[0])
+        log_v = np.full(size, math.lgamma(self.n + 1))
+        log_s = np.full(size, float(sum((d - 1 - i) * (a + i) for i in range(d))))
+        for i in range(1, d - 1):
+            log_s += (d - 1 - i) * columns[i - 1]
+        log_s *= self.log_q
+        log_s -= self.empty_shape_log
+        for j in range(d - 1, 0, -1):
+            for i in range(j - 1, -1, -1):
+                gap = columns[j - 1] if i == 0 else columns[j - 1] - columns[i - 1]
+                log_v += self.log_int[j - i :][gap]
+                log_s += self.log_one_minus_qpow[j - i :][gap]
+        factorials = self.log_factorial[d - 1 + a :][columns[-1]]
+        for i in range(d - 2, 0, -1):
+            factorials += self.log_factorial[i + a :][columns[i - 1]]
+        log_v -= factorials + self.log_factorial[a]
+        return log_v, log_s
 
 
-def _shift_parts(parts: np.ndarray) -> np.ndarray:
-    d = parts.shape[1]
-    return parts + np.arange(d - 1, -1, -1, dtype=np.int64)
+def _young_batches(n: int, d: int):
+    """Yield (a, columns): the Young indices a + (0, *columns) with smallest part a."""
+    for a in range(n // d + 1):
+        yield a, young_columns(n - d * a, d - 1)
 
 
 @dataclass(frozen=True)
@@ -201,11 +164,10 @@ def uniform_reference_scan(d: int, n: int, q: float, epsilon: float) -> UniformR
     count = 0
     above = _LogSum()
     below = _LogSum()
-    for batch in _descending_parts_batches(n, d):
-        count += batch.shape[0]
-        shifted = _shift_parts(batch)
-        log_v = tables.log_dims(shifted, n)
-        log_mass = log_v + n * log_norm + tables.log_schur(shifted)
+    for a, columns in _young_batches(n, d):
+        log_v, log_schur = tables.batch_logs(a, columns)
+        count += len(log_v)
+        log_mass = log_v + n * log_norm + log_schur
         x = math.log(d) - log_v / n
         total_parts.append(float(np.exp(log_mass).sum()))
         above.add(log_mass[x > hi])

@@ -50,8 +50,10 @@ def validate_state(raw) -> DensityMatrix:
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix has non-finite entries")
+    # a density matrix has no entry of modulus above 1; the bound also
+    # rejects non-finite entries and keeps the arithmetic below from overflowing
+    if not (np.abs(arr.real) <= 2).all() or not (np.abs(arr.imag) <= 2).all():
+        raise ValueError("matrix has non-finite entries or entries far above 1")
     herm_defect = float(np.max(np.abs(arr - arr.conj().T))) / 2 if arr.size else 0.0
     herm = (arr + arr.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
@@ -356,15 +358,20 @@ def save_state(path, state: DensityMatrix) -> None:
 def load_state(path) -> DensityMatrix:
     """Read a state file: either a dense matrix or a diagonal spectrum."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply") from None
     if "spectrum" in payload:
         return validate_state(np.diag([float(x) for x in payload["spectrum"]]))
     re = np.array(payload["re"], dtype=float)
     im = np.array(payload.get("im", np.zeros_like(re)), dtype=float)
-    mat = re + 1j * im
-    if "dim" in payload and mat.shape[0] != int(payload["dim"]):
+    mat = re.astype(complex)
+    mat.imag = im
+    state = validate_state(mat)
+    if "dim" in payload and state.dim != payload["dim"]:
         raise ValueError("declared dimension does not match the matrix")
-    return validate_state(mat)
+    return state
 
 
 # ----------------------------------------------------------- constructions

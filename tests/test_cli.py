@@ -5,14 +5,21 @@ stdout payloads, stderr error lines, and output files are all exercised
 exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurest.cli import main
 from schurest.distribution import distribution
@@ -161,6 +168,23 @@ class TestDims:
         assert captured.err.startswith("error: validation:")
         assert captured.out == ""
 
+    def test_refuses_blocks_past_the_digit_limit(self, capsys):
+        # 10,001 Young indices pass the count guard, but sn_dim((10000, 10000))
+        # has 6,015 digits, past the default int-to-str limit of 4,300
+        start = time.perf_counter()
+        assert main(["dims", "--n", "20000", "--d", "2"]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: validation:")
+        assert captured.out == ""
+
+    def test_one_level_is_instant_for_any_n(self, capsys):
+        start = time.perf_counter()
+        assert main(["dims", "--n", "1000000000", "--d", "1"]) == 0
+        assert time.perf_counter() - start < 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["blocks"] == [{"young": [10**9], "weyl_dim": 1, "sn_dim": 1}]
+
 
 class TestDivergence:
     def test_matches_library(self, states, capsys):
@@ -238,6 +262,22 @@ class TestComplexityScan:
         assert "error: validation:" in capsys.readouterr().err
 
 
+# Any JSON value, with the keys a state file uses drawn often.
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["spectrum", "re", "im", "dim"]) | st.text(max_size=3),
+        children,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["divergence", "--rho", str(tmp_path / "nope.json"),
@@ -257,6 +297,9 @@ class TestErrors:
         '[[0.5, 0], [0, 0.5]]\n',
         '{"spectrum": [NaN, 0.5]}\n',
         '{"spectrum": [Infinity, 0.5]}\n',
+        '{"dim": 1e400, "re": [[1.0]]}\n',
+        '{"re": [[1e308, 1e308], [1e308, 1e308]]}\n',
+        pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="nested-100000-deep"),
     ])
     def test_malformed_state_file(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
@@ -266,6 +309,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: validation:")
         assert len(err.splitlines()) == 1
+
+    @given(payload=json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_state_file_fails_cleanly(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            rho = Path(tmp) / "rho.json"
+            sigma = Path(tmp) / "sigma.json"
+            rho.write_text(json.dumps(payload))
+            sigma.write_text('{"spectrum": [0.5, 0.5]}')
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["divergence", "--rho", str(rho), "--sigma", str(sigma)])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert out.getvalue() == ""
 
     @pytest.mark.parametrize("argv", [
         ["dims", "--n", "2", "--d", "2"],

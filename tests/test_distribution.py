@@ -248,6 +248,26 @@ def test_unitary_covariance():
 # ----------------------------------------------------- backend equivalence
 
 
+@pytest.mark.parametrize("compute,d,n", [
+    (jacobi_trudi_distribution, 3, 12),
+    (jacobi_trudi_distribution, 4, 10),
+    (brute_distribution, 3, 5),
+    (brute_distribution, 4, 4),
+])
+def test_commuting_pair_closed_form(compute, d, n):
+    # rho diagonal in sigma's eigenbasis: p(lam, mu) = dimV * K_lam,mu * prod r_i^mu_i,
+    # with r the diagonal of rho in sigma's descending eigenbasis
+    sigma = random_mixed(d, seed=40 + d, floor=0.05)
+    vals, vecs = np.linalg.eigh(sigma.mat)
+    basis = vecs[:, ::-1]
+    r = np.random.default_rng(d).dirichlet(np.ones(d))
+    rho = DensityMatrix((basis * r) @ basis.conj().T)
+    dist = compute(rho, sigma, n)
+    for young, weight, p in zip(dist.youngs, dist.weights, dist.p):
+        expected = sn_dim(young)[0] * kostka(young, weight) * math.prod(r**np.array(weight))
+        assert abs(p - expected) <= 1e-12
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5), (4, 3)])
 def test_backend_equivalence(d, n):
     for seed in range(3):

@@ -92,7 +92,9 @@ def shape_of(lam) -> tuple[int, ...]:
 # ------------------------------------------------------------ enumeration
 
 
-@pytest.mark.parametrize("n,d", [(0, 1), (0, 3), (2, 2), (3, 2), (5, 2), (4, 3), (6, 3), (5, 4)])
+@pytest.mark.parametrize("n,d", [
+    (0, 1), (1, 1), (7, 1), (0, 3), (2, 2), (3, 2), (5, 2), (4, 3), (6, 3), (5, 4), (8, 5), (6, 6),
+])
 def test_enumerate_young_matches_brute(n, d):
     got = enumerate_young(n, d)
     assert got == brute_young(n, d)
@@ -114,6 +116,20 @@ def test_enumerate_young_properties(n, d):
     for lam in lams:
         assert len(lam) == d and sum(lam) == n
         assert all(lam[i] <= lam[i + 1] for i in range(d - 1))
+
+
+def test_enumerate_young_validation():
+    for n, d in [(-1, 2), (3, 0)]:
+        with pytest.raises(ValueError):
+            enumerate_young(n, d)
+
+
+def test_multinomial_matches_factorials():
+    for lam in [(0,), (9,), (2, 3), (0, 4, 4), (1, 2, 3, 4), (5, 0, 0, 7, 1)]:
+        n = sum(lam)
+        expected = math.factorial(n) // math.prod(math.factorial(x) for x in lam)
+        assert multinomial(lam) == expected
+    assert multinomial((10**9,)) == 1
 
 
 def test_young_count_matches_enumeration():

@@ -6,6 +6,7 @@ exact integer combinatorics and the generic backends on small instances.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ import pytest
 from schurest.bounds import sample_complexity_bound
 from schurest.distribution import jacobi_trudi_distribution
 from schurest.estimator import annotate_estimates, tail_probabilities
-from schurest.partitions import enumerate_young, schur_eval, sn_dim
+from schurest.partitions import schur_eval, sn_dim, young_count
 from schurest.scaling import (
     ComplexityRow,
     UniformReferenceScan,
     _ScanTables,
-    _descending_parts_batches,
-    _shift_parts,
+    _young_batches,
     calibrated_budget,
     complexity_row,
     geometric_spectrum,
@@ -29,11 +29,21 @@ from schurest.scaling import (
 from schurest.states import DensityMatrix, relative_entropy
 
 
+def batch_rows(a, columns):
+    """The Young indices a + (0, *columns) of one scan batch, as tuples."""
+    return [(a,) + tuple(a + int(c) for c in row) for row in zip(*columns)]
+
+
 def collect_parts(n, d):
     rows = []
-    for batch in _descending_parts_batches(n, d):
-        rows.extend(tuple(int(v) for v in row) for row in batch)
+    for a, columns in _young_batches(n, d):
+        rows.extend(batch_rows(a, columns))
     return rows
+
+
+def filtered_young(n, d):
+    """Non-decreasing d-tuples summing to n, by filtering itertools output."""
+    return [t for t in combinations_with_replacement(range(n + 1), d) if sum(t) == n]
 
 
 class TestGeometricSpectrum:
@@ -55,10 +65,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_matches_reference_enumeration(self, n, d):
-        got = collect_parts(n, d)
-        assert len(got) == len(set(got))
-        expected = {tuple(reversed(lam)) for lam in enumerate_young(n, d)}
-        assert set(got) == expected
+        # same rows, in the same lexicographic order
+        assert collect_parts(n, d) == filtered_young(n, d)
+
+    def test_one_batch_per_smallest_part(self):
+        for a, columns in _young_batches(13, 3):
+            assert all(row[0] == a for row in batch_rows(a, columns))
 
     def test_two_row_count(self):
         assert len(collect_parts(25, 2)) == 13
@@ -67,27 +79,31 @@ class TestEnumeration:
     def test_rows_are_valid_shapes(self):
         for row in collect_parts(9, 4):
             assert sum(row) == 9
-            assert all(row[i] >= row[i + 1] >= 0 for i in range(3))
+            assert all(0 <= row[i] <= row[i + 1] for i in range(3))
+
+    @pytest.mark.parametrize("d,n", [(2, 301), (3, 80), (4, 40)])
+    def test_scan_block_count(self, d, n):
+        scan = uniform_reference_scan(d, n, q=0.8, epsilon=1.0)
+        assert scan.block_count == young_count(n, d, 10**6)
 
 
 class TestLogDimensions:
     @pytest.mark.parametrize("n,d", [(10, 2), (12, 3), (9, 4)])
     def test_perm_dims_match_exact(self, n, d):
-        tables = _ScanTables(n, d)
-        for batch in _descending_parts_batches(n, d):
-            logs = tables.log_dims(_shift_parts(batch), n)
-            for row, value in zip(batch, logs):
-                exact, _ = sn_dim(tuple(reversed(tuple(int(v) for v in row))))
+        tables = _ScanTables(n, d, 0.5)
+        for a, columns in _young_batches(n, d):
+            logs, _ = tables.batch_logs(a, columns)
+            for lam, value in zip(batch_rows(a, columns), logs):
+                exact, _ = sn_dim(lam)
                 assert value == pytest.approx(math.log(exact), rel=1e-12)
 
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_schur_values_match_expansion(self, q):
         point = [q**k for k in range(3)]
         tables = _ScanTables(6, 3, q)
-        for batch in _descending_parts_batches(6, 3):
-            logs = tables.log_schur(_shift_parts(batch))
-            for row, value in zip(batch, logs):
-                lam = tuple(reversed(tuple(int(v) for v in row)))
+        for a, columns in _young_batches(6, 3):
+            _, logs = tables.batch_logs(a, columns)
+            for lam, value in zip(batch_rows(a, columns), logs):
                 assert math.exp(value) == pytest.approx(schur_eval(lam, point), rel=1e-10)
 
 
