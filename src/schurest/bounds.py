@@ -87,13 +87,21 @@ def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
 
-def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[float, float]:
-    """min over r > 0 of exp(offset + n a r) + exp(log_dim - n r), by calculus."""
+def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[float, float, float]:
+    """min over r > 0 of exp(offset + n a r) + exp(log_dim - n r), by calculus.
+
+    Returns (value, log of the value, r).  When both terms underflow the
+    value is 0.0, and its log is taken in log space instead.
+    """
     r_star = (log_dim - offset - math.log(alpha)) / (n * (alpha + 1))
     if r_star <= 0:
-        return math.inf, 0.0  # no interior optimum; the bound is vacuous here
-    value = math.exp(offset + n * alpha * r_star) + math.exp(log_dim - n * r_star)
-    return value, r_star
+        return math.inf, math.inf, 0.0  # no interior optimum; the bound is vacuous here
+    first, second = offset + n * alpha * r_star, log_dim - n * r_star
+    value = math.exp(first) + math.exp(second)
+    if value > 0:
+        return value, math.log(value), r_star
+    top = max(first, second)
+    return value, top + math.log1p(math.exp(min(first, second) - top)), r_star
 
 
 def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
@@ -114,18 +122,17 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     def best_for(u: float) -> float:
         a = alpha_of(u)
         offset = -n * a * (rate - renyi(1 + a))
-        value, _ = _split_term(n, log_dim, a, offset)
-        return math.log(value) if value < math.inf else math.inf
+        return _split_term(n, log_dim, a, offset)[1]
 
     grid = [i / 256 for i in range(1, 256)]
     u_opt, best_log = _refine(best_for, grid, 1e-4, 1 - 1e-4)
     alpha = alpha_of(u_opt)
     offset = -n * alpha * (rate - renyi(1 + alpha))
-    value, r_star = _split_term(n, log_dim, alpha, offset)
+    value, log_value, r_star = _split_term(n, log_dim, alpha, offset)
     if value is math.inf or value >= 1:
         return TailBound(value=1.0, exponent=min(best_log, 0.0) if best_log < math.inf else 0.0,
                          alpha=alpha, split=r_star if r_star > 0 else None)
-    return TailBound(value=value, exponent=math.log(value), alpha=alpha, split=r_star)
+    return TailBound(value=value, exponent=log_value, alpha=alpha, split=r_star)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Exact combinatorics of Schur-Weyl blocks for n tensor copies of a d-level system.
 
 A Young index is stored in the increasing convention: a tuple of d
-non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.  Every
-dimension, character, and class size is exact (Python integers and
-fractions); floating point appears only in the explicit *_bound helpers,
-which evaluate closed-form inequalities.
+non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.
+young_columns is the one enumerator; enumerate_young and the large-n scan
+both read it, and young_count counts without enumerating.  Every block
+dimension and Kostka number is exact (Python integers and fractions);
+floating point appears only in the explicit *_bound helpers, which
+evaluate closed-form inequalities.  Symmetric-group characters and Schur
+polynomial expansions serve only as test oracles and live in the test
+tree.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -19,16 +22,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "CycleType",
     "SchurDimSummary",
     "as_young",
-    "character",
     "compositions",
-    "cycle_types",
     "enumerate_young",
     "kostka",
     "multinomial",
-    "schur_eval",
     "sn_dim",
     "total_schur_dim",
     "type_entropy_bounds",
@@ -140,7 +139,8 @@ def weyl_dim(lam: Sequence[int]) -> int:
             num *= j - i + parts[j] - parts[i]
             den *= j - i
     dim, r = divmod(num, den)
-    assert r == 0 and dim >= 1
+    if r or dim < 1:
+        raise ArithmeticError(f"Weyl product for {parts} is not a positive integer")
     return dim
 
 
@@ -160,106 +160,10 @@ def sn_dim(lam: Sequence[int]) -> tuple[int, Fraction]:
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             ratio *= Fraction(parts[j - 1] - parts[i - 1] + j - i, parts[j - 1] + j - i)
-    assert 0 < ratio <= 1
     dim_frac = multinomial(parts) * ratio
-    assert dim_frac.denominator == 1
-    dim = int(dim_frac)
-    assert dim >= 1
-    return dim, ratio
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Conjugacy class of the permutation group on n letters."""
-
-    cycles: tuple[int, ...]  # non-increasing positive cycle lengths summing to n
-
-    def __post_init__(self) -> None:
-        if not self.cycles or any(c < 1 for c in self.cycles):
-            raise ValueError("cycle lengths must be positive")
-        if any(self.cycles[i] < self.cycles[i + 1] for i in range(len(self.cycles) - 1)):
-            raise ValueError("cycle lengths must be non-increasing")
-
-    @property
-    def n(self) -> int:
-        return sum(self.cycles)
-
-    @property
-    def size(self) -> int:
-        """Exact number of permutations in the class: n! / prod(i^m_i m_i!)."""
-        den = 1
-        for length, mult in Counter(self.cycles).items():
-            den *= length**mult * math.factorial(mult)
-        size, r = divmod(math.factorial(self.n), den)
-        assert r == 0
-        return size
-
-
-def _partitions_desc(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for head in range(min(cap, n), 0, -1):
-        for rest in _partitions_desc(n - head, head):
-            yield (head,) + rest
-
-
-@cache
-def cycle_types(n: int) -> tuple[CycleType, ...]:
-    """All conjugacy classes of the permutation group on n letters.
-
-    Deterministic order: cycle tuples in decreasing lexicographic order,
-    starting with the single n-cycle and ending with the identity class.
-    Built once per n and shared, hence a tuple.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(CycleType(c) for c in _partitions_desc(n, n))
-
-
-@cache
-def _mn_character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    # Border-strip recursion over beta numbers; shape is decreasing with no
-    # zero parts, cycles is the remaining cycle list (consumed front-first).
-    if not cycles:
-        return 1
-    k = cycles[0]
-    rest = cycles[1:]
-    m = len(shape)
-    beta = tuple(shape[i] + m - 1 - i for i in range(m))  # strictly decreasing
-    bset = set(beta)
-    total = 0
-    for pos, b in enumerate(beta):
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted(beta[:pos] + beta[pos + 1 :] + (nb,), reverse=True)
-        newshape = tuple(newbeta[i] - (m - 1 - i) for i in range(m))
-        newshape = tuple(x for x in newshape if x)
-        total += (-1) ** height * _mn_character(newshape, rest)
-    return total
-
-
-def character(lam: Sequence[int], cycles: Sequence[int] | CycleType) -> int:
-    """Irreducible character of the symmetric group, exact integer.
-
-    Murnaghan-Nakayama recursion with memoization on (shape, remaining
-    cycles); cycles are processed longest-first to keep the memo small.
-    """
-    parts = as_young(lam)
-    if isinstance(cycles, CycleType):
-        cyc = cycles.cycles
-    else:
-        cyc = tuple(sorted((int(c) for c in cycles), reverse=True))
-        if any(c < 1 for c in cyc):
-            raise ValueError("cycle lengths must be positive")
-    shape = tuple(x for x in reversed(parts) if x)
-    if sum(cyc) != sum(shape):
-        raise ValueError("cycle type and Young index weights differ")
-    if not shape:
-        return 1
-    return _mn_character(shape, cyc)
+    if not 0 < ratio <= 1 or dim_frac.denominator != 1:
+        raise ArithmeticError(f"hook ratio {ratio} for {parts} gives no positive integer dimension")
+    return int(dim_frac), ratio
 
 
 @dataclass(frozen=True)
@@ -371,26 +275,3 @@ def kostka(lam: Sequence[int], weight: Sequence[int]) -> int:
     if not shape:
         return 1 if not content else 0
     return _kostka(shape, content)
-
-
-def schur_eval(lam: Sequence[int], values: Sequence[float]) -> float:
-    """Evaluate the unitary-block character polynomial at the given point.
-
-    Uses the weight-multiplicity expansion: the polynomial is the sum over
-    occupation vectors nu of kostka(lam, nu) * prod(values_i ** nu_i).
-    """
-    parts = as_young(lam)
-    xs = [float(v) for v in values]
-    if len(xs) != len(parts):
-        raise ValueError("need one value per part")
-    n = sum(parts)
-    terms = []
-    for nu in compositions(n, len(xs)):
-        k = kostka(parts, nu)
-        if k == 0:
-            continue
-        mono = 1.0
-        for base, exp in zip(xs, nu):
-            mono *= base**exp
-        terms.append(k * mono)
-    return math.fsum(terms)

@@ -8,7 +8,7 @@ r_i proportional to q^(i-1) the Schur value has a stable product form, so
 the whole outcome distribution at n in the thousands reduces to one pass
 over Young indices with vectorized log-space arithmetic.  This powers the
 sample-complexity checks at n of order d^2 times a constant in the
-hundreds, far beyond the generic backends.
+hundreds, far beyond the generic engine.
 
 The scan walks one batch per smallest part a of the Young index: the
 batch is a + (0, *partitions.young_columns(n - d a, d - 1)), and one

@@ -1,13 +1,14 @@
 """Invariant suite behind the `verify` subcommand.
 
 Each family re-checks one library-level invariant on a fixed seeded
-corpus: exact combinatorial identities, divergence axioms, backend
-agreement, probability normalization, bound dominance, and the CLI's
-byte-identical rerun contract.  A family passes silently; any violation
+corpus: exact combinatorial identities, divergence axioms, a closed form
+for commuting pairs, probability normalization, bound dominance, and the
+CLI's byte-identical rerun contract.  A family passes silently; any violation
 (or unexpected exception) is reported with a one-line detail.  The
 corpus is small on purpose: the full property-test suite lives in the
 test tree, while verify is the fast self-check a user can run after
-install.
+install.  No family needs an oracle: the checks against independent
+reference computations run in the test tree.
 """
 
 from __future__ import annotations
@@ -21,26 +22,17 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import mse_bound, mse_bound_counting, sample_complexity_bound
-from .distribution import (
-    block_projectors,
-    brute_distribution,
-    distribution,
-    jacobi_trudi_distribution,
-    kron_power,
-    pinching_defect,
-    schur_projector,
-)
+from .distribution import distribution
 from .estimator import (
     annotate_estimates,
     estimate_report,
-    exact_mse,
     normality_report,
     sample_outcomes,
     tail_report,
 )
 from .partitions import (
-    character,
     enumerate_young,
+    kostka,
     multinomial,
     sn_dim,
     total_schur_dim,
@@ -74,9 +66,9 @@ def _pair(d: int, seed: int) -> tuple[DensityMatrix, DensityMatrix]:
 
 
 @lru_cache(maxsize=64)
-def _dist(compute, d: int, n: int, seed: int):
+def _dist(d: int, n: int, seed: int):
     rho, sigma = _pair(d, seed)
-    return compute(rho, sigma, n)
+    return distribution(rho, sigma, n)
 
 
 _SMALL_GRID = ((2, 3), (2, 6), (3, 3), (3, 4))
@@ -100,15 +92,6 @@ def _family_counting_bounds(seed: int) -> None:
             cap = (n + 1) ** (d * (d - 1) // 2)
             for lam in lams:
                 _check(weyl_dim(lam) <= cap, f"weyl_dim({lam}) exceeds (n+1)^(d(d-1)/2)")
-
-
-def _family_identity_character(seed: int) -> None:
-    for n in range(1, 7):
-        identity = (1,) * n
-        for lam in enumerate_young(n, n):
-            value = character(lam, identity)
-            _check(isinstance(value, int), f"character({lam}, id) is not an integer")
-            _check(value == sn_dim(lam)[0], f"character({lam}, id) != dim")
 
 
 def _family_weyl_log_bound(seed: int) -> None:
@@ -198,28 +181,27 @@ def _family_unitary_invariance(seed: int) -> None:
 # --------------------------------------------------------------- distribution
 
 
-def _family_backend_equivalence(seed: int) -> None:
-    for d, n in _SMALL_GRID:
-        for s in (seed, seed + 1):
-            brute = _dist(brute_distribution, d, n, s)
-            jt = _dist(jacobi_trudi_distribution, d, n, s)
-            _check(brute.youngs == jt.youngs, f"atom keys differ at d={d}, n={n}")
-            gap = float(np.max(np.abs(brute.p - jt.p)))
-            _check(gap <= 1e-9, f"backend probability gap {gap:.2e} at d={d}, n={n}")
+def _family_commuting_closed_form(seed: int) -> None:
+    # rho diagonal in sigma's descending eigenbasis with diagonal r:
+    # p(lam, mu) = dimV * K_lam,mu * prod r_i^mu_i
+    for d, n in ((2, 6), (3, 4)):
+        _, sigma = _pair(d, seed)
+        basis = sigma_spectrum(sigma).basis
+        r = np.random.default_rng(seed + d).dirichlet(np.ones(d))
+        dist = distribution(DensityMatrix((basis * r) @ basis.conj().T), sigma, n)
+        for young, weight, p in zip(dist.youngs, dist.weights, dist.p):
+            expected = sn_dim(young)[0] * kostka(young, weight) * math.prod(r**np.array(weight))
+            _check(abs(p - expected) <= 1e-12, f"atom ({young}, {weight}) off the closed form")
 
 
 def _family_normalization(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        for compute in (brute_distribution, jacobi_trudi_distribution):
-            dist = _dist(compute, d, n, seed)
-            _check(
-                abs(dist.total_probability() - 1) <= 1e-9,
-                f"p does not sum to 1 ({dist.backend}, d={d}, n={n})",
-            )
-            _check(
-                abs(dist.total_unit_probability() - 1) <= 1e-9,
-                f"multiplicity * q_unit does not sum to 1 ({dist.backend}, d={d}, n={n})",
-            )
+        dist = _dist(d, n, seed)
+        _check(abs(dist.total_probability() - 1) <= 1e-9, f"p does not sum to 1 (d={d}, n={n})")
+        _check(
+            abs(dist.total_unit_probability() - 1) <= 1e-9,
+            f"multiplicity * q_unit does not sum to 1 (d={d}, n={n})",
+        )
 
 
 def _family_distribution_covariance(seed: int) -> None:
@@ -240,18 +222,9 @@ def _family_distribution_covariance(seed: int) -> None:
         )
 
 
-def _family_pinching_defect(seed: int) -> None:
-    for d, n in ((2, 3), (3, 2)):
-        rho, _ = _pair(d, seed + 29)
-        state = kron_power(rho.mat, n)
-        projectors = [block for _, _, block in block_projectors(n, d)]
-        defect = pinching_defect(state, projectors)
-        _check(defect >= -1e-9, f"pinching defect {defect:.2e} at d={d}, n={n}")
-
-
 def _family_multiplicity_tiling(seed: int) -> None:
     for d, n in ((2, 4), (3, 3)):
-        dist = _dist(brute_distribution, d, n, seed)
+        dist = _dist(d, n, seed)
         per_young: dict = {}
         for young, m in zip(dist.youngs, dist.mult):
             per_young[young] = per_young.get(young, 0) + int(m)
@@ -271,64 +244,9 @@ def _family_mean_bias_window(seed: int) -> None:
         _check(-1e-9 <= bias <= cap + 1e-9, f"mean bias {bias:.3e} outside [0, {cap:.3e}]")
 
 
-def operator_identity_mse(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
-    """MSE of the estimate from the dense n-copy operator, bypassing the atom table.
-
-    The per-outcome value x makes X = -(1/n)(log of the reference n-copy
-    state + per-block log-dimension), and X - center coincides with
-    (1/n)(log of the n-copy state - log of the reference n-copy state)
-    - center - (1/n) sum over blocks of log(block component), because the
-    n-copy state is exactly the direct sum of its block components.  The
-    MSE is the trace moment of that operator against the n-copy state.
-    """
-    d = rho.dim
-    spec = sigma_spectrum(sigma)
-    rt = spec.basis.conj().T @ rho.mat @ spec.basis
-
-    def matrix_log(mat):
-        vals, vecs = np.linalg.eigh(mat)
-        return (vecs * np.log(vals)) @ vecs.conj().T
-
-    def kron_sum(single):
-        total = np.zeros((d**n, d**n), dtype=complex)
-        for k in range(n):
-            term = np.array([[1.0 + 0j]])
-            for j in range(n):
-                term = np.kron(term, single if j == k else np.eye(d))
-            total += term
-        return total
-
-    center = relative_entropy(rho, sigma)
-    big = kron_power(rt, n)
-    block_log = np.zeros((d**n, d**n), dtype=complex)
-    for young in enumerate_young(n, d):
-        proj = schur_projector(n, d, young)
-        v_dim, _ = sn_dim(young)
-        inside = proj @ big @ proj
-        inside = (inside + inside.conj().T) / 2
-        vals, vecs = np.linalg.eigh(inside)
-        keep = vals > 1e-13
-        block_log += (vecs[:, keep] * np.log(v_dim * vals[keep])) @ vecs[:, keep].conj().T
-    g = (
-        (kron_sum(matrix_log(rt)) - kron_sum(np.diag(np.log(spec.values)).astype(complex))) / n
-        - center * np.eye(d**n)
-        - block_log / n
-    )
-    return float(np.real(np.trace(big @ g @ g)))
-
-
-def _family_dense_mse_oracle(seed: int) -> None:
-    n = 3
-    rho, sigma = _pair(2, seed + 37)
-    dense = operator_identity_mse(rho, sigma, n)
-    center = relative_entropy(rho, sigma)
-    atoms = exact_mse(annotate_estimates(distribution(rho, sigma, n)), center)
-    _check(abs(dense - atoms) <= 1e-8, f"dense MSE {dense!r} != atom MSE {atoms!r}")
-
-
 def _family_gap_window(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        ann = annotate_estimates(_dist(jacobi_trudi_distribution, d, n, seed))
+        ann = annotate_estimates(_dist(d, n, seed))
         gap = ann.x - ann.x_star
         _check(float(gap.min()) >= -1e-12, f"negative approximation gap at d={d}, n={n}")
         excess = float((gap - ann.gap_bound).max())
@@ -445,20 +363,17 @@ def _family_byte_identical_rerun(seed: int) -> None:
 FAMILIES = [
     ("block dimension identity", _family_dimension_identity),
     ("block counting bounds", _family_counting_bounds),
-    ("identity character equals dimension", _family_identity_character),
     ("unitary-dimension log bound", _family_weyl_log_bound),
     ("type-entropy sandwich", _family_type_entropy_sandwich),
     ("divergence positivity", _family_divergence_positivity),
     ("fisher inner product equals varentropy", _family_fisher_inner),
     ("renyi curve monotone and continuous at 1", _family_renyi_curve),
     ("divergence unitary invariance", _family_unitary_invariance),
-    ("backend equivalence", _family_backend_equivalence),
+    ("commuting-pair closed form", _family_commuting_closed_form),
     ("outcome normalization", _family_normalization),
     ("distribution unitary covariance", _family_distribution_covariance),
-    ("pinching defect nonnegative", _family_pinching_defect),
     ("weight multiplicities tile blocks", _family_multiplicity_tiling),
     ("mean bias window", _family_mean_bias_window),
-    ("dense operator MSE oracle", _family_dense_mse_oracle),
     ("approximation gap window", _family_gap_window),
     ("MSE bound", _family_mse_bound),
     ("Monte Carlo consistency", _family_monte_carlo),

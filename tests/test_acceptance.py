@@ -15,15 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from schurest.bounds import mse_bound
-from schurest.distribution import (
+from oracles import (
     block_projectors,
     brute_distribution,
-    distribution,
-    jacobi_trudi_distribution,
     kron_power,
+    operator_identity_mse,
     pinching_defect,
 )
+from schurest.bounds import mse_bound
+from schurest.distribution import distribution
 from schurest.estimator import (
     annotate_estimates,
     exact_mse,
@@ -42,7 +42,6 @@ from schurest.states import (
     sigma_spectrum,
     sld_quantities,
 )
-from schurest.verification import operator_identity_mse
 
 PAIRS_PER_POINT = 20
 MEAN_WINDOW_TOL = 1e-9
@@ -77,7 +76,7 @@ def equivalence_instances():
                         rho,
                         sigma,
                         brute_distribution(rho, sigma, n),
-                        jacobi_trudi_distribution(rho, sigma, n),
+                        distribution(rho, sigma, n),
                     )
         _equivalence_grid = grid
     return _equivalence_grid
@@ -127,7 +126,7 @@ def test_criterion_02_backend_equivalence():
         assert gap <= 1e-9, f"backends disagree by {gap:.2e} at d={d}, n={n}, pair {i}"
     elapsed = time.time() - start
     assert elapsed < 300.0
-    _line(2, f"brute and Jacobi-Trudi backends agree atomwise; "
+    _line(2, f"brute oracle and Jacobi-Trudi engine agree atomwise; "
              f"worst gap {worst:.2e} over {len(equivalence_instances())} pairs in {elapsed:.1f}s")
 
 
@@ -254,7 +253,7 @@ def test_criterion_09_normality_trend():
         div = relative_entropy(rho, sigma)
         ks = {}
         for n in (6, 24):
-            ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
+            ann = annotate_estimates(distribution(rho, sigma, n))
             ks[n] = normality_report(ann, div, varentropy).ks
         assert ks[24] < ks[6], f"KS distance failed to shrink on pair {k}: {ks}"
     _line(9, "KS distance to the normal limit shrinks from n=6 to n=24 on "

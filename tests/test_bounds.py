@@ -157,6 +157,15 @@ def test_above_bound_beats_any_sampled_parameter_choice():
             assert bound.value <= min(1.0, direct) + 1e-12
 
 
+def test_above_bound_underflow_keeps_a_finite_exponent():
+    # at a rate this far above the divergence both split terms underflow
+    rho, sigma = random_pair(2, seed=9)
+    rate = relative_entropy(rho, sigma) + 1000.0
+    bound = tail_bound_above(4, total_schur_dim(4, 2).total, rate, renyi_curve(rho, sigma))
+    assert bound.value == 0.0
+    assert -math.inf < bound.exponent < math.log(5e-324)
+
+
 def test_below_bound_beats_any_sampled_alpha():
     rho, sigma = random_pair(2, seed=11)
     n = 8

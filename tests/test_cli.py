@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurest.cli import main
@@ -38,6 +38,28 @@ def states(tmp_path):
     assert main(["gen-state", "random_mixed", "--d", "2", "--seed", "5", "--out", str(rho)]) == 0
     assert main(["gen-state", "random_mixed", "--d", "2", "--seed", "99", "--out", str(sigma)]) == 0
     return {"half": str(half), "rho": str(rho), "sigma": str(sigma)}
+
+
+@pytest.fixture(scope="module")
+def readme_pair(tmp_path_factory):
+    # the qubit pair of the README walkthrough
+    return write_pair(tmp_path_factory.mktemp("readme"), 2, seeds=(7, 1007))
+
+
+def write_pair(folder, d, seeds=(1, 2)):
+    paths = [str(folder / f"{role}{d}.json") for role in ("rho", "sigma")]
+    for path, seed in zip(paths, seeds):
+        assert main(["gen-state", "random_mixed", "--d", str(d), "--seed", str(seed),
+                     "--out", path]) == 0
+    return paths
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestGenState:
@@ -111,6 +133,11 @@ class TestEstimate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_five_levels(self, tmp_path, capsys):
+        rho, sigma = write_pair(tmp_path, 5)
+        assert main(["estimate", "--rho", rho, "--sigma", sigma, "--n", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == 5
+
 
 class TestDistribution:
     def test_csv_matches_library(self, states, capsys):
@@ -137,11 +164,19 @@ class TestDistribution:
         )
 
     def test_backend_flag(self, states):
-        # the path is chosen by d alone; the option is gone
+        # one engine runs at every d; the option is gone
         with pytest.raises(SystemExit) as exc:
             main(["distribution", "--rho", states["rho"], "--sigma", states["sigma"],
                   "--n", "3", "--backend", "brute"])
         assert exc.value.code == 2
+
+    def test_refuses_past_the_work_guard(self, tmp_path, capsys):
+        rho, sigma = write_pair(tmp_path, 64)
+        assert main(["distribution", "--rho", rho, "--sigma", sigma, "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: compute:")
+        assert captured.out == ""
 
 
 class TestDims:
@@ -209,6 +244,18 @@ class TestTail:
         with pytest.raises(SystemExit):
             main(["tail", "--rho", states["rho"], "--sigma", states["sigma"],
                   "--n", "4", "--epsilon", "-1"])
+
+    @given(log_epsilon=st.floats(min_value=-6, max_value=6), n=st.integers(1, 8))
+    @example(log_epsilon=3.0, n=4)  # both terms of the split bound underflow
+    @settings(max_examples=40, deadline=None)
+    def test_any_epsilon_and_n_give_valid_bounds(self, readme_pair, log_epsilon, n):
+        rho, sigma = readme_pair
+        code, out, err = run_main(["tail", "--rho", rho, "--sigma", sigma, "--n", str(n),
+                                   "--epsilon", repr(10.0**log_epsilon)])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["bound_plus"] >= payload["delta_plus"]
+        assert payload["bound_minus"] >= payload["delta_minus"]
 
 
 class TestNormality:
@@ -343,6 +390,38 @@ class TestErrors:
         code = main(["divergence", "--rho", states["rho"], "--sigma", str(other)])
         assert code == 2
         assert "different dimensions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("tail", "--epsilon", "inf"),
+        ("tail", "--epsilon", "nan"),
+        ("complexity-scan", "--c", "inf"),
+    ])
+    def test_rejects_non_finite_numbers(self, states, command, flag, value):
+        argv = ["complexity-scan", "--d", "2"] if command == "complexity-scan" else [
+            "tail", "--rho", states["rho"], "--sigma", states["sigma"], "--n", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+
+    @given(
+        choice=st.one_of(
+            st.tuples(st.sampled_from(["estimate", "distribution", "normality"]),
+                      st.integers(1, 40).map(lambda n: f"--n={n}")),
+            st.tuples(st.just("normality"),
+                      st.lists(st.integers(-2, 40), min_size=2, max_size=3)
+                      .map(lambda fields: "--n-range=" + ":".join(map(str, fields)))),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_copy_count_fails_cleanly(self, readme_pair, choice):
+        command, n_arg = choice
+        rho, sigma = readme_pair
+        code, out, err = run_main([command, "--rho", rho, "--sigma", sigma, n_arg])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert out == ""
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -1,47 +1,43 @@
 """Distribution engine tests.
 
-Oracles kept independent of the engines under test:
+Oracles kept independent of the engine under test (most in oracles.py):
 - hand-worked small cases,
 - an angular-momentum coupling recursion for commuting qubit pairs,
 - Schur polynomial evaluations for block marginals,
 - dense projector algebra on the full n-copy space,
-- a full permutation-group average (the engines only ever touch one
-  representative per class),
+- basis-string sums weighted by characters (brute_distribution), checked
+  in turn against a full permutation-group average (brute only ever
+  touches one representative per class),
 - the exact identity tying the estimate's mean to the relative entropy,
 - a 50-digit Jacobi-Trudi expansion in coefficient space (mpmath, no FFT).
 """
 
 import math
-import os
-import subprocess
-import sys
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from schurest.distribution import (
-    OutcomeAtom,
+from oracles import (
     block_projectors,
     block_spectrum,
     brute_distribution,
-    distribution,
-    jacobi_trudi_distribution,
     kron_power,
     pinching_defect,
     renyi_trace_check,
+    schur_eval,
     schur_projector,
     string_digits,
     type_mask,
 )
+from schurest.distribution import JT_MAX_N, JT_MAX_WORK, OutcomeAtom, _work, distribution
 from schurest.partitions import (
     compositions,
     enumerate_young,
     kostka,
-    schur_eval,
     sn_dim,
     total_schur_dim,
     weyl_dim,
@@ -165,7 +161,7 @@ def test_coupling_walk_matches_jacobi_trudi(n):
     rho = diagonal_state([0.9, 0.1])
     sigma = diagonal_state([0.55, 0.45])
     walk = coupling_walk([0.9, 0.1], n)
-    table = atoms_dict(jacobi_trudi_distribution(rho, sigma, n))
+    table = atoms_dict(distribution(rho, sigma, n))
     for key, mass in walk.items():
         assert table[key] == pytest.approx(mass, abs=1e-12)
 
@@ -245,12 +241,13 @@ def test_unitary_covariance():
     np.testing.assert_allclose(a.log_q, b.log_q, atol=1e-11)
 
 
-# ----------------------------------------------------- backend equivalence
+# ----------------------------------------------------- oracle equivalence
 
 
 @pytest.mark.parametrize("compute,d,n", [
-    (jacobi_trudi_distribution, 3, 12),
-    (jacobi_trudi_distribution, 4, 10),
+    (distribution, 3, 12),
+    (distribution, 4, 10),
+    (distribution, 5, 8),
     (brute_distribution, 3, 5),
     (brute_distribution, 4, 4),
 ])
@@ -273,31 +270,56 @@ def test_backend_equivalence(d, n):
     for seed in range(3):
         rho, sigma = random_pair(d, seed=1000 * d + 10 * n + seed)
         a = brute_distribution(rho, sigma, n)
-        b = jacobi_trudi_distribution(rho, sigma, n)
+        b = distribution(rho, sigma, n)
         assert a.youngs == b.youngs and a.weights == b.weights
         assert (a.mult == b.mult).all()
         np.testing.assert_allclose(a.p, b.p, atol=1e-9)
         np.testing.assert_allclose(a.log_q, b.log_q, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,n", [(5, 4), (5, 6), (6, 5), (7, 4), (8, 3)])
+def test_large_dimension_matches_brute(d, n):
+    # sizes past d = 4 that brute reaches too
+    rho, sigma = random_pair(d, seed=10 * d + n)
+    a = brute_distribution(rho, sigma, n)
+    b = distribution(rho, sigma, n)
+    assert a.youngs == b.youngs and a.weights == b.weights
+    assert (a.mult == b.mult).all()
+    assert b.neg_clip == 0.0
+    np.testing.assert_allclose(a.p, b.p, rtol=0, atol=1e-12)
+
+
 def test_backend_dispatch():
     rho, sigma = random_pair(2, seed=77)
     assert distribution(rho, sigma, 3).backend == "jacobi_trudi"
     assert distribution(rho, sigma, 15).backend == "jacobi_trudi"
-    assert distribution(*random_pair(5, seed=77), 3).backend == "brute"
+    assert distribution(*random_pair(5, seed=77), 3).backend == "jacobi_trudi"
     with pytest.raises(TypeError):
         distribution(rho, sigma, 3, backend="brute")
     with pytest.raises(ValueError):
         brute_distribution(rho, sigma, 9)
     with pytest.raises(ValueError):
-        jacobi_trudi_distribution(rho, sigma, 31)
-    with pytest.raises(ValueError):
-        jacobi_trudi_distribution(random_mixed(5, seed=1), random_mixed(5, seed=2), 2)
+        distribution(rho, sigma, 31)
+
+
+def test_work_guard_admits_every_small_dimension():
+    # checked through the work count: running (4, 30) takes seconds
+    assert all(_work(n, d) <= JT_MAX_WORK for d in range(1, 5) for n in range(1, JT_MAX_N + 1))
+    assert _work(30, 4) == 31**3 * (2**4 + 4**2 * len(enumerate_young(30, 4)))
+
+
+@pytest.mark.parametrize("d,n", [(9, 4), (64, 1)])
+def test_work_guard_refuses_quickly(d, n):
+    rho, sigma = random_pair(d, seed=d)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"\(n, d\) = \({n}, {d}\) needs at least"):
+        distribution(rho, sigma, n)
+    assert time.perf_counter() - start < 1
 
 
 def test_large_n_stability():
     rho, sigma = random_pair(2, seed=88)
-    dist = jacobi_trudi_distribution(rho, sigma, 30)
+    dist = distribution(rho, sigma, 30)
     assert dist.total_probability() == pytest.approx(1.0, abs=1e-9)
     assert dist.max_imag < 1e-9
     assert dist.neg_clip > -1e-6
@@ -384,30 +406,12 @@ def test_near_pure_state_matches_high_precision_reference():
     # polynomial cancels hardest; no raw probability may need clamping.
     rho = random_pure_depolarized(2, 42, 0.05)
     sigma = random_mixed(2, 102)
-    dist = jacobi_trudi_distribution(rho, sigma, 30)
+    dist = distribution(rho, sigma, 30)
     assert dist.neg_clip == 0.0
     ref = reference_atoms(rho, sigma, 30)
     error = max(abs(mpmath.mpf(float(p)) - ref.get((young, weight), 0))
                 for young, weight, p in zip(dist.youngs, dist.weights, dist.p))
     assert error <= 1e-14
-
-
-def test_jacobi_trudi_builds_no_character_table():
-    # only brute weights traces with characters; a fresh process that runs
-    # the Jacobi-Trudi backend must leave the character memo empty
-    code = (
-        "from schurest import partitions\n"
-        "from schurest.distribution import distribution\n"
-        "from schurest.states import random_mixed\n"
-        "dist = distribution(random_mixed(2, 1), random_mixed(2, 2), 30)\n"
-        "print(dist.backend, partitions._mn_character.cache_info().currsize)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["jacobi_trudi", "0"]
 
 
 # ----------------------------------------------- full-group dense oracle
@@ -459,8 +463,7 @@ def test_full_group_average_matches_representative():
     spec = sigma_spectrum(sigma)
     rt = spec.basis.conj().T @ rho.mat @ spec.basis
     digits = string_digits(n, 2)
-    from schurest.distribution import _class_representative_inverse, _projected_traces, _weight_codes
-    from schurest.partitions import compositions, cycle_types
+    from oracles import _class_representative_inverse, _projected_traces, _weight_codes, cycle_types
 
     weights = list(compositions(n, 2))
     occ = np.stack([(digits == a).sum(axis=1) for a in range(2)], axis=1)

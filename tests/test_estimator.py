@@ -1,6 +1,6 @@
 """Estimator tests.
 
-The strongest oracle here, `verification.operator_identity_mse`, rebuilds
+The strongest oracle here, `oracles.operator_identity_mse`, rebuilds
 the estimate as a dense operator on the full n-copy space, without the
 atom table.  The MSE from the outcome table must match the trace moment of
 that operator.
@@ -11,12 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import block_spectrum, operator_identity_mse
 from schurest.bounds import mse_bound
-from schurest.distribution import (
-    block_spectrum,
-    distribution,
-    jacobi_trudi_distribution,
-)
+from schurest.distribution import distribution
 from schurest.estimator import (
     annotate_estimates,
     estimate_report,
@@ -34,7 +31,6 @@ from schurest.states import (
     relative_entropy,
     relative_varentropy,
 )
-from schurest.verification import operator_identity_mse
 
 
 def random_pair(d, seed, floor=0.05):
@@ -301,7 +297,7 @@ def test_normality_trend_commuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
+        ann = annotate_estimates(distribution(rho, sigma, n))
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 
@@ -313,7 +309,7 @@ def test_normality_trend_noncommuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
+        ann = annotate_estimates(distribution(rho, sigma, n))
         ks[n] = normality_report(ann, center, varentropy).ks
     assert ks[24] < ks[6]
 

@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CycleType, character, cycle_types, schur_eval
 from schurest.partitions import (
-    CycleType,
-    character,
     compositions,
-    cycle_types,
     enumerate_young,
     kostka,
     multinomial,
-    schur_eval,
     sn_dim,
     total_schur_dim,
     type_entropy_bounds,

@@ -2,7 +2,7 @@
 
 The scan reimplements block dimensions, Schur values, and tail sums in
 vectorized log arithmetic, so everything here cross-checks it against the
-exact integer combinatorics and the generic backends on small instances.
+exact integer combinatorics and the generic engine on small instances.
 """
 
 import math
@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from schurest.bounds import sample_complexity_bound
-from schurest.distribution import jacobi_trudi_distribution
+from oracles import schur_eval
+from schurest.distribution import distribution
 from schurest.estimator import annotate_estimates, tail_probabilities
-from schurest.partitions import schur_eval, sn_dim, young_count
+from schurest.partitions import sn_dim, young_count
 from schurest.scaling import (
     ComplexityRow,
     UniformReferenceScan,
@@ -120,7 +121,7 @@ class TestScan:
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
         assert scan.divergence == pytest.approx(relative_entropy(rho, sigma), abs=1e-12)
-        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
+        ann = annotate_estimates(distribution(rho, sigma, n))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
@@ -132,7 +133,7 @@ class TestScan:
         rho = DensityMatrix(np.diag(spectrum).astype(complex))
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
-        ann = annotate_estimates(jacobi_trudi_distribution(rho, sigma, n))
+        ann = annotate_estimates(distribution(rho, sigma, n))
         report = tail_probabilities(ann, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
