@@ -10,6 +10,15 @@ The two tail bounds are named by the tail they control:
 - tail_bound_above: mass of estimates above a rate R, nontrivial for R
   over the true divergence; driven by Renyi orders above 1, with an
   auxiliary split parameter trading the two terms.
+
+Both take the divergence as renyi, a map that accepts one order or a 1-D
+array of orders (states.renyi_curve).  Each passes its whole grid of
+orders to renyi in one call before the scan, so a memoized curve
+evaluates the grid in one batched eigensolve and the scan and the
+refinement read it back.  An order where renyi returns NaN (the curve
+could not certify the value, which happens at small orders) is left out
+of the search; every order gives a valid bound, so the minimum over the
+rest is still one.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .partitions import total_schur_dim
@@ -47,18 +57,27 @@ def mse_bound_counting(n: int, d: int, varentropy: float) -> float:
 
 
 def _refine(fun, grid_points, lo, hi, tol=1e-6):
-    """Grid scan then bounded refinement; returns (argmin, min)."""
+    """Grid scan then bounded refinement; returns (argmin, min).
+
+    Points where fun is NaN or +inf are skipped; when every grid point is,
+    the result is (the first grid point, +inf).
+    """
     best_x, best_v = None, math.inf
     for x in grid_points:
         v = fun(x)
         if v < best_v:
             best_x, best_v = x, v
+    if best_x is None:
+        return float(grid_points[0]), math.inf
     span = sorted(grid_points)
     idx = span.index(best_x)
     left = span[idx - 1] if idx > 0 else lo
     right = span[idx + 1] if idx + 1 < len(span) else hi
-    res = minimize_scalar(fun, bounds=(left, right), method="bounded",
-                          options={"xatol": tol / 10})
+    # a skipped point inside the bracket turns Brent's parabola into NaN,
+    # and the step falls back to golden section
+    with np.errstate(invalid="ignore"):
+        res = minimize_scalar(fun, bounds=(left, right), method="bounded",
+                              options={"xatol": tol / 10})
     if res.fun < best_v:
         return float(res.x), float(res.fun)
     return float(best_x), float(best_v)
@@ -72,17 +91,27 @@ class TailBound:
     split: float | None = None  # auxiliary parameter of the above-tail bound
 
 
+def _admissible(value: float) -> float:
+    """An exponent from an order the curve could not certify (NaN) rules it out."""
+    return math.inf if math.isnan(value) else value
+
+
 def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     """Bound on P{estimate < rate}: min over a in (0,1) of
-    schur_dim**a * exp(-n a (renyi(1-a) - rate))."""
+    schur_dim**a * exp(-n a (renyi(1-a) - rate)).
+
+    renyi maps an order, or a 1-D array of orders, to the sandwiched
+    divergence; the 99 grid orders 1 - i/100 go to it in one call first.
+    """
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
     log_dim = math.log(schur_dim)
 
     def exponent(a: float) -> float:
-        return a * log_dim - n * a * (renyi(1 - a) - rate)
+        return _admissible(a * log_dim - n * a * (renyi(1 - a) - rate))
 
     grid = [i / 100 for i in range(1, 100)]
+    renyi(np.array([1 - a for a in grid]))
     alpha, best = _refine(exponent, grid, 0.01, 0.99)
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
@@ -111,6 +140,9 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     The split parameter is eliminated by calculus; the remaining scalar
     search runs over u = a/(1+a) in (0,1), which compactifies the
     unbounded a-domain (the objective has a finite a -> infinity limit).
+    renyi maps an order, or a 1-D array of orders, to the sandwiched
+    divergence; the 255 grid orders 1 + u/(1-u), u = i/256, go to it in
+    one call first.
     """
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
@@ -122,16 +154,19 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     def best_for(u: float) -> float:
         a = alpha_of(u)
         offset = -n * a * (rate - renyi(1 + a))
-        return _split_term(n, log_dim, a, offset)[1]
+        return _admissible(_split_term(n, log_dim, a, offset)[1])
 
     grid = [i / 256 for i in range(1, 256)]
+    renyi(np.array([1 + alpha_of(u) for u in grid]))
     u_opt, best_log = _refine(best_for, grid, 1e-4, 1 - 1e-4)
     alpha = alpha_of(u_opt)
+    if best_log == math.inf:  # no order gives a finite bound
+        return TailBound(value=1.0, exponent=0.0, alpha=alpha)
     offset = -n * alpha * (rate - renyi(1 + alpha))
     value, log_value, r_star = _split_term(n, log_dim, alpha, offset)
-    if value is math.inf or value >= 1:
-        return TailBound(value=1.0, exponent=min(best_log, 0.0) if best_log < math.inf else 0.0,
-                         alpha=alpha, split=r_star if r_star > 0 else None)
+    if value >= 1:
+        return TailBound(value=1.0, exponent=min(best_log, 0.0), alpha=alpha,
+                         split=r_star if r_star > 0 else None)
     return TailBound(value=value, exponent=log_value, alpha=alpha, split=r_star)
 
 

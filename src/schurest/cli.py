@@ -36,8 +36,8 @@ from .estimator import (
     normality_report,
     tail_report,
 )
-from .distribution import distribution
-from .partitions import enumerate_young, sn_dim, total_schur_dim, weyl_dim, young_count
+from .distribution import check_size, distribution
+from .partitions import enumerate_young, sn_dim, weyl_dim, young_count
 from .scaling import SCAN_MAX_D, calibrated_budget, complexity_row, varentropy_scale_proxy
 from .states import (
     DensityMatrix,
@@ -52,6 +52,10 @@ from .states import (
 
 SCAN_SPECTRUM_RATIO = 0.9  # geometric eigenvalue ratio used by complexity-scan states
 DIMS_MAX_BLOCKS = 100_000  # dims --n 100 --d 6 (189,509 Young indices) needs 0.4 GB
+# every block prints d parts and weyl_dim takes up to d^2 factors, so the
+# Young-index count times d^2 must stay below this too; (80, 6) at 2.5e6
+# takes 7 s on a 2-vCPU VM.  Every d above 2,000 has a cap of 0.
+DIMS_MAX_WORK = 4_000_000
 
 
 class CliError(Exception):
@@ -193,12 +197,12 @@ def cmd_dims(args) -> int:
             "validation", f"dims limited to sn_dim below {digit_limit} digits; (n, d) = "
             f"({args.n}, {args.d}) may pass it"
         )
-    if young_count(args.n, args.d, DIMS_MAX_BLOCKS) > DIMS_MAX_BLOCKS:
+    cap = min(DIMS_MAX_BLOCKS, DIMS_MAX_WORK // (args.d * args.d))
+    if young_count(args.n, args.d, cap) > cap:
         raise CliError(
-            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices; (n, d) = "
-            f"({args.n}, {args.d}) has more"
+            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices and to Young "
+            f"indices times d^2 <= {DIMS_MAX_WORK}; (n, d) = ({args.n}, {args.d}) passes them"
         )
-    summary = total_schur_dim(args.n, args.d)
     blocks = [
         (young, weyl_dim(young), sn_dim(young)[0])
         for young in enumerate_young(args.n, args.d)
@@ -206,12 +210,13 @@ def cmd_dims(args) -> int:
     if args.format == "csv":
         _emit_csv(["young", "weyl_dim", "sn_dim"], blocks, args.out)
         return 0
+    total = sum(u for _, u, _ in blocks)
     payload = {
         "n": args.n,
         "d": args.d,
-        "count": summary.count,
-        "total_dim": summary.total,
-        "log_total_dim": math.log(summary.total),
+        "count": len(blocks),
+        "total_dim": total,
+        "log_total_dim": math.log(total),
         "blocks": [
             {"young": list(young), "weyl_dim": u, "sn_dim": v} for young, u, v in blocks
         ],
@@ -329,6 +334,11 @@ def cmd_normality(args) -> int:
     varentropy = relative_varentropy(rho, sigma)
     if varentropy <= 0:
         raise CliError("validation", "varentropy is zero; no normal limit to compare to")
+    for n in n_values:  # refuse an oversized range before computing any of it
+        try:
+            check_size(n, rho.dim)
+        except ValueError as exc:
+            raise CliError("compute", f"n={n}: {exc}")
     rows = []
     for n in n_values:
         try:

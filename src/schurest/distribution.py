@@ -263,20 +263,12 @@ def _work(n: int, d: int) -> int:
     return grid * (2**d + d * d * young)
 
 
-def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
-    """Exact distribution from one Jacobi-Trudi determinant per Young index.
+def check_size(n: int, d: int) -> None:
+    """Raise ValueError when distribution would refuse (n, d) for its size.
 
-    On the grid, h_k = sum_j (-1)^(j-1) e_j h_(k-j), and with descending parts
-    lam_1 >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
-    The last row of that d x d matrix is (0, ..., 0, 1), so the leading
-    (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
-    the determinant the cancellation it suffers on near-pure states.  s_lam
-    has degree n, so its values on the (n+1)^(d-1) grid fix every
-    coefficient, and one FFT per Young index returns them all.  Sizes with
-    n > JT_MAX_N or work past JT_MAX_WORK raise ValueError.
+    Needs n >= 1, n <= JT_MAX_N and _work(n, d) <= JT_MAX_WORK; the check
+    builds no table, so callers can vet a whole range of n first.
     """
-    spec = _coerce_spectrum(sigma)
-    d = rho.dim
     if n < 1:
         raise ValueError("need n >= 1")
     if n > JT_MAX_N:
@@ -287,6 +279,23 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
             f"exact distribution at (n, d) = ({n}, {d}) needs at least {Decimal(work):.3g} "
             f"work units, past the limit of {Decimal(JT_MAX_WORK):.3g}"
         )
+
+
+def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
+    """Exact distribution from one Jacobi-Trudi determinant per Young index.
+
+    On the grid, h_k = sum_j (-1)^(j-1) e_j h_(k-j), and with descending parts
+    lam_1 >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
+    The last row of that d x d matrix is (0, ..., 0, 1), so the leading
+    (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
+    the determinant the cancellation it suffers on near-pure states.  s_lam
+    has degree n, so its values on the (n+1)^(d-1) grid fix every
+    coefficient, and one FFT per Young index returns them all.  Sizes that
+    check_size refuses raise ValueError before any table is built.
+    """
+    spec = _coerce_spectrum(sigma)
+    d = rho.dim
+    check_size(n, d)
     table = _atom_table(n, d)
     e = _elementary_on_torus(_rho_in_reference_basis(rho, spec), n)
     # h_(-1) is the zero row at the end, so negative indices read zero

@@ -68,7 +68,9 @@ def young_columns(n: int, d: int) -> list[np.ndarray]:
         row = np.repeat(np.arange(len(rem)), counts)
         starts = np.cumsum(counts) - counts
         lo = lo[row] + np.arange(len(row)) - starts[row]
-        columns = [column[row] for column in columns] + [lo]
+        if len(row) > len(rem):  # otherwise every count is 1 and row is the identity
+            columns = [column[row] for column in columns]
+        columns.append(lo)
         rem = rem[row] - lo
     return columns + [rem]
 
@@ -128,7 +130,9 @@ def weyl_dim(lam: Sequence[int]) -> int:
     """Dimension of the unitary-group block, by Weyl's product formula.
 
     With the increasing convention every factor (j - i + lam[j] - lam[i])
-    with i < j is a positive integer, so the product is exact.
+    with i < j is a positive integer, so the product is exact.  Pairs with
+    equal parts contribute (j - i) / (j - i) and are skipped, so the
+    integers stay small when most parts are equal (large d, small n).
     """
     parts = as_young(lam)
     d = len(parts)
@@ -136,8 +140,9 @@ def weyl_dim(lam: Sequence[int]) -> int:
     den = 1
     for i in range(d):
         for j in range(i + 1, d):
-            num *= j - i + parts[j] - parts[i]
-            den *= j - i
+            if parts[j] != parts[i]:
+                num *= j - i + parts[j] - parts[i]
+                den *= j - i
     dim, r = divmod(num, den)
     if r or dim < 1:
         raise ArithmeticError(f"Weyl product for {parts} is not a positive integer")
@@ -152,12 +157,13 @@ def sn_dim(lam: Sequence[int]) -> tuple[int, Fraction]:
 
         ratio = prod over i < j of (lam[j] - lam[i] + j - i) / (lam[j] + j - i)
 
-    (1-based indices), and the product dim must come out an integer.
+    (1-based indices), and the product dim must come out an integer.  A
+    factor with lam[i] = 0 is 1, so the loop starts at the first nonzero part.
     """
     parts = as_young(lam)
     d = len(parts)
     ratio = Fraction(1)
-    for i in range(1, d + 1):
+    for i in range(d - sum(1 for x in parts if x) + 1, d + 1):
         for j in range(i + 1, d + 1):
             ratio *= Fraction(parts[j - 1] - parts[i - 1] + j - i, parts[j - 1] + j - i)
     dim_frac = multinomial(parts) * ratio

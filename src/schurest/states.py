@@ -19,6 +19,7 @@ import numpy as np
 SUPPORT_CUT = 1e-10  # eigenvalues above this count as support of rho
 EXPECTATION_CUT = 1e-12  # sigma-expectation below this on a supported eigenvector -> +inf
 REPAIR_TOL = 1e-6  # validate_state rejects inputs needing more total correction
+RENYI_TOL = 1e-9  # sandwiched divergences not certified to this absolute error are NaN
 
 
 @dataclass(frozen=True)
@@ -154,42 +155,112 @@ def relative_varentropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(value, 0.0) if value > -1e-12 else value
 
 
+@dataclass(frozen=True)
+class _RenyiPair:
+    """What every order of the sandwiched divergence shares for one state pair."""
+
+    rho: np.ndarray
+    s: np.ndarray  # reference eigenvalues, ascending, all above EXPECTATION_CUT
+    sv: np.ndarray  # matching eigenvectors as columns
+    sv_h: np.ndarray  # their conjugate transpose
+    null: int  # eigenvalues of rho within rounding of zero, taken as exact zeros
+    slack: float  # eigenvalue error bound per unit of the core's scale
+
+
+def _renyi_pair(rho: DensityMatrix, sigma: DensityMatrix) -> _RenyiPair:
+    if rho.dim != sigma.dim:
+        raise ValueError("dimension mismatch")
+    s, sv = np.linalg.eigh(sigma.mat)
+    if s[0] <= EXPECTATION_CUT:
+        raise ValueError("second argument must be full rank")
+    # forming sigma^t rho sigma^t and diagonalizing it each err by a few
+    # rounding units of its scale, times the dimension
+    slack = 8 * rho.dim * float(np.finfo(float).eps)
+    null = int(np.sum(np.linalg.eigvalsh(rho.mat) <= slack))
+    return _RenyiPair(rho=rho.mat, s=s, sv=sv, sv_h=sv.conj().T, null=null, slack=slack)
+
+
+def _renyi_orders(pair: _RenyiPair, alphas: np.ndarray) -> np.ndarray:
+    """Sandwiched divergences at a 1-D array of orders, NaN where not certified.
+
+    The G cores sigma^t rho sigma^t, t = (1-alpha)/(2alpha), are one
+    (G, d, d) stack and one batched eigvalsh.  Each core eigenvalue is off
+    by at most slack * max_i s_i^(2t), the scale of sigma^t rho sigma^t;
+    where that uncertainty can move the divergence by more than RENYI_TOL
+    the order is returned as NaN.  That happens at small orders, where
+    sigma^t spreads the core's spectrum past the reach of double precision
+    while lambda^alpha still weighs the lost eigenvalues at O(1).  The
+    pair.null smallest eigenvalues are the exact zeros of a rank-deficient
+    rho and are left out of the trace.
+    """
+    if alphas.ndim != 1 or not ((alphas > 0) & (alphas != 1) & (alphas < np.inf)).all():
+        raise ValueError("need alpha > 0 and alpha != 1")
+    t = (1.0 - alphas) / (2.0 * alphas)
+    powers = np.power(pair.s, t[:, None])
+    half = (pair.sv * powers[:, None, :]) @ pair.sv_h
+    core = half @ pair.rho @ half
+    vals = np.linalg.eigvalsh((core + core.conj().swapaxes(-1, -2)) / 2)
+    vals = np.maximum(vals[:, pair.null:], 0.0)
+    a = alphas[:, None]
+    positive = vals > 0
+    # a core that underflowed to zero (alpha near 0) leaves 0/0 below, and
+    # the NaN comparisons leave its order uncertified
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.where(positive, vals, 1.0))
+        # log-sum-exp so extreme orders neither overflow nor underflow
+        peak = logs[:, -1:]
+        trace = np.where(positive, np.exp(a * (logs - peak)), 0.0).sum(axis=1)
+        values = (alphas * peak[:, 0] + np.log(trace)) / (alphas - 1.0)
+        # each eigenvalue, as a fraction x of the largest, lies within x +- spread
+        top = vals[:, -1:]
+        x = vals / top
+        spread = pair.slack * powers.max(axis=1, keepdims=True) ** 2 / top
+        upper = np.power(x + spread, a).sum(axis=1)
+        lower = np.power(np.maximum(x - spread, 0.0), a).sum(axis=1)
+    # 1 + r <= exp(r): the divergence moves by at most RENYI_TOL
+    room = 1.0 + RENYI_TOL * np.abs(alphas - 1.0)
+    certified = (upper <= trace * room) & (lower * room >= trace)
+    return np.where(certified, values, np.nan)
+
+
 def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
     """Sandwiched Renyi divergence of order alpha (alpha > 0, alpha != 1).
 
     (1/(alpha-1)) log Tr (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha.
     Requires a full-rank second argument.  Swapping the arguments evaluates
     the same functional with the roles of the states exchanged; there is no
-    separate "reversed" variant.
+    separate "reversed" variant.  The value is within RENYI_TOL of the exact
+    one, or NaN where double precision cannot certify that: at small orders
+    against a spread-out reference spectrum (see _renyi_orders).  Eigenvalues
+    of rho within rounding of zero count as exact zeros, so a pure state is
+    evaluated as pure at every order.
     """
-    if alpha <= 0 or alpha == 1:
-        raise ValueError("need alpha > 0 and alpha != 1")
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    s, sv = np.linalg.eigh(sigma.mat)
-    if s[0] <= EXPECTATION_CUT:
-        raise ValueError("second argument must be full rank")
-    exponent = (1.0 - alpha) / (2.0 * alpha)
-    half = (sv * np.power(s, exponent)) @ sv.conj().T
-    core = half @ rho.mat @ half
-    core = (core + core.conj().T) / 2
-    vals = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    logs = np.log(vals[vals > 0])
-    # log-sum-exp so extreme orders neither overflow nor underflow
-    peak = float(logs.max())
-    log_trace = alpha * peak + math.log(float(np.exp(alpha * (logs - peak)).sum()))
-    return log_trace / (alpha - 1.0)
+    return float(_renyi_orders(_renyi_pair(rho, sigma), np.array([float(alpha)]))[0])
 
 
 def renyi_curve(rho: DensityMatrix, sigma: DensityMatrix):
-    """Return a memoized alpha -> sandwiched divergence map for one state pair."""
+    """Return a memoized map from orders to sandwiched divergences for one pair.
+
+    The reference is diagonalized and checked for full rank once, here.
+    The map takes one order and returns a float, or a 1-D array of orders
+    and returns an array; the orders not yet memoized are evaluated in one
+    batched call.  Uncertified orders come back as NaN, as from
+    sandwiched_renyi.
+    """
+    pair = _renyi_pair(rho, sigma)
     cache: dict[float, float] = {}
 
-    def curve(alpha: float) -> float:
-        key = float(alpha)
-        if key not in cache:
-            cache[key] = sandwiched_renyi(rho, sigma, key)
-        return cache[key]
+    def curve(alpha):
+        if not isinstance(alpha, np.ndarray):
+            key = float(alpha)
+            if key not in cache:
+                cache[key] = float(_renyi_orders(pair, np.array([key]))[0])
+            return cache[key]
+        keys = alpha.astype(float).tolist()
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missing:
+            cache.update(zip(missing, _renyi_orders(pair, np.array(missing)).tolist()))
+        return np.array([cache[key] for key in keys])
 
     return curve
 

@@ -10,7 +10,9 @@ arithmetic with the Jacobi-Trudi engine:
 - the dense toolkit builds the d**n x d**n isotypic projectors from the
   characters and the permutation action on basis strings;
 - schur_eval expands a Schur polynomial over Kostka numbers;
-- operator_identity_mse rebuilds the estimate as a dense n-copy operator.
+- operator_identity_mse rebuilds the estimate as a dense n-copy operator;
+- reference_sandwiched_renyi evaluates the sandwiched divergence in mpmath
+  at a precision chosen from the reference state's spectral spread.
 
 The module is not collected as a test file; the tests import it from the
 test directory, which pytest puts on sys.path.
@@ -26,6 +28,7 @@ from functools import cache, lru_cache
 from itertools import groupby
 from typing import Iterator, Sequence
 
+import mpmath
 import numpy as np
 
 from schurest.distribution import (
@@ -489,3 +492,36 @@ def operator_identity_mse(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> f
         - block_log / n
     )
     return float(np.real(np.trace(big @ g @ g)))
+
+
+# ------------------------------------------------------ high-precision Renyi
+
+
+def reference_digits(sigma: DensityMatrix, alpha: float) -> int:
+    """Working digits that resolve the core sigma^t rho sigma^t at order alpha.
+
+    sigma^((1-alpha)/alpha) spreads the core's spectrum over about
+    ((1-alpha)/alpha) * log10(s_max/s_min) decades; 30 digits more keep
+    its smallest eigenvalue accurate.  A fixed 60 or 80 digits is too few
+    at alpha = 0.01 against a spread-out reference.
+    """
+    s = np.linalg.eigvalsh(sigma.mat)
+    spread = max(0.0, (1 - alpha) / alpha) * math.log10(s[-1] / s[0])
+    return 30 + math.ceil(spread)
+
+
+def reference_sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> float:
+    """The sandwiched divergence of the stored matrices, in mpmath.
+
+    Every float entry, and alpha, converts to mpmath exactly, so the only
+    error is that of the working precision from reference_digits.
+    """
+    with mpmath.workdps(reference_digits(sigma, alpha)):
+        order = mpmath.mpf(alpha)
+        t = (1 - order) / (2 * order)
+        s, basis = mpmath.eighe(mpmath.matrix(sigma.mat.tolist()))
+        half = basis * mpmath.diag([value**t for value in s]) * basis.H
+        core = half * mpmath.matrix(rho.mat.tolist()) * half
+        vals = mpmath.eighe((core + core.H) / 2, eigvals_only=True)
+        trace = mpmath.fsum(max(value, 0) ** order for value in vals)
+        return float(mpmath.log(trace) / (order - 1))

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_sandwiched_renyi
 from scipy.optimize import minimize_scalar
 
+from schurest import states
 from schurest.bounds import (
     log_schur_dim,
     log_schur_dim_counting,
@@ -18,7 +20,7 @@ from schurest.bounds import (
     tomography_baseline,
 )
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates, tail_probabilities
+from schurest.estimator import annotate_estimates, tail_probabilities, tail_report
 from schurest.partitions import total_schur_dim
 from schurest.states import (
     diagonal_state,
@@ -284,3 +286,47 @@ def test_sandwiched_renyi_feeds_bounds_consistently():
     bound = tail_bound_below(4, total_schur_dim(4, 3).total,
                              relative_entropy(rho, sigma) - 2.0, renyi)
     assert 0 < bound.value <= 1
+
+
+def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
+    calls = []
+    kernel = states._renyi_orders
+
+    def counting(pair, alphas):
+        calls.append(len(alphas))
+        return kernel(pair, alphas)
+
+    monkeypatch.setattr(states, "_renyi_orders", counting)
+    rho, sigma = random_pair(3, seed=5)
+    tail_report(rho, sigma, 5, 0.3)
+    batches = sorted(size for size in calls if size > 1)
+    assert batches == [99, 255]  # the below grid, then the above grid
+    assert len(calls) - 2 <= 80 and all(size in (1, 99, 255) for size in calls)
+
+
+class _ReferenceCurve:
+    """renyi_curve's contract (one order or an array) over the mpmath reference."""
+
+    def __init__(self, rho, sigma):
+        self.rho, self.sigma, self.cache = rho, sigma, {}
+
+    def __call__(self, alpha):
+        if isinstance(alpha, np.ndarray):
+            return np.array([self(float(a)) for a in alpha])
+        key = float(alpha)
+        if key not in self.cache:
+            self.cache[key] = reference_sandwiched_renyi(self.rho, self.sigma, key)
+        return self.cache[key]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_below_bound_skips_orders_lost_to_roundoff(n):
+    # on this pair the bound once chose the order 0.01, whose value was
+    # 0.5075 in place of 2.137e-4, and reported 0.396 (n = 4) and 0.0489
+    # (n = 8); with the reference curve the optimum is 1.0
+    rho, sigma = random_mixed(2, 7, floor=0.05), random_mixed(2, 507, floor=0.05)
+    rate = relative_entropy(rho, sigma) - 0.3
+    schur_dim = total_schur_dim(n, 2).total
+    reference = tail_bound_below(n, schur_dim, rate, _ReferenceCurve(rho, sigma))
+    assert reference.value == 1.0
+    assert tail_report(rho, sigma, n, 0.3).bound_minus >= reference.value - 1e-9

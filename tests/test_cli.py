@@ -55,10 +55,14 @@ def write_pair(folder, d, seeds=(1, 2)):
 
 
 def run_main(argv):
-    """(exit code, stdout, stderr) of one in-process run."""
+    """(exit code, stdout, stderr) of one in-process run; argparse's own exit
+    (status 2, a usage line and one error line) counts as a run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -213,6 +217,24 @@ class TestDims:
         assert captured.err.startswith("error: validation:")
         assert captured.out == ""
 
+    @given(d=st.integers(-5, 10**25), n=st.integers(-5, 10**6))
+    @example(d=100_000, n=3)
+    @example(d=10**10, n=1)
+    @example(d=99999999999999999999999, n=2)
+    @example(d=1000, n=3)
+    @settings(max_examples=60, deadline=None)
+    def test_any_dimension_fails_cleanly(self, d, n):
+        # every block prints d parts: a huge d must be refused before enumerating
+        for argv in (["dims", f"--n={n}", f"--d={d}"],
+                     ["complexity-scan", f"--d={d}", "--c", "1"]):
+            start = time.perf_counter()
+            code, out, err = run_main(argv)
+            assert time.perf_counter() - start < 30, argv
+            assert code in (0, 2), argv
+            if code == 2:
+                assert sum("error:" in line for line in err.splitlines()) == 1, err
+                assert out == ""
+
     def test_one_level_is_instant_for_any_n(self, capsys):
         start = time.perf_counter()
         assert main(["dims", "--n", "1000000000", "--d", "1"]) == 0
@@ -279,6 +301,17 @@ class TestNormality:
         assert main(["normality", "--rho", states["rho"], "--sigma", states["sigma"],
                      "--n-range", "5:4"]) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_refuses_a_range_past_the_limits_before_computing(self, tmp_path, capsys):
+        # n = 24 alone takes seconds at d = 4; n = 31 is past JT_MAX_N
+        rho, sigma = write_pair(tmp_path, 4)
+        start = time.perf_counter()
+        code = main(["normality", "--rho", rho, "--sigma", sigma, "--n-range", "24:31:7"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: compute: n=31: ")
 
 
 class TestComplexityScan:

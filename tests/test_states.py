@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_sandwiched_renyi
 
 from schurest.states import (
     DensityMatrix,
@@ -204,6 +205,92 @@ def test_renyi_rejects_bad_alpha():
         sandwiched_renyi(rho, sigma, 1.0)
     with pytest.raises(ValueError):
         sandwiched_renyi(rho, sigma, -0.5)
+
+
+# the orders the two tail bounds scan, formed as bounds.py forms them
+BELOW_ORDERS = [1 - i / 100 for i in range(1, 100)]
+ABOVE_ORDERS = [1 + (i / 256) / (1 - i / 256) for i in range(1, 256)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_renyi_curve_batch_matches_single_orders(d):
+    for seed in range(3):
+        rho, sigma = random_pair(d, seed)
+        orders = np.array(BELOW_ORDERS + ABOVE_ORDERS)
+        batched = renyi_curve(rho, sigma)(orders)
+        single = np.array([sandwiched_renyi(rho, sigma, a) for a in orders])
+        assert np.array_equal(np.isnan(batched), np.isnan(single))
+        both = ~np.isnan(single)
+        assert both.sum() > 300
+        assert np.allclose(batched[both], single[both], rtol=1e-13, atol=1e-15)
+
+
+def test_renyi_curve_masks_the_zeros_of_a_pure_state():
+    # the core sigma^t |psi><psi| sigma^t has rank one: D_alpha is
+    # alpha/(alpha-1) log <psi|sigma^((1-alpha)/alpha)|psi>, at every order
+    rho, sigma = random_pure_depolarized(3, 4, 0.0), random_mixed(3, 5, floor=0.05)
+    orders = np.array(BELOW_ORDERS + ABOVE_ORDERS)
+    batched = renyi_curve(rho, sigma)(orders)
+    single = np.array([sandwiched_renyi(rho, sigma, a) for a in orders])
+    s, sv = np.linalg.eigh(sigma.mat)
+    psi = np.linalg.eigh(rho.mat)[1][:, -1]
+    weights = np.abs(sv.conj().T @ psi) ** 2
+    exact = np.array([a / (a - 1) * math.log(weights @ s ** ((1 - a) / a)) for a in orders])
+    assert not np.isnan(batched).any()
+    assert np.allclose(batched, single, rtol=1e-13, atol=0)
+    assert np.allclose(batched, exact, rtol=1e-12, atol=0)
+
+
+def test_renyi_curve_checks_once_and_per_order():
+    rho, sigma = random_pair(2, 0)
+    with pytest.raises(ValueError):
+        renyi_curve(rho, diagonal_state([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        renyi_curve(random_mixed(3, 1), sigma)
+    curve = renyi_curve(rho, sigma)
+    for bad in (0.0, -0.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            curve(bad)
+    with pytest.raises(ValueError):
+        curve(np.array([0.5, 1.0]))
+    assert isinstance(curve(0.5), float)
+    assert curve(np.array([0.5, 2.0]))[0] == curve(0.5)
+
+
+# The qubit pair on which the tail bound once chose a lost order: at
+# alpha = 0.01, sigma^49.5 puts the core's small eigenvalue 18 decades under
+# the large one, below eigvalsh's absolute error, and the old value 0.5075
+# stood for 2.137e-4.
+SMALL_ORDER_PAIR = ((2, 7, 0.05), (2, 507, 0.05))
+
+
+@pytest.mark.parametrize("rho_args,sigma_args", [
+    SMALL_ORDER_PAIR,
+    ((3, 11, 0.0), (3, 12, 0.0)),  # fixed 60 and 80 digit references disagree here
+    ((4, 3, 0.05), (4, 1003, 0.05)),
+])
+def test_renyi_grid_orders_match_high_precision_reference(rho_args, sigma_args):
+    rho, sigma = random_mixed(*rho_args[:2], floor=rho_args[2]), random_mixed(
+        *sigma_args[:2], floor=sigma_args[2])
+    orders = BELOW_ORDERS + ABOVE_ORDERS[::16]
+    values = renyi_curve(rho, sigma)(np.array(orders))
+    certified = 0
+    for alpha, value in zip(orders, values):
+        if math.isnan(value):
+            continue  # uncertified: the bounds leave this order out
+        certified += 1
+        assert abs(value - reference_sandwiched_renyi(rho, sigma, alpha)) <= 1e-9, alpha
+    assert certified >= len(orders) * 3 // 4
+
+
+def test_small_order_pair_is_left_out_not_misreported():
+    rho, sigma = random_mixed(*SMALL_ORDER_PAIR[0][:2], floor=0.05), random_mixed(
+        *SMALL_ORDER_PAIR[1][:2], floor=0.05)
+    assert math.isnan(sandwiched_renyi(rho, sigma, 0.01))
+    assert math.isnan(sandwiched_renyi(rho, sigma, 0.02))
+    assert math.isnan(sandwiched_renyi(rho, sigma, 1e-6))  # sigma^t underflows to zero
+    assert sandwiched_renyi(rho, sigma, 0.2) == pytest.approx(
+        reference_sandwiched_renyi(rho, sigma, 0.2), abs=1e-12)
 
 
 # --------------------------------------------------- SLD and finite differences

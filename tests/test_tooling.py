@@ -46,3 +46,15 @@ def test_failing_property_does_not_abort_the_session(tmp_path):
     assert done.returncode == 1, done.stdout[-2000:]
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is a test extra for high-precision references; loading it would
+    # add to the start-up of every CLI process
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, schurest.cli; print('mpmath' in sys.modules)"],
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
