@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .partitions import total_schur_dim
 
@@ -56,6 +55,97 @@ def mse_bound_counting(n: int, d: int, varentropy: float) -> float:
     return (math.sqrt(varentropy / n) + log_schur_dim_counting(n, d) / n) ** 2
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALS = 500
+
+
+def _step_sign(v: float) -> float:
+    """-1 below zero, 1 at or above it, NaN for NaN (numpy's sign(v) + (v == 0))."""
+    if v != v:
+        return v
+    return -1.0 if v < 0 else 1.0
+
+
+def _nan_max(a: float, b: float) -> float:
+    """The larger of a and b, NaN if either is NaN (numpy's maximum)."""
+    return a if a >= b or a != a else b
+
+
+def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Bounded Brent minimization of fun on [lo, hi]; returns (argmin, min).
+
+    Brent (1973), "Algorithms for Minimization Without Derivatives", ch. 5,
+    in the form of scipy.optimize.minimize_scalar(method="bounded"): the
+    same operations in the same order, so the search visits the same
+    points and returns the same floats.  A NaN or +inf value inside the
+    bracket turns the parabola into NaN, and the step falls back to golden
+    section.  The search stops after 500 evaluations.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = fun(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # the tests below fail for NaN and for q == 0, so the division is safe
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + _step_sign(rat) * _nan_max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf, fx
+
+
 def _refine(fun, grid_points, lo, hi, tol=1e-6):
     """Grid scan then bounded refinement; returns (argmin, min).
 
@@ -73,13 +163,9 @@ def _refine(fun, grid_points, lo, hi, tol=1e-6):
     idx = span.index(best_x)
     left = span[idx - 1] if idx > 0 else lo
     right = span[idx + 1] if idx + 1 < len(span) else hi
-    # a skipped point inside the bracket turns Brent's parabola into NaN,
-    # and the step falls back to golden section
-    with np.errstate(invalid="ignore"):
-        res = minimize_scalar(fun, bounds=(left, right), method="bounded",
-                              options={"xatol": tol / 10})
-    if res.fun < best_v:
-        return float(res.x), float(res.fun)
+    x, value = _bounded_brent(fun, left, right, xatol=tol / 10)
+    if value < best_v:
+        return float(x), float(value)
     return float(best_x), float(best_v)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import mse_bound, tail_bound_above, tail_bound_below
 from .distribution import OutcomeDistribution, _atom_table, distribution
@@ -187,6 +186,12 @@ class NormalityReport:
     points: np.ndarray  # standardized values, one row (z, mass) per distinct z
 
 
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF; erfc(-z / sqrt 2) / 2 keeps full accuracy in both tails."""
+    scaled = (-z / math.sqrt(2)).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, scaled), float, len(scaled))
+
+
 def normality_report(ann: AnnotatedDistribution, center: float, varentropy: float) -> NormalityReport:
     """Exact Kolmogorov-Smirnov distance between the standardized estimate
     sqrt(n)(x - center)/sqrt(varentropy) and the standard normal."""
@@ -198,7 +203,7 @@ def normality_report(ann: AnnotatedDistribution, center: float, varentropy: floa
     values, inverse = np.unique(z, return_inverse=True)
     masses = np.bincount(inverse, weights=ann.p, minlength=len(values))
     cdf = np.cumsum(masses)
-    phi = ndtr(values)
+    phi = _normal_cdf(values)
     ks = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(cdf - masses - phi))))
     return NormalityReport(n=n, ks=ks, points=np.column_stack([values, masses]))
 

@@ -185,17 +185,29 @@ class SchurDimSummary:
     total_bound: float  # (n+1)^((d+2)(d-1)/2)
 
 
+def _power_bound(base: int, exponent: float) -> float:
+    """float(base) ** exponent, saturating at inf past the float range."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def total_schur_dim(n: int, d: int) -> SchurDimSummary:
-    """Exact total dimension of the direct sum of unitary blocks, with bounds."""
+    """Exact total dimension of the direct sum of unitary blocks, with bounds.
+
+    The total and the count are exact integers at any size; a bound past
+    the float range reads inf.
+    """
     dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
     return SchurDimSummary(
         n=n,
         d=d,
         total=sum(dims),
         count=len(dims),
-        per_block_bound=float(n + 1) ** (d * (d - 1) / 2),
-        count_bound=float(n + 1) ** (d - 1),
-        total_bound=float(n + 1) ** ((d + 2) * (d - 1) / 2),
+        per_block_bound=_power_bound(n + 1, d * (d - 1) / 2),
+        count_bound=_power_bound(n + 1, d - 1),
+        total_bound=_power_bound(n + 1, (d + 2) * (d - 1) / 2),
     )
 
 

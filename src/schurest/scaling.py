@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import sample_complexity_bound, tomography_baseline
 from .partitions import young_columns
@@ -81,7 +80,7 @@ class _ScanTables:
     def __init__(self, n: int, d: int, q: float):
         size = n + d + 1
         self.n = n
-        self.log_factorial = gammaln(np.arange(size, dtype=float) + 1.0)
+        self.log_factorial = np.array([math.lgamma(k + 1) for k in range(size)])
         self.log_int = np.zeros(size)
         self.log_int[1:] = np.log(np.arange(1, size, dtype=float))
         self.log_q = math.log(q)

@@ -8,7 +8,7 @@ import pytest
 from oracles import reference_sandwiched_renyi
 from scipy.optimize import minimize_scalar
 
-from schurest import states
+from schurest import bounds, states
 from schurest.bounds import (
     log_schur_dim,
     log_schur_dim_counting,
@@ -199,6 +199,115 @@ def test_tail_bound_validation():
         tail_bound_below(0, 2, 0.1, lambda a: 1.0)
     with pytest.raises(ValueError):
         tail_bound_above(2, 0, 0.1, lambda a: 1.0)
+
+
+# ----------------------------------------------- bounded Brent refinement
+
+
+def scipy_bounded(fun, lo, hi, xatol):
+    res = minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def logged(fun, log):
+    """fun, appending each (point, value) it is called at to log."""
+    def wrapped(t):
+        log.append((t, fun(t)))
+        return log[-1][1]
+    return wrapped
+
+
+@pytest.fixture
+def brent_against_scipy(monkeypatch):
+    """Run scipy's bounded minimizer beside every refinement; collect both
+    results, whether both visited the same points, and whether the port met
+    a NaN or +inf inside the bracket."""
+    port = bounds._bounded_brent
+    results = []
+
+    def both(fun, lo, hi, xatol):
+        log, ref_log = [], []
+        ours = port(logged(fun, log), lo, hi, xatol)
+        with np.errstate(invalid="ignore"):
+            theirs = scipy_bounded(logged(fun, ref_log), lo, hi, xatol)
+        same_points = [t for t, _ in log] == [t for t, _ in ref_log]
+        holes = not all(math.isfinite(value) for _, value in log)
+        results.append((ours, theirs, same_points, holes))
+        return ours
+
+    monkeypatch.setattr(bounds, "_bounded_brent", both)
+    return results
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tail_bound_refinement_is_bit_identical_to_scipy(d, brent_against_scipy):
+    for seed in (0, 7, 12):
+        rho = random_mixed(d, seed, floor=0.05)
+        sigma = random_mixed(d, 500 + seed, floor=0.05)
+        div = relative_entropy(rho, sigma)
+        renyi = renyi_curve(rho, sigma)
+        for n in (2, 8):
+            schur_dim = total_schur_dim(n, d).total
+            for eps in (0.1, 1.0):
+                tail_bound_below(n, schur_dim, div - eps, renyi)
+                tail_bound_above(n, schur_dim, div + eps, renyi)
+    assert len(brent_against_scipy) == 3 * 2 * 2 * 2
+    for (x, value), (ref_x, ref_value), same_points, _ in brent_against_scipy:
+        assert same_points and x == ref_x and same_float(value, ref_value)
+    if d == 2:  # seeds 0 and 7 at eps = 1 skip uncertified orders inside the bracket
+        assert sum(holes for *_, holes in brent_against_scipy) >= 4
+
+
+def test_complexity_refinement_is_bit_identical_to_scipy(brent_against_scipy):
+    for c in (0.1, 1.0, 7.3, 100.0, 1e8):
+        for c0 in (0.0, 1.0, 10.0):
+            sample_complexity_bound(c, c0, 0.5)
+    assert len(brent_against_scipy) == 15
+    for (x, value), (ref_x, ref_value), same_points, _ in brent_against_scipy:
+        assert same_points and x == ref_x and value == ref_value
+
+
+def _hole(fill, lo, hi):
+    return lambda x: fill if lo < x < hi else (x - 0.42) ** 2
+
+
+@pytest.mark.parametrize("fun", [
+    lambda x: (x - 0.3) ** 2,
+    lambda x: math.cos(5 * x),
+    lambda x: abs(x - 0.5),
+    lambda x: x**4 - x,
+    lambda x: -x,
+    lambda x: (x - 1.5) ** 2,
+    lambda x: (x + 0.5) ** 2,
+    lambda x: math.exp(3 * x) - 20 * x,
+    lambda x: 1.0,
+    _hole(math.nan, 0.4, 0.45),
+    _hole(math.inf, 0.4, 0.45),
+    _hole(math.nan, 0.3, 0.9),
+    _hole(math.inf, 0.0, 0.5),
+    lambda x: math.nan,
+    lambda x: math.inf if x > 0.5 else math.nan,
+])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.01, 0.99), (0.41, 0.43), (1e-4, 1 - 1e-4)])
+@pytest.mark.parametrize("xatol", [1e-3, 1e-7, 1e-10])
+def test_bounded_brent_is_bit_identical_to_scipy(fun, lo, hi, xatol):
+    log, ref_log = [], []
+    x, value = bounds._bounded_brent(logged(fun, log), lo, hi, xatol)
+    with np.errstate(invalid="ignore"):
+        ref_x, ref_value = scipy_bounded(logged(fun, ref_log), lo, hi, xatol)
+    assert [t for t, _ in log] == [t for t, _ in ref_log]  # the same points, in order
+    assert x == ref_x and same_float(value, ref_value)
+
+
+@pytest.mark.parametrize("v", [-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0, math.inf, -math.inf, math.nan])
+def test_brent_sign_and_max_follow_numpy(v):
+    assert same_float(bounds._step_sign(v), float(np.sign(v) + (v == 0)))
+    for other in (-1.0, 0.0, 2.0, math.nan):
+        assert same_float(bounds._nan_max(v, other), float(np.maximum(v, other)))
 
 
 # ------------------------------------------------------ sample complexity

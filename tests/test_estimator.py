@@ -8,6 +8,7 @@ that operator.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from oracles import block_spectrum, operator_identity_mse
 from schurest.bounds import mse_bound
 from schurest.distribution import distribution
 from schurest.estimator import (
+    _normal_cdf,
     annotate_estimates,
     estimate_report,
     exact_mse,
@@ -287,6 +289,16 @@ def test_normality_rejects_degenerate_varentropy():
     ann = annotated(sigma, sigma, 3)
     with pytest.raises(ValueError):
         normality_report(ann, 0.0, 0.0)
+
+
+def test_normal_cdf_matches_high_precision_reference():
+    # both tails and the centre, against a 50-digit evaluation of each float z
+    z = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-38.5, -8.3, -1e-300, 0.0, 1e-300, 8.3]])
+    phi = _normal_cdf(z)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(float(value)) - mpmath.ncdf(mpmath.mpf(float(point))))
+                    for point, value in zip(z, phi))
+    assert worst <= 3e-16
 
 
 def test_normality_trend_commuting():

@@ -323,6 +323,24 @@ def test_total_schur_dim_examples_and_bounds():
                 assert weyl_dim(lam) <= rec.per_block_bound + 1e-9
 
 
+@pytest.mark.parametrize("n, d, count", [(3, 40, 3), (20, 30, 627)])
+def test_total_schur_dim_saturates_bounds_past_the_float_range(n, d, count):
+    rec = total_schur_dim(n, d)
+    # Schur's identity: the sum of all s_lam(x) is prod_i (1 - x_i)^-1
+    # prod_{i<j} (1 - x_i x_j)^-1, so at x = 1^d the weight-n blocks add up to
+    # [t^n] (1 - t)^-d (1 - t^2)^-(d(d-1)/2)
+    pairs = d * (d - 1) // 2
+    expected = sum(
+        math.comb(n - 2 * k + d - 1, d - 1) * math.comb(k + pairs - 1, pairs - 1)
+        for k in range(n // 2 + 1)
+    )
+    assert rec.total == expected
+    assert rec.count == count  # partitions of n into at most d parts; here d >= n
+    assert rec.count_bound == float(n + 1) ** (d - 1)
+    assert rec.per_block_bound == math.inf
+    assert rec.total_bound == math.inf
+
+
 def test_type_entropy_bounds_examples():
     H, lo, up = type_entropy_bounds((0, 4))
     assert H == 0 and up == 1.0 and abs(lo - 1 / 5) < 1e-12

@@ -8,6 +8,7 @@ exact integer combinatorics and the generic engine on small instances.
 import math
 from itertools import combinations_with_replacement
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,16 @@ class TestLogDimensions:
             for lam, value in zip(batch_rows(a, columns), logs):
                 exact, _ = sn_dim(lam)
                 assert value == pytest.approx(math.log(exact), rel=1e-12)
+
+    def test_log_factorial_table_matches_high_precision_reference(self):
+        table = _ScanTables(5000, 2, 0.5).log_factorial
+        assert len(table) == 5003 and table[0] == table[1] == 0.0
+        with mpmath.workdps(50):
+            worst = max(
+                float(abs(mpmath.mpf(float(value)) - exact)) / math.ulp(float(exact))
+                for value, exact in ((table[k], mpmath.loggamma(k + 1)) for k in range(2, len(table)))
+            )
+        assert worst <= 4.0
 
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_schur_values_match_expansion(self, q):

@@ -48,13 +48,36 @@ def test_failing_property_does_not_abort_the_session(tmp_path):
     assert "1 failed, 1 passed" in done.stdout
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is a test extra for high-precision references; loading it would
-    # add to the start-up of every CLI process
+def test_library_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "schurest").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+    ]
+    assert found == []
+
+
+def loaded_by_cli_import(module):
+    """Whether a fresh `import schurest.cli` loads `module`."""
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, schurest.cli; print('mpmath' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, schurest.cli; print({module!r} in sys.modules)"],
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""}, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is a test extra for high-precision references; loading it would
+    # add to the start-up of every CLI process
+    assert not loaded_by_cli_import("mpmath")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.optimize and scipy.special cost about 0.6 s of each CLI
+    # process's start-up, several times the import of the rest of the package
+    assert not loaded_by_cli_import("scipy")
