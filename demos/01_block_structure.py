@@ -10,15 +10,18 @@ bookkeeping end to end with exact integer arithmetic.
 Run:  python3 demos/01_block_structure.py
 """
 
+import numpy as np
+
+from schurest.distribution import distribution
 from schurest.partitions import (
     enumerate_young,
-    kostka,
     multinomial,
     sn_dim,
     total_schur_dim,
     type_entropy_bounds,
     weyl_dim,
 )
+from schurest.states import DensityMatrix
 
 
 def show_block_table(n: int, d: int) -> None:
@@ -38,13 +41,16 @@ def show_block_table(n: int, d: int) -> None:
 def show_multiplicity_tiling(n: int, d: int) -> None:
     """Each unitary block splits across weight vectors with Kostka multiplicity."""
     print(f"Multiplicity tiling at n={n}, d={d}: sum of Kostka numbers per block")
-    from schurest.partitions import compositions
-
+    # the multiplicities depend on (n, d) alone; any state pair lists them
+    mixed = DensityMatrix(np.eye(d) / d)
+    dist = distribution(mixed, mixed, n)
+    slots: dict = {}
+    for young, m in zip(dist.youngs, dist.mult):
+        slots[young] = slots.get(young, 0) + int(m)
     for young in enumerate_young(n, d):
-        parts = [kostka(young, w) for w in compositions(n, d)]
         u = weyl_dim(young)
-        print(f"  {str(young):>12}: {sum(parts):>4} weight slots  == unitary dim {u}")
-        assert sum(parts) == u
+        print(f"  {str(young):>12}: {slots[young]:>4} weight slots  == unitary dim {u}")
+        assert slots[young] == u
     print()
 
 

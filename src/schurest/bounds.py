@@ -28,13 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import total_schur_dim
-
-
-def log_schur_dim(n: int, d: int) -> float:
-    """log of the exact total unitary-block dimension."""
-    return math.log(total_schur_dim(n, d).total)
-
 
 def log_schur_dim_counting(n: int, d: int) -> float:
     """log of the polynomial counting estimate (n+1)^((d+2)(d-1)/2)."""

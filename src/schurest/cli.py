@@ -136,8 +136,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """A:B:step, inclusive ends; step defaults to 1 when omitted."""
+def _parse_n_range(text: str) -> range:
+    """A:B:step, inclusive ends; step defaults to 1 when omitted.
+
+    The range stays lazy, so a huge one costs nothing until it is walked.
+    """
     fields = text.split(":")
     if len(fields) not in (2, 3):
         raise CliError("parse", f"bad range {text!r}, expected A:B:step")
@@ -148,8 +151,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise CliError("parse", f"bad range {text!r}, fields must be integers")
     if step < 1 or start < 1:
         raise CliError("parse", "range start and step must be >= 1")
-    values = list(range(start, stop + 1, step))
-    if not values:
+    values = range(start, stop + 1, step)
+    if not values:  # truth, not len(): len() overflows past sys.maxsize
         raise CliError("parse", f"range {text!r} is empty")
     return values
 

@@ -16,11 +16,15 @@ P_lam P_mu] at every d.  Since (rho_tilde Z)^(x)n commutes with P_lam for
 diagonal markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
 The Schur polynomial is a Jacobi-Trudi determinant in the complete
 symmetric functions h_k(rho_tilde Z), evaluated on a grid of roots of
-unity; one FFT per Young index reads off every coefficient.  The cost is
-set by (n, d) alone, and one work guard, checked before any table is
-built, refuses sizes past JT_MAX_WORK (see _work).  The independent
-references the tests compare against (basis-string sums weighted by
-characters, dense projectors) live in the test tree.
+unity; one FFT per Young index reads off every coefficient.  The same
+routine at rho_tilde = I gives the multiplicities, since the Kostka number
+is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
+coefficients to integers and raises ArithmeticError if any lies more than
+KOSTKA_TOL from a non-negative integer.  The cost is set by (n, d) alone,
+and one work guard, checked before any table is built, refuses sizes past
+JT_MAX_WORK (see _work).  The independent references the tests compare
+against (basis-string sums weighted by characters, dense projectors, the
+horizontal-strip Kostka recursion) live in the test tree.
 
 Roundoff can leave tiny negative raw probabilities: values in (-1e-6, 0)
 are clamped to zero (and the worst one recorded); anything at or below
@@ -40,7 +44,6 @@ import numpy as np
 from .partitions import (
     compositions,
     enumerate_young,
-    kostka,
     sn_dim,
     type_entropy_bounds,
     young_count,
@@ -50,9 +53,13 @@ from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
 JT_MAX_N = 30
 # warm calls took 1.7-3.4e-8 s per work unit from d = 4 to 9 on a 2-vCPU VM,
 # so the limit keeps a call near 4-8 s and under 0.6 GB; it admits every
-# d <= 4 up to n = 30
+# d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine twice,
+# once at rho_tilde = I for the Kostka table, so it can take twice as long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
+# the Kostka table rounds engine coefficients at rho_tilde = I; the worst gap
+# to an integer measured up to each d's size limit was 7.7e-12, at (4, 30)
+KOSTKA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,8 @@ class _AtomTable:
 
     Per-Young arrays follow enumerate_young order; atoms list the weights
     with a nonzero Kostka number under each Young index, in weight order.
+    The Kostka numbers are the engine's coefficients at rho_tilde = I,
+    rounded.
     """
 
     columns: tuple[tuple[int, ...], ...]  # every weight; the per-Young row columns
@@ -152,16 +161,16 @@ def _atom_table(n: int, d: int) -> _AtomTable:
         log_v.append(math.log(v_dim))
         log_ratio.append(math.log(ratio))
         entropy.append(type_entropy_bounds(young)[0])
-    # kostka is symmetric in the weight, and the sorted weights of (n, d) are
-    # exactly its Young indices: one Kostka matrix over Young index pairs
-    # covers every column
-    kostka_matrix = np.array(
-        [[kostka(young, sorted_weight) for sorted_weight in young_list] for young in young_list],
-        dtype=np.int64,
-    )
-    young_pos = {young: i for i, young in enumerate(young_list)}
-    sorted_pos = np.array([young_pos[tuple(sorted(weight))] for weight in columns], dtype=np.int64)
-    mult_matrix = kostka_matrix[:, sorted_pos]
+    # K_lam,mu = [z^mu] s_lam(Z): the engine's coefficients at rho_tilde = I
+    rows = _schur_coefficients(np.eye(d), n, young_list, columns)
+    mult_matrix = np.maximum(np.rint(rows.real), 0)
+    gap = max(float(np.abs(rows.real - mult_matrix).max()), float(np.abs(rows.imag).max()))
+    if gap > KOSTKA_TOL:
+        raise ArithmeticError(
+            f"Kostka coefficients at (n, d) = ({n}, {d}) are {gap:.3e} off a non-negative "
+            f"integer, past the tolerance of {KOSTKA_TOL:g}"
+        )
+    mult_matrix = mult_matrix.astype(np.int64)
     # row-major nonzeros: Young index first, then weight order
     young_idx, weight_pos = np.nonzero(mult_matrix)
     mult = mult_matrix[young_idx, weight_pos]
@@ -184,12 +193,6 @@ def _rho_in_reference_basis(rho: DensityMatrix, spec: SigmaSpectrum) -> np.ndarr
     if rho.dim != spec.dim:
         raise ValueError("state and reference dimensions differ")
     return spec.basis.conj().T @ rho.mat @ spec.basis
-
-
-def _coerce_spectrum(sigma) -> SigmaSpectrum:
-    if isinstance(sigma, SigmaSpectrum):
-        return sigma
-    return sigma_spectrum(sigma)
 
 
 def _assemble(n, d, backend, spec, block_rows, max_imag):
@@ -256,7 +259,8 @@ def _work(n: int, d: int) -> int:
     sum 2^d principal minors, and each of the Y Young indices costs one
     (d-1) x (d-1) determinant and its share of one FFT, about d^2.  Y is
     counted only until the work passes JT_MAX_WORK, so past the limit the
-    value is a lower bound.
+    value is a lower bound.  The count is per engine pass: a cold call at a
+    new (n, d) runs two, one for the Kostka table and one for p.
     """
     grid = (n + 1) ** (d - 1)
     young = young_count(n, d, JT_MAX_WORK // (grid * d * d))
@@ -281,8 +285,8 @@ def check_size(n: int, d: int) -> None:
         )
 
 
-def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
-    """Exact distribution from one Jacobi-Trudi determinant per Young index.
+def _schur_coefficients(rt: np.ndarray, n: int, blocks, columns) -> np.ndarray:
+    """[z^mu] s_lam(rho_tilde Z) for every lam in blocks and mu in columns, as a complex array.
 
     On the grid, h_k = sum_j (-1)^(j-1) e_j h_(k-j), and with descending parts
     lam_1 >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
@@ -290,14 +294,11 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
     the determinant the cancellation it suffers on near-pure states.  s_lam
     has degree n, so its values on the (n+1)^(d-1) grid fix every
-    coefficient, and one FFT per Young index returns them all.  Sizes that
-    check_size refuses raise ValueError before any table is built.
+    coefficient, and one FFT per Young index returns them all.  Row y,
+    column c holds the coefficient of blocks[y] at the weight columns[c].
     """
-    spec = _coerce_spectrum(sigma)
-    d = rho.dim
-    check_size(n, d)
-    table = _atom_table(n, d)
-    e = _elementary_on_torus(_rho_in_reference_basis(rho, spec), n)
+    d = rt.shape[0]
+    e = _elementary_on_torus(rt, n)
     # h_(-1) is the zero row at the end, so negative indices read zero
     h = np.zeros((n + d, e.shape[1]), dtype=complex)
     h[0] = 1.0
@@ -306,16 +307,30 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
             h[k] += (-1) ** (j - 1) * e[j] * h[k - j]
     shape = (n + 1,) * (d - 1)
     # grid index of each weight's coefficient: its first d-1 exponents
-    columns = np.ravel_multi_index(np.array(table.columns, dtype=np.int64).T[:-1], shape)
-    block_rows = np.empty((len(table.blocks), len(table.columns)))
-    max_imag = 0.0
-    for yi, young in enumerate(table.blocks):
+    flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], shape)
+    rows = np.empty((len(blocks), len(columns)), dtype=complex)
+    for yi, young in enumerate(blocks):
         lam = young[::-1]
         idx = np.array([[max(lam[i] - lam[-1] - i + j, -1) for j in range(d - 1)]
                         for i in range(d - 1)], dtype=np.int64).reshape(d - 1, d - 1)
         minor = np.linalg.det(np.moveaxis(h[idx], -1, 0))
         values = (e[d] ** lam[-1] * minor).reshape(shape)
-        coeffs = table.v_dim[yi] * np.fft.fftn(values, norm="forward").ravel()[columns]
-        block_rows[yi] = coeffs.real
-        max_imag = max(max_imag, float(np.abs(coeffs.imag).max()))
-    return _assemble(n, d, "jacobi_trudi", spec, block_rows, max_imag)
+        rows[yi] = np.fft.fftn(values, norm="forward").ravel()[flat]
+    return rows
+
+
+def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
+    """Exact distribution: p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
+
+    rho_tilde is rho in sigma's descending eigenbasis, and _schur_coefficients
+    reads every coefficient off one Jacobi-Trudi determinant per Young index.
+    Sizes that check_size refuses raise ValueError before any table is built.
+    """
+    spec = sigma_spectrum(sigma)
+    d = rho.dim
+    check_size(n, d)
+    table = _atom_table(n, d)
+    rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n, table.blocks, table.columns)
+    coeffs = table.v_dim[:, None] * rows
+    max_imag = float(np.abs(coeffs.imag).max())
+    return _assemble(n, d, "jacobi_trudi", spec, coeffs.real, max_imag)

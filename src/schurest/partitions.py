@@ -4,11 +4,12 @@ A Young index is stored in the increasing convention: a tuple of d
 non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.
 young_columns is the one enumerator; enumerate_young and the large-n scan
 both read it, and young_count counts without enumerating.  Every block
-dimension and Kostka number is exact (Python integers and fractions);
-floating point appears only in the explicit *_bound helpers, which
-evaluate closed-form inequalities.  Symmetric-group characters and Schur
-polynomial expansions serve only as test oracles and live in the test
-tree.
+dimension is exact (Python integers and fractions); floating point
+appears only in the explicit *_bound helpers, which evaluate closed-form
+inequalities.  Kostka numbers are not here: the distribution engine reads
+them off as Schur coefficients.  Symmetric-group characters, Schur
+polynomial expansions and the horizontal-strip Kostka recursion serve
+only as test oracles and live in the test tree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "as_young",
     "compositions",
     "enumerate_young",
-    "kostka",
     "multinomial",
     "sn_dim",
     "total_schur_dim",
@@ -243,53 +242,3 @@ def weyl_dim_log_bound(n: int, d: int, s: float) -> float:
     return math.fsum(
         (d - level) ** (1 - s) * n**s / (s * level**s) for level in range(1, d)
     )
-
-
-@cache
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    # shape: decreasing, no zero parts; content: letter multiplicities,
-    # decreasing, no zero entries.  Recursion strips the last letter, which
-    # occupies a horizontal strip.
-    if not shape:
-        return 1 if not content else 0
-    if not content or len(shape) > len(content):
-        return 0
-    target = sum(shape) - content[-1]
-    rest = content[:-1]
-    m = len(shape)
-
-    def strips(i: int, rem: int, acc: tuple[int, ...]) -> int:
-        # choose inner shape nu with shape[i+1] <= nu[i] <= shape[i]
-        if i == m:
-            if rem:
-                return 0
-            return _kostka(tuple(x for x in acc if x), rest)
-        lo = shape[i + 1] if i + 1 < m else 0
-        hi = min(shape[i], rem)
-        total = 0
-        for v in range(lo, hi + 1):
-            total += strips(i + 1, rem - v, acc + (v,))
-        return total
-
-    if target < 0:
-        return 0
-    return strips(0, target, ())
-
-
-def kostka(lam: Sequence[int], weight: Sequence[int]) -> int:
-    """Weight-space dimension of the unitary block: semistandard fillings.
-
-    `weight` is an occupation vector (any order; the count is symmetric in
-    it) with the same total as lam.
-    """
-    parts = as_young(lam)
-    mu = tuple(int(x) for x in weight)
-    if any(x < 0 for x in mu):
-        raise ValueError("weights must be non-negative")
-    if sum(mu) != sum(parts):
-        raise ValueError("weight total must match the Young index weight")
-    shape = tuple(x for x in reversed(parts) if x)
-    content = tuple(sorted((x for x in mu if x), reverse=True))
-    if not shape:
-        return 1 if not content else 0
-    return _kostka(shape, content)

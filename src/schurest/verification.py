@@ -32,7 +32,6 @@ from .estimator import (
 )
 from .partitions import (
     enumerate_young,
-    kostka,
     multinomial,
     sn_dim,
     total_schur_dim,
@@ -183,15 +182,28 @@ def _family_unitary_invariance(seed: int) -> None:
 
 def _family_commuting_closed_form(seed: int) -> None:
     # rho diagonal in sigma's descending eigenbasis with diagonal r:
-    # p(lam, mu) = dimV * K_lam,mu * prod r_i^mu_i
+    # p(lam, mu) = dimV * K_lam,mu * prod r_i^mu_i, and the Kostka numbers of
+    # each lam expand the Schur polynomial, here checked against the
+    # bialternant at a fixed spectrum spaced far enough to divide safely
     for d, n in ((2, 6), (3, 4)):
         _, sigma = _pair(d, seed)
         basis = sigma_spectrum(sigma).basis
         r = np.random.default_rng(seed + d).dirichlet(np.ones(d))
         dist = distribution(DensityMatrix((basis * r) @ basis.conj().T), sigma, n)
-        for young, weight, p in zip(dist.youngs, dist.weights, dist.p):
-            expected = sn_dim(young)[0] * kostka(young, weight) * math.prod(r**np.array(weight))
+        spread = np.arange(1, d + 1) / d
+        schur: dict = {}
+        for young, weight, p, m in zip(dist.youngs, dist.weights, dist.p, dist.mult):
+            expected = sn_dim(young)[0] * int(m) * math.prod(r**np.array(weight))
             _check(abs(p - expected) <= 1e-12, f"atom ({young}, {weight}) off the closed form")
+            schur[young] = schur.get(young, 0.0) + int(m) * math.prod(spread**np.array(weight))
+        powers = np.arange(d)
+        vandermonde = np.linalg.det(spread[:, None] ** powers)
+        for young, value in schur.items():
+            expected = np.linalg.det(spread[:, None] ** (np.array(young) + powers)) / vandermonde
+            _check(
+                abs(value - expected) <= 1e-12 * expected,
+                f"Kostka numbers of {young} off the bialternant",
+            )
 
 
 def _family_normalization(seed: int) -> None:

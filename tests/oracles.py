@@ -9,7 +9,9 @@ arithmetic with the Jacobi-Trudi engine:
   symmetric-group characters (Murnaghan-Nakayama);
 - the dense toolkit builds the d**n x d**n isotypic projectors from the
   characters and the permutation action on basis strings;
-- schur_eval expands a Schur polynomial over Kostka numbers;
+- kostka counts semistandard fillings by a horizontal-strip recursion (the
+  library reads Kostka numbers off the engine at rho_tilde = I), and
+  schur_eval expands a Schur polynomial over them;
 - operator_identity_mse rebuilds the estimate as a dense n-copy operator;
 - reference_sandwiched_renyi evaluates the sandwiched divergence in mpmath
   at a precision chosen from the reference state's spectral spread.
@@ -35,14 +37,12 @@ from schurest.distribution import (
     OutcomeDistribution,
     _assemble,
     _atom_table,
-    _coerce_spectrum,
     _rho_in_reference_basis,
 )
 from schurest.partitions import (
     as_young,
     compositions,
     enumerate_young,
-    kostka,
     sn_dim,
     total_schur_dim,
     weyl_dim,
@@ -156,6 +156,59 @@ def character(lam: Sequence[int], cycles: Sequence[int] | CycleType) -> int:
     return _mn_character(shape, cyc)
 
 
+# ------------------------------------------------------------ Kostka numbers
+
+
+@cache
+def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+    # shape: decreasing, no zero parts; content: letter multiplicities,
+    # decreasing, no zero entries.  Recursion strips the last letter, which
+    # occupies a horizontal strip.
+    if not shape:
+        return 1 if not content else 0
+    if not content or len(shape) > len(content):
+        return 0
+    target = sum(shape) - content[-1]
+    rest = content[:-1]
+    m = len(shape)
+
+    def strips(i: int, rem: int, acc: tuple[int, ...]) -> int:
+        # choose inner shape nu with shape[i+1] <= nu[i] <= shape[i]
+        if i == m:
+            if rem:
+                return 0
+            return _kostka(tuple(x for x in acc if x), rest)
+        lo = shape[i + 1] if i + 1 < m else 0
+        hi = min(shape[i], rem)
+        total = 0
+        for v in range(lo, hi + 1):
+            total += strips(i + 1, rem - v, acc + (v,))
+        return total
+
+    if target < 0:
+        return 0
+    return strips(0, target, ())
+
+
+def kostka(lam: Sequence[int], weight: Sequence[int]) -> int:
+    """Weight-space dimension of the unitary block: semistandard fillings.
+
+    `weight` is an occupation vector (any order; the count is symmetric in
+    it) with the same total as lam.
+    """
+    parts = as_young(lam)
+    mu = tuple(int(x) for x in weight)
+    if any(x < 0 for x in mu):
+        raise ValueError("weights must be non-negative")
+    if sum(mu) != sum(parts):
+        raise ValueError("weight total must match the Young index weight")
+    shape = tuple(x for x in reversed(parts) if x)
+    content = tuple(sorted((x for x in mu if x), reverse=True))
+    if not shape:
+        return 1 if not content else 0
+    return _kostka(shape, content)
+
+
 def schur_eval(lam: Sequence[int], values: Sequence[float]) -> float:
     """Evaluate the unitary-block character polynomial at the given point.
 
@@ -253,7 +306,7 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
     One representative permutation per conjugacy class; the projected trace
     is a class function, so the representative choice is immaterial.
     """
-    spec = _coerce_spectrum(sigma)
+    spec = sigma_spectrum(sigma)
     d = rho.dim
     if n < 1:
         raise ValueError("need n >= 1")
@@ -369,7 +422,7 @@ def block_spectrum(rho: DensityMatrix, sigma, n: int, young) -> np.ndarray:
     with the symmetric-group dimension as multiplicity, so the spectrum is
     recovered by striding the sorted block eigenvalues and rescaling.
     """
-    spec = _coerce_spectrum(sigma)
+    spec = sigma_spectrum(sigma)
     d = rho.dim
     _check_dense_guard(n, d)
     young = tuple(young)
@@ -429,7 +482,7 @@ def renyi_trace_check(rho: DensityMatrix, sigma, n: int, alpha: float) -> tuple[
     """
     if not 0 < alpha < 1:
         raise ValueError("need alpha in (0, 1)")
-    spec = _coerce_spectrum(sigma)
+    spec = sigma_spectrum(sigma)
     d = rho.dim
     _check_dense_guard(n, d)
     rt = _rho_in_reference_basis(rho, spec)

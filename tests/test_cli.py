@@ -313,6 +313,18 @@ class TestNormality:
         assert captured.out == ""
         assert captured.err.startswith("error: compute: n=31: ")
 
+    def test_huge_range_fails_cleanly_without_listing_it(self, states, capsys):
+        # a list of 10^12 copy counts would exhaust memory before the size check
+        start = time.perf_counter()
+        code = main(["normality", "--rho", states["rho"], "--sigma", states["sigma"],
+                     "--n-range", "1:1000000000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: compute: ")
+
 
 class TestComplexityScan:
     def test_small_budget_row(self, capsys):

@@ -25,6 +25,7 @@ from oracles import (
     block_projectors,
     block_spectrum,
     brute_distribution,
+    kostka,
     kron_power,
     pinching_defect,
     renyi_trace_check,
@@ -37,7 +38,6 @@ from schurest.distribution import JT_MAX_N, JT_MAX_WORK, OutcomeAtom, _work, dis
 from schurest.partitions import (
     compositions,
     enumerate_young,
-    kostka,
     sn_dim,
     total_schur_dim,
     weyl_dim,
@@ -602,11 +602,12 @@ def test_renyi_trace_alpha_validation():
 # ----------------------------------------------------------- diagnostics
 
 
-@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (6, 4), (4, 5), (3, 6)])
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (6, 4), (4, 5), (3, 6), (20, 3), (16, 4), (10, 5)])
 def test_atom_table_matches_kostka_loop(n, d):
     from schurest.distribution import _atom_table
 
-    # reference: one kostka call per (Young index, weight), Young index first
+    # reference: one strip-recursion kostka call per (Young index, weight),
+    # Young index first; the largest K checked is 30, at (16, 4) and (10, 5)
     atoms = [(young, weight, kostka(young, weight))
              for young in enumerate_young(n, d) for weight in compositions(n, d)]
     atoms = [atom for atom in atoms if atom[2]]
@@ -614,6 +615,16 @@ def test_atom_table_matches_kostka_loop(n, d):
     assert table.youngs == tuple(young for young, _, _ in atoms)
     assert table.weights == tuple(weight for _, weight, _ in atoms)
     assert table.mult.tolist() == [k for _, _, k in atoms]
+
+
+@pytest.mark.parametrize("offset", [0.3, 1e-3j])
+def test_atom_table_refuses_off_integer_kostka_rows(monkeypatch, offset):
+    from schurest import distribution as module
+
+    engine = module._schur_coefficients
+    monkeypatch.setattr(module, "_schur_coefficients", lambda *args: engine(*args) + offset)
+    with pytest.raises(ArithmeticError, match=r"\(n, d\) = \(5, 3\)"):
+        module._atom_table.__wrapped__(5, 3)
 
 
 def test_total_schur_block_count_matches_atoms():

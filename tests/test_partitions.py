@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CycleType, character, cycle_types, schur_eval
+from oracles import CycleType, character, cycle_types, kostka, schur_eval
 from schurest.partitions import (
     compositions,
     enumerate_young,
-    kostka,
     multinomial,
     sn_dim,
     total_schur_dim,

@@ -1,9 +1,12 @@
 """Checks on the library source and on the test tooling itself."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+from schurest import partitions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +84,14 @@ def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.optimize and scipy.special cost about 0.6 s of each CLI
     # process's start-up, several times the import of the rest of the package
     assert not loaded_by_cli_import("scipy")
+
+
+def test_partitions_all_names_exactly_its_public_definitions():
+    # a stale name in __all__ breaks `from schurest.partitions import *`
+    defined = {
+        name for name, value in vars(partitions).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == partitions.__name__
+    }
+    assert sorted(partitions.__all__) == sorted(defined)
