@@ -13,7 +13,7 @@ exact outcome distribution at the full calibrated n — hundreds of millions of
 blocks at d = 4 — and summing the true tail mass.
 
 Run:       python3 demos/05_complexity_scan.py          (d = 2, 3; about 1 s)
-Full run:  python3 demos/05_complexity_scan.py --full   (adds d = 4; about a minute)
+Full run:  python3 demos/05_complexity_scan.py --full   (adds d = 4; about 10 s)
 """
 
 import argparse
@@ -51,7 +51,7 @@ def scan_dimension(d: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--full", action="store_true", help="include d = 4 (about a minute)")
+    parser.add_argument("--full", action="store_true", help="include d = 4 (about 10 s)")
     args = parser.parse_args()
 
     dims = (2, 3, 4) if args.full else (2, 3)
@@ -62,7 +62,7 @@ def main() -> None:
     print("below the 1/4 target, confirming the O(d^2) copy scaling with exact")
     print("arithmetic rather than a bound-on-top-of-bound argument.")
     if not args.full:
-        print("(Pass --full to add the d = 4 scan: ~6.7e8 blocks, about a minute.)")
+        print("(Pass --full to add the d = 4 scan: ~6.7e8 blocks, about 10 s.)")
 
 
 if __name__ == "__main__":

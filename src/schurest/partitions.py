@@ -2,14 +2,15 @@
 
 A Young index is stored in the increasing convention: a tuple of d
 non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.
-young_columns is the one enumerator; enumerate_young and the large-n scan
-both read it, and young_count counts without enumerating.  Every block
-dimension is exact (Python integers and fractions); floating point
-appears only in the explicit *_bound helpers, which evaluate closed-form
-inequalities.  Kostka numbers are not here: the distribution engine reads
-them off as Schur coefficients.  Symmetric-group characters, Schur
-polynomial expansions and the horizontal-strip Kostka recursion serve
-only as test oracles and live in the test tree.
+young_columns is the one enumerator and enumerate_young reads it; the
+large-n scan walks its own triangular grids, and young_count counts
+without enumerating.  Every block dimension is exact (Python integers
+and fractions); floating point appears only in the explicit *_bound
+helpers, which evaluate closed-form inequalities.  Kostka numbers are
+not here: the distribution engine reads them off as Schur coefficients.
+Symmetric-group characters, Schur polynomial expansions and the
+horizontal-strip Kostka recursion serve only as test oracles and live in
+the test tree.
 """
 
 from __future__ import annotations
@@ -192,6 +193,14 @@ def _power_bound(base: int, exponent: float) -> float:
         return math.inf
 
 
+def _exp_bound(exponent: float) -> float:
+    """math.exp(exponent), saturating at inf past the float range."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
+
+
 def total_schur_dim(n: int, d: int) -> SchurDimSummary:
     """Exact total dimension of the direct sum of unitary blocks, with bounds.
 
@@ -215,7 +224,8 @@ def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
 
     Returns (H, lower, upper) with lower = exp(n H)/(n+1)**(d-1) and
     upper = exp(n H); the exact multinomial n!/prod(lam_i!) lies in
-    [lower, upper].  Requires n >= 1.
+    [lower, upper].  A bound past the float range reads inf.  Requires
+    n >= 1.
     """
     parts = as_young(lam)
     n = sum(parts)
@@ -225,8 +235,12 @@ def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
     entropy = -math.fsum(
         (x / n) * math.log(x / n) for x in parts if x
     )
-    upper = math.exp(n * entropy)
-    lower = upper / float(n + 1) ** (d - 1)
+    try:
+        upper = math.exp(n * entropy)
+        lower = upper / float(n + 1) ** (d - 1)
+    except OverflowError:  # a term past the float range: take both through logs
+        upper = _exp_bound(n * entropy)
+        lower = _exp_bound(n * entropy - (d - 1) * math.log(n + 1))
     return entropy, lower, upper
 
 

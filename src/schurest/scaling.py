@@ -10,24 +10,40 @@ over Young indices with vectorized log-space arithmetic.  This powers the
 sample-complexity checks at n of order d^2 times a constant in the
 hundreds, far beyond the generic engine.
 
-The scan walks one batch per smallest part a of the Young index: the
-batch is a + (0, *partitions.young_columns(n - d a, d - 1)), and one
-kernel turns its 1-D columns into log dimV and log Schur values, so each
-batch costs a few numpy calls rather than a Python loop per index.
+The scan works in the shifted parts l_i = lambda_i + i of each Young index.
+Past a prefix of d - 3 parts (one part at d = 4, none at d = 3), the last
+three shifted parts are (u, u + 1 + t, rest - 2u - 1 - t), so the prefix's
+Young indices form a triangular grid in rows u and columns t.  Every term
+of log dimV and of the log mass depends on one of u, t, u + t, 2u + t,
+3u + t or 3u + 2t; each is tabulated once per grid and read back as a
+strided view, so a band of rows costs a few contiguous adds and no index
+arrays.  Cells past a row's end read NaN for log dimV and -inf for the
+mass, which every tail test and the total ignore without a mask.  d = 2
+has one free part and runs as a single row of the same accumulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import sample_complexity_bound, tomography_baseline
-from .partitions import young_columns
 from .states import DensityMatrix, relative_varentropy
 
 SCAN_MAX_D = 4
+# the scan refuses more Young indices than this (about 15 s at d = 4)
+SCAN_MAX_YOUNG = 10**9
+# and more copies than this: its tables hold n + d entries whatever d is
+SCAN_MAX_N = 10**6
+_BAND_CELLS = 1 << 14
+# exp arguments are clamped from below here: a clamped cell then adds under
+# 1e-304 to the total mass (about 1) or to a tail sum scaled to its peak (at
+# least 1), while numpy's exp runs about 15 times slower on the underflowing
+# arguments (below about -708) that most cells have
+_EXP_FLOOR = -700.0
 
 
 def geometric_spectrum(d: int, q: float) -> np.ndarray:
@@ -55,7 +71,8 @@ class _LogSum:
             if self.peak > -math.inf:
                 self.scaled *= math.exp(self.peak - top)
             self.peak = top
-        self.scaled += float(np.exp(log_values - self.peak).sum())
+        shifted = np.maximum(log_values - self.peak, _EXP_FLOOR)
+        self.scaled += float(np.exp(shifted, out=shifted).sum())
 
     @property
     def log(self) -> float:
@@ -68,64 +85,185 @@ class _LogSum:
         return math.exp(self.log) if self.log < 50 else math.inf
 
 
+class _Band(NamedTuple):
+    """One band of a scan grid: rows first_row.. of the grid after prefix.
+
+    log_v and log_mass are views into buffers the next band overwrites.
+    A cell past its row's last Young index holds NaN in log_v and -inf in
+    log_mass; blocks counts the other cells.
+    """
+
+    prefix: tuple[int, ...]
+    first_row: int
+    blocks: int
+    log_v: np.ndarray
+    log_mass: np.ndarray
+
+
 class _ScanTables:
-    """Integer-indexed lookup tables for one (n, d, q) scan.
+    """Lookup tables for one (n, d, q) scan, and the grids built from them.
 
     Every transcendental evaluation in the scan has a small-integer
     argument (shifted parts and their gaps live in [0, n + d]), so the
-    inner loop over hundreds of millions of Young indices reduces to
-    fancy indexing into precomputed vectors.
+    scan reads precomputed vectors.  log dimV and log mass both split into
+    one term per shifted part (-log l!, plus pair terms with the prefix
+    and the part's linear weight) and one per gap of the last three parts;
+    each term is tabulated once per grid and read back as a strided view.
     """
 
     def __init__(self, n: int, d: int, q: float):
         size = n + d + 1
         self.n = n
-        self.log_factorial = np.array([math.lgamma(k + 1) for k in range(size)])
-        self.log_int = np.zeros(size)
-        self.log_int[1:] = np.log(np.arange(1, size, dtype=float))
+        self.d = d
+        self.log_factorial = np.fromiter(
+            (math.lgamma(k + 1) for k in range(size)), dtype=float, count=size
+        )
         self.log_q = math.log(q)
-        # log(1 - q^gap); gap 0 never occurs since shifted parts are distinct
-        self.log_one_minus_qpow = np.full(size, -math.inf)
-        self.log_one_minus_qpow[1:] = np.log1p(
-            -np.exp(np.arange(1, size, dtype=float) * self.log_q)
-        )
+        # log g, and log g + log(1 - q^g), per gap g; gap 0 never occurs at
+        # a valid cell since shifted parts are distinct
+        self.log_gap = np.full(size, -math.inf)
+        self.log_gap[1:] = np.log(np.arange(1, size, dtype=float))
+        log_one_minus_qpow = np.log1p(-np.exp(np.arange(1, size, dtype=float) * self.log_q))
+        self.log_gap_mass = np.full(size, -math.inf)
+        self.log_gap_mass[1:] = self.log_gap[1:] + log_one_minus_qpow
         pair_i, pair_j = np.triu_indices(d, k=1)
-        self.empty_shape_log = float(
-            ((d - 1 - pair_j) * self.log_q + self.log_one_minus_qpow[pair_j - pair_i]).sum()
+        empty_shape_log = float(
+            ((d - 1 - pair_j) * self.log_q + log_one_minus_qpow[pair_j - pair_i - 1]).sum()
         )
+        self.constant_v = math.lgamma(n + 1)
+        log_norm = math.log(geometric_spectrum(d, q)[0])  # leading weight, scales the Schur value
+        self.constant_mass = self.constant_v + n * log_norm - empty_shape_log
 
-    def batch_logs(self, a: int, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(log dimV, log Schur value) of the Young indices a + (0, *columns).
+    def pair(self, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gap terms of log dimV and log mass; -inf at gaps <= 0."""
+        return self.log_gap.take(gaps, mode="clip"), self.log_gap_mass.take(gaps, mode="clip")
 
-        In the increasing convention part i is shifted by i and carries the
-        linear weight d - 1 - i.  Gaps and factorials are read through
-        offset views of the tables, so no shifted copy of a column is made;
-        part 0 is a itself, so its gaps are the columns.
+    def part(
+        self, parts: np.ndarray, weight: int, earlier: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Terms of shifted parts with a linear weight, paired with earlier parts."""
+        log_v = -self.log_factorial.take(parts, mode="clip")
+        log_mass = log_v + (weight * self.log_q) * parts
+        for other in earlier:
+            gap_v, gap_mass = self.pair(parts - other)
+            log_v += gap_v
+            log_mass += gap_mass
+        return log_v, log_mass
+
+    def grids(self):
+        """Yield (prefix, widths, terms): one grid of Young indices per prefix.
+
+        At d >= 3 the first d - 3 parts form the prefix, and row r, column
+        t of its grid holds the Young index whose last three shifted parts
+        are (u, u + 1 + t, rest - 2u - 1 - t) with u = u_min + r; row r
+        holds widths[r] Young indices, the cells after them being past the
+        row's end.  At d = 2 the grid is one row and column t holds
+        (t, n - t).  Every term is a _term: its tables are read at
+        alpha * r + beta * t.
         """
-        d = len(columns) + 1
-        size = len(columns[0])
-        log_v = np.full(size, math.lgamma(self.n + 1))
-        log_s = np.full(size, float(sum((d - 1 - i) * (a + i) for i in range(d))))
-        for i in range(1, d - 1):
-            log_s += (d - 1 - i) * columns[i - 1]
-        log_s *= self.log_q
-        log_s -= self.empty_shape_log
-        for j in range(d - 1, 0, -1):
-            for i in range(j - 1, -1, -1):
-                gap = columns[j - 1] if i == 0 else columns[j - 1] - columns[i - 1]
-                log_v += self.log_int[j - i :][gap]
-                log_s += self.log_one_minus_qpow[j - i :][gap]
-        factorials = self.log_factorial[d - 1 + a :][columns[-1]]
-        for i in range(d - 2, 0, -1):
-            factorials += self.log_factorial[i + a :][columns[i - 1]]
-        log_v -= factorials + self.log_factorial[a]
-        return log_v, log_s
+        n, d = self.n, self.d
+        if d == 2:
+            width = n // 2 + 1
+
+            def parts(t):
+                first_v, first_mass = self.part(t, 1, ())
+                last_v, last_mass = self.part(n + 1 - t, 0, ())
+                return (
+                    first_v + last_v + self.constant_v,
+                    first_mass + last_mass + self.constant_mass,
+                )
+
+            yield (), np.array([width]), [
+                _term(0, 1, 0, 1, width, parts),
+                _term(0, 2, 0, 1, width, lambda k: self.pair(n + 1 - k)),
+            ]
+            return
+        for prefix in _young_prefixes(n, d, 0, d - 3):
+            shifted = tuple(part + i for i, part in enumerate(prefix))
+            rest = n + d * (d - 1) // 2 - sum(shifted)
+            u_min = shifted[-1] + 1 if shifted else 0
+            widths = (rest - 3 - 3 * np.arange(u_min, (rest - 3) // 3 + 1)) // 2 + 1
+            prefix_v, prefix_mass = self.constant_v, self.constant_mass
+            for i, part in enumerate(shifted):
+                part_v, part_mass = self.part(np.array([part]), d - 1 - i, shifted[:i])
+                prefix_v += float(part_v[0])
+                prefix_mass += float(part_mass[0])
+
+            def row(u):
+                log_v, log_mass = self.part(u, 2, shifted)
+                return log_v + prefix_v, log_mass + prefix_mass
+
+            def top(k):  # the last gap; it is < 1 exactly past a row's end
+                log_v, log_mass = self.pair(rest - 2 - k)
+                log_v[rest - 2 - k < 1] = math.nan
+                return log_v, log_mass
+
+            sources = [
+                (1, 0, row),
+                (0, 1, lambda t: self.pair(t + 1)),
+                (1, 1, lambda k: self.part(k + 1, 1, shifted)),
+                (2, 1, lambda k: self.part(rest - 1 - k, 0, shifted)),
+                (3, 1, lambda k: self.pair(rest - 1 - k)),
+                (3, 2, top),
+            ]
+            rows, width = len(widths), int(widths[0])
+            yield prefix, widths, [
+                _term(alpha, beta, u_min, rows, width, values) for alpha, beta, values in sources
+            ]
+
+    def bands(self):
+        """Yield every _Band of the scan, rows cut into bands of at most _BAND_CELLS cells.
+
+        Each band is as wide as its first, widest row.  A term is read
+        through an ndarray over its table with strides (alpha, beta), which
+        numpy checks against the table's size; no index array is formed.
+        """
+        most = max(_BAND_CELLS, self.n // 2 + 1)  # or one row, when a row is wider
+        buffers = np.empty(most), np.empty(most)
+        for prefix, widths, terms in self.grids():
+            start = 0
+            while start < len(widths):
+                width = int(widths[start])
+                rows = max(1, min(len(widths) - start, _BAND_CELLS // width))
+                shape = (rows, width)
+                sums = []
+                for which, buffer in enumerate(buffers):
+                    first, second, *others = (  # offsets and strides in float64 bytes
+                        np.ndarray(
+                            shape, float, tables[which], alpha * start * 8, (alpha * 8, beta * 8)
+                        )
+                        for alpha, beta, *tables in terms
+                    )
+                    total = np.add(first, second, out=buffer[: rows * width].reshape(shape))
+                    for view in others:
+                        total += view
+                    sums.append(total)
+                blocks = int(widths[start : start + rows].sum())
+                yield _Band(prefix, start, blocks, *sums)
+                start += rows
 
 
-def _young_batches(n: int, d: int):
-    """Yield (a, columns): the Young indices a + (0, *columns) with smallest part a."""
-    for a in range(n // d + 1):
-        yield a, young_columns(n - d * a, d - 1)
+def _term(alpha: int, beta: int, u_min: int, rows: int, width: int, values):
+    """(alpha, beta, log dimV table, log mass table) of one grid term.
+
+    values maps the term's argument k = alpha * u + beta * t to its two
+    table rows; k covers every cell of a grid with rows u_min.. and width
+    columns, valid or not.  Arguments past a row's end are clipped into
+    the lookup tables, so those cells read finite values or -inf there.
+    """
+    k = alpha * u_min + np.arange(alpha * (rows - 1) + beta * (width - 1) + 1)
+    return (alpha, beta, *values(k))
+
+
+def _young_prefixes(rem: int, slots: int, lo: int, length: int):
+    """Non-decreasing tuples of `length` parts >= lo that leave rem - sum to
+    slots - length parts no smaller than the last one."""
+    if length == 0:
+        yield ()
+        return
+    for part in range(lo, rem // slots + 1):
+        for rest in _young_prefixes(rem - part, slots - 1, part, length - 1):
+            yield (part,) + rest
 
 
 @dataclass(frozen=True)
@@ -147,30 +285,45 @@ class UniformReferenceScan:
         return self.delta_plus + self.delta_minus
 
 
+def _check_scan_size(d: int, n: int) -> None:
+    """Refuse a scan past SCAN_MAX_N copies or SCAN_MAX_YOUNG Young indices.
+
+    The count p_d(n) is bounded below by C(n + d - 1, d - 1) / d!: a
+    partition into at most d parts orders into at most d! of the
+    C(n + d - 1, d - 1) compositions.  The bound costs O(d), whatever n is.
+    """
+    if n > SCAN_MAX_N:
+        raise ValueError(f"scan needs n <= {SCAN_MAX_N}, got {n}")
+    if math.comb(n + d - 1, d - 1) > SCAN_MAX_YOUNG * math.factorial(d):
+        raise ValueError(
+            f"scan at d={d}, n={n} needs more than {SCAN_MAX_YOUNG:.0e} Young indices"
+        )
+
+
 def uniform_reference_scan(d: int, n: int, q: float, epsilon: float) -> UniformReferenceScan:
     """Exact strict tail masses of the estimate for (geometric state, I/d)."""
     if not 2 <= d <= SCAN_MAX_D:
         raise ValueError(f"scan supports 2 <= d <= {SCAN_MAX_D}")
-    if n < 1 or epsilon <= 0:
+    if n < 1 or not epsilon > 0:
         raise ValueError("need n >= 1 and epsilon > 0")
+    _check_scan_size(d, n)
     spectrum = geometric_spectrum(d, q)
     entropy = -float(np.dot(spectrum, np.log(spectrum)))
     divergence = math.log(d) - entropy
-    log_norm = math.log(spectrum[0])  # leading weight, scales the Schur value
-    hi, lo = divergence + epsilon, divergence - epsilon
-    tables = _ScanTables(n, d, q)
+    # x = log d - log(dimV)/n, so x > hi and x < lo are thresholds on log dimV;
+    # the NaN of a cell past its row's end passes neither
+    v_above = n * (math.log(d) - (divergence + epsilon))
+    v_below = n * (math.log(d) - (divergence - epsilon))
     total_parts: list[float] = []
     count = 0
     above = _LogSum()
     below = _LogSum()
-    for a, columns in _young_batches(n, d):
-        log_v, log_schur = tables.batch_logs(a, columns)
-        count += len(log_v)
-        log_mass = log_v + n * log_norm + log_schur
-        x = math.log(d) - log_v / n
-        total_parts.append(float(np.exp(log_mass).sum()))
-        above.add(log_mass[x > hi])
-        below.add(log_mass[x < lo])
+    for band in _ScanTables(n, d, q).bands():
+        count += band.blocks
+        weights = np.maximum(band.log_mass, _EXP_FLOOR)
+        total_parts.append(float(np.exp(weights, out=weights).sum()))
+        above.add(band.log_mass[band.log_v < v_above])
+        below.add(band.log_mass[band.log_v > v_below])
     return UniformReferenceScan(
         d=d,
         n=n,

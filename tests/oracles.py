@@ -14,7 +14,10 @@ arithmetic with the Jacobi-Trudi engine:
   schur_eval expands a Schur polynomial over them;
 - operator_identity_mse rebuilds the estimate as a dense n-copy operator;
 - reference_sandwiched_renyi evaluates the sandwiched divergence in mpmath
-  at a precision chosen from the reference state's spectral spread.
+  at a precision chosen from the reference state's spectral spread;
+- gather_scan is the copy-budget scan as one batch of Young-index columns
+  per smallest part, read from its lookup tables by fancy indexing (the
+  library reads the same tables as strided views over a triangular grid).
 
 The module is not collected as a test file; the tests import it from the
 test directory, which pytest puts on sys.path.
@@ -46,7 +49,9 @@ from schurest.partitions import (
     sn_dim,
     total_schur_dim,
     weyl_dim,
+    young_columns,
 )
+from schurest.scaling import UniformReferenceScan
 from schurest.states import (
     DensityMatrix,
     relative_entropy,
@@ -578,3 +583,102 @@ def reference_sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: 
         vals = mpmath.eighe((core + core.H) / 2, eigvals_only=True)
         trace = mpmath.fsum(max(value, 0) ** order for value in vals)
         return float(mpmath.log(trace) / (order - 1))
+
+
+# ------------------------------------------------------------ copy-budget scan
+
+
+class GatherScanTables:
+    """Integer-indexed lookup tables for one (n, d, q) scan, read by gathers."""
+
+    def __init__(self, n: int, d: int, q: float):
+        size = n + d + 1
+        self.n = n
+        self.log_factorial = np.array([math.lgamma(k + 1) for k in range(size)])
+        self.log_int = np.zeros(size)
+        self.log_int[1:] = np.log(np.arange(1, size, dtype=float))
+        self.log_q = math.log(q)
+        # log(1 - q^gap); gap 0 never occurs since shifted parts are distinct
+        self.log_one_minus_qpow = np.full(size, -math.inf)
+        self.log_one_minus_qpow[1:] = np.log1p(
+            -np.exp(np.arange(1, size, dtype=float) * self.log_q)
+        )
+        pair_i, pair_j = np.triu_indices(d, k=1)
+        self.empty_shape_log = float(
+            ((d - 1 - pair_j) * self.log_q + self.log_one_minus_qpow[pair_j - pair_i]).sum()
+        )
+
+    def batch_logs(self, a: int, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(log dimV, log Schur value at (1, q, ..., q^(d-1))) of the Young
+        indices a + (0, *columns).
+
+        In the increasing convention part i is shifted by i and carries the
+        linear weight d - 1 - i; part 0 is a itself, so its gaps are the columns.
+        """
+        d = len(columns) + 1
+        size = len(columns[0])
+        log_v = np.full(size, math.lgamma(self.n + 1))
+        log_s = np.full(size, float(sum((d - 1 - i) * (a + i) for i in range(d))))
+        for i in range(1, d - 1):
+            log_s += (d - 1 - i) * columns[i - 1]
+        log_s *= self.log_q
+        log_s -= self.empty_shape_log
+        for j in range(d - 1, 0, -1):
+            for i in range(j - 1, -1, -1):
+                gap = columns[j - 1] if i == 0 else columns[j - 1] - columns[i - 1]
+                log_v += self.log_int[j - i :][gap]
+                log_s += self.log_one_minus_qpow[j - i :][gap]
+        factorials = self.log_factorial[d - 1 + a :][columns[-1]]
+        for i in range(d - 2, 0, -1):
+            factorials += self.log_factorial[i + a :][columns[i - 1]]
+        log_v -= factorials + self.log_factorial[a]
+        return log_v, log_s
+
+
+def gather_scan_batches(n: int, d: int):
+    """Yield (a, columns): the Young indices a + (0, *columns) with smallest part a."""
+    for a in range(n // d + 1):
+        yield a, young_columns(n - d * a, d - 1)
+
+
+def _log_total(parts: list[np.ndarray]) -> float:
+    values = np.concatenate(parts)
+    if values.size == 0:
+        return -math.inf
+    peak = float(values.max())
+    return peak + math.log(float(np.exp(values - peak).sum()))
+
+
+def gather_scan(d: int, n: int, q: float, epsilon: float) -> UniformReferenceScan:
+    """The strict tail masses of the estimate for (geometric state, I/d),
+    one gathered batch per smallest part."""
+    raw = q ** np.arange(d, dtype=float)
+    spectrum = raw / raw.sum()
+    entropy = -float(np.dot(spectrum, np.log(spectrum)))
+    divergence = math.log(d) - entropy
+    hi, lo = divergence + epsilon, divergence - epsilon
+    tables = GatherScanTables(n, d, q)
+    totals, above, below = [], [], []
+    count = 0
+    for a, columns in gather_scan_batches(n, d):
+        log_v, log_schur = tables.batch_logs(a, columns)
+        count += len(log_v)
+        log_mass = log_v + n * math.log(spectrum[0]) + log_schur
+        x = math.log(d) - log_v / n
+        totals.append(float(np.exp(log_mass).sum()))
+        above.append(log_mass[x > hi])
+        below.append(log_mass[x < lo])
+    log_plus, log_minus = _log_total(above), _log_total(below)
+    return UniformReferenceScan(
+        d=d,
+        n=n,
+        q=q,
+        epsilon=epsilon,
+        divergence=divergence,
+        total_mass=math.fsum(totals),
+        block_count=count,
+        delta_plus=math.exp(log_plus),
+        delta_minus=math.exp(log_minus),
+        log_delta_plus=log_plus,
+        log_delta_minus=log_minus,
+    )

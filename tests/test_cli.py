@@ -353,6 +353,16 @@ class TestComplexityScan:
         assert main(["complexity-scan", "--d", "7", "--c", "1"]) == 2
         assert "error: validation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d,c", [("4", "1000"), ("4", "1e300"), ("2", "1e6")])
+    def test_refuses_an_oversized_budget_before_scanning(self, d, c):
+        # (4, 1000) asks for n = 16,000, about 2.8e10 Young indices
+        start = time.perf_counter()
+        code, out, err = run_main(["complexity-scan", "--d", d, "--c", c])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: compute: d={d}: scan")
+
 
 # Any JSON value, with the keys a state file uses drawn often.
 json_scalars = (
