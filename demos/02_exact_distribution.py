@@ -18,7 +18,6 @@ Run:  python3 demos/02_exact_distribution.py
 import numpy as np
 
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates
 from schurest.states import random_mixed, relative_entropy, relative_varentropy
 
 N = 6
@@ -33,10 +32,9 @@ def main() -> None:
     print(f"Joint measurement on n = {N} copies\n")
 
     dist = distribution(rho, sigma, N)
-    ann = annotate_estimates(dist)
 
     print(f"{'young':>8} {'weight':>8} {'mult':>5} {'probability':>13} {'x':>9} {'x_star':>9}")
-    for atom, x, x_star in zip(dist.atoms, ann.x, ann.x_star):
+    for atom, x, x_star in zip(dist.atoms, dist.x, dist.x_star):
         print(
             f"{str(atom.young):>8} {str(atom.weight):>8} {atom.multiplicity:>5} "
             f"{atom.p:>13.9f} {x:>9.5f} {x_star:>9.5f}"
@@ -45,7 +43,7 @@ def main() -> None:
     print(f"\nTotal probability: {total:.15f}")
     assert abs(total - 1.0) < 1e-12
 
-    mean_x = ann.mean_x()
+    mean_x = dist.mean_x()
     print(f"\nMean of x:            {mean_x:.6f}")
     print(f"True divergence D:    {d_true:.6f}")
     print(f"Finite-size bias:     {mean_x - d_true:+.6f}  (always >= 0; shrinks like log(n)/n)")
@@ -53,8 +51,8 @@ def main() -> None:
 
     # The explicit surrogate x_star never exceeds x, and the gap has a
     # per-atom bound that vanishes as n grows.
-    gaps = ann.x - ann.x_star
-    print(f"x - x_star range:     [{gaps.min():.6f}, {gaps.max():.6f}]  (bounded by {ann.gap_bound.max():.6f})")
+    gaps = dist.x - dist.x_star
+    print(f"x - x_star range:     [{gaps.min():.6f}, {gaps.max():.6f}]  (bounded by {dist.gap_bound.max():.6f})")
     assert gaps.min() >= -1e-12
 
 

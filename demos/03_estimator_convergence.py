@@ -16,7 +16,7 @@ Run:  python3 demos/03_estimator_convergence.py
 import math
 
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates, estimate_report, normality_report
+from schurest.estimator import estimate_report, normality_report
 from schurest.states import (
     diagonal_state,
     random_mixed,
@@ -36,8 +36,7 @@ def convergence_table(rho, sigma, n_values) -> None:
         rep = estimate_report(rho, sigma, n)
         window = (d + 1) * (d - 1) * math.log(n + 1) / n
         dist = distribution(rho, sigma, n)
-        ann = annotate_estimates(dist)
-        ks = normality_report(ann, d_true, v_true).ks
+        ks = normality_report(dist, d_true, v_true).ks
         print(
             f"{n:>4} {rep.bias:>10.6f} {window:>12.6f} {rep.mse:>11.6f} "
             f"{rep.mse_bound:>11.6f} {n * rep.mse:>8.4f} {ks:>8.4f}"

@@ -7,10 +7,10 @@ the worst varentropy-to-d^2 ratio over a family of states.  That is
 quadratically better in d than full tomography of the unknown state.
 
 This script calibrates c0 empirically, derives the budget for eps = 0.5, and
-then *proves* the guarantee for a concrete instance (geometric reference
-spectrum, maximally mixed measured state) by streaming over every block of the
-exact outcome distribution at the full calibrated n — hundreds of millions of
-blocks at d = 4 — and summing the true tail mass.
+then *proves* the guarantee for a concrete instance (measured state with a
+geometric spectrum, maximally mixed reference state) by streaming over every
+block of the exact outcome distribution at the full calibrated n — hundreds
+of millions of blocks at d = 4 — and summing the true tail mass.
 
 Run:       python3 demos/05_complexity_scan.py          (d = 2, 3; about 1 s)
 Full run:  python3 demos/05_complexity_scan.py --full   (adds d = 4; about 10 s)

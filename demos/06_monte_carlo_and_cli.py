@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates, exact_mse, sample_outcomes
+from schurest.estimator import exact_mse, sample_outcomes
 from schurest.states import random_mixed, relative_entropy, save_state
 
 
@@ -27,14 +27,14 @@ def monte_carlo_section() -> None:
     sigma = random_mixed(2, seed=1042, floor=0.05)
     n = 10
     d_true = relative_entropy(rho, sigma)
-    ann = annotate_estimates(distribution(rho, sigma, n))
-    mean_exact = ann.mean_x()
-    mse_exact = exact_mse(ann, d_true)
+    dist = distribution(rho, sigma, n)
+    mean_exact = dist.mean_x()
+    mse_exact = exact_mse(dist, d_true)
 
     print(f"Sampling the exact n = {n} outcome distribution (D = {d_true:.6f})")
     print(f"{'draws m':>9} {'sample mean':>12} {'|error|':>10} {'sample MSE':>11} {'|error|':>10}")
     for m in (100, 10_000, 1_000_000):
-        draws = sample_outcomes(ann, m, seed=2024)
+        draws = sample_outcomes(dist, m, seed=2024)
         mean_mc = float(draws[:, 0].mean())
         mse_mc = float(np.mean((draws[:, 0] - d_true) ** 2))
         print(

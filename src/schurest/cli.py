@@ -30,12 +30,7 @@ import sys
 
 import numpy as np
 
-from .estimator import (
-    annotate_estimates,
-    estimate_report,
-    normality_report,
-    tail_report,
-)
+from .estimator import estimate_report, normality_report, tail_report
 from .distribution import check_size, distribution
 from .partitions import enumerate_young, sn_dim, weyl_dim, young_count
 from .scaling import SCAN_MAX_D, calibrated_budget, complexity_row, varentropy_scale_proxy
@@ -248,12 +243,11 @@ def cmd_distribution(args) -> int:
         dist = distribution(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
-    ann = annotate_estimates(dist)
     q_unit = np.exp(dist.log_q)
     rows = [
         (young, weight, float(p), float(q), int(m), float(x), float(xs))
         for young, weight, p, q, m, x, xs in zip(
-            dist.youngs, dist.weights, dist.p, q_unit, dist.mult, ann.x, ann.x_star
+            dist.youngs, dist.weights, dist.p, q_unit, dist.mult, dist.x, dist.x_star
         )
     ]
     header = ["lambda", "mu", "p", "q_unit", "multiplicity", "x", "x_star"]
@@ -345,10 +339,10 @@ def cmd_normality(args) -> int:
     rows = []
     for n in n_values:
         try:
-            ann = annotate_estimates(distribution(rho, sigma, n))
+            dist = distribution(rho, sigma, n)
         except (ValueError, ArithmeticError) as exc:
             raise CliError("compute", f"n={n}: {exc}")
-        rows.append((n, normality_report(ann, div, varentropy).ks))
+        rows.append((n, normality_report(dist, div, varentropy).ks))
     if args.format == "csv":
         _emit_csv(["n", "ks"], rows, args.out)
         return 0

@@ -11,6 +11,12 @@ eigenbasis, and hence the weight split, is a gauge choice; every quantity
 exposed here is gauge-independent (and for the maximally mixed reference
 every basis gives the same table).
 
+Each atom also carries its estimate x = -log_q/n = -(1/n)(log dimV_lam +
+sum_i mu_i log s_i), the approximation x_star = -H(lam/n) - sum_i (mu_i/n)
+log s_i that swaps the symmetric-group dimension for the type-entropy term,
+and gap_bound = (d log(n+1) - log e(lam))/n, with e the dimension ratio from
+the combinatorics layer; x - x_star always lies in [0, gap_bound].
+
 One engine computes the atom probabilities p(lam, mu) = Tr[rho_tilde^(x)n
 P_lam P_mu] at every d.  Since (rho_tilde Z)^(x)n commutes with P_lam for
 diagonal markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
@@ -79,7 +85,8 @@ class OutcomeAtom:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Exact outcome table for one (state, reference, n) triple."""
+    """Exact outcome table for one (state, reference, n) triple, with each
+    atom's estimate x, its approximation x_star and the bound on x - x_star."""
 
     n: int
     d: int
@@ -90,6 +97,9 @@ class OutcomeDistribution:
     p: np.ndarray
     log_q: np.ndarray
     mult: np.ndarray
+    x: np.ndarray  # -log_q / n
+    x_star: np.ndarray  # -H(lam/n) - sum_i (mu_i/n) log s_i
+    gap_bound: np.ndarray  # per-block bound on x - x_star
     max_imag: float  # largest imaginary residue dropped during assembly
     neg_clip: float  # most negative raw probability clamped to zero
 
@@ -112,11 +122,8 @@ class OutcomeDistribution:
         """Sum of multiplicity * q_unit over atoms; equals 1 exactly in theory."""
         return math.fsum((self.mult * np.exp(self.log_q)).tolist())
 
-    def lam_marginal(self) -> dict[tuple[int, ...], float]:
-        out: dict[tuple[int, ...], list[float]] = {}
-        for young, p in zip(self.youngs, self.p):
-            out.setdefault(young, []).append(float(p))
-        return {young: math.fsum(values) for young, values in out.items()}
+    def mean_x(self) -> float:
+        return math.fsum((self.p * self.x).tolist())
 
 
 # ------------------------------------------------------------ shared atom table
@@ -214,6 +221,9 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
         neg_clip = float(p.min())
         p[negative] = 0.0
         p = p / p.sum()
+    weight_log_s = table.weight_log_s(np.log(spec.values))
+    log_q = table.log_v[table.young_idx] + weight_log_s
+    gap_bound = (d * math.log(n + 1) - table.log_ratio) / n
     return OutcomeDistribution(
         n=n,
         d=d,
@@ -222,8 +232,11 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
         youngs=table.youngs,
         weights=table.weights,
         p=p,
-        log_q=table.log_v[table.young_idx] + table.weight_log_s(np.log(spec.values)),
+        log_q=log_q,
         mult=table.mult.copy(),
+        x=-log_q / n,
+        x_star=-table.entropy[table.young_idx] - weight_log_s / n,
+        gap_bound=gap_bound[table.young_idx],
         max_imag=max_imag,
         neg_clip=neg_clip,
     )

@@ -1,13 +1,9 @@
 """Classical post-processing of the collective measurement.
 
-The estimate attached to an outcome (lam, mu) is
-x = -(1/n)(log dimV_lam + sum_i mu_i log s_i); its cheap approximation
-replaces the symmetric-group dimension with the type-entropy term,
-x_star = -H(lam/n) - sum_i (mu_i/n) log s_i, so x - x_star is always in
-[0, (d log(n+1) - log e(lam))/n] where e is the dimension ratio from the
-combinatorics layer.  All statistics (mean, MSE, tails, the normality
-distance) are exact sums over the outcome table; Monte Carlo sampling is
-provided only as plumbing on top of the exact distribution.
+The outcome table from the distribution layer already carries each atom's
+estimate x and its approximation x_star.  All statistics here (mean, MSE,
+tails, the normality distance) are exact sums over that table; Monte Carlo
+sampling is provided only as plumbing on top of the exact distribution.
 """
 
 from __future__ import annotations
@@ -18,44 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import mse_bound, tail_bound_above, tail_bound_below
-from .distribution import OutcomeDistribution, _atom_table, distribution
+from .distribution import OutcomeDistribution, distribution
 from .partitions import total_schur_dim
 from .states import relative_entropy, relative_varentropy, renyi_curve
 
 BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AnnotatedDistribution:
-    """Outcome table plus per-atom estimate values and gap bounds."""
-
-    dist: OutcomeDistribution
-    x: np.ndarray
-    x_star: np.ndarray
-    gap_bound: np.ndarray  # per-block bound on x - x_star
-    gap_bound_tight: np.ndarray  # sharper variant, one log(n+1) less
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.dist.p
-
-    def mean_x(self) -> float:
-        return math.fsum((self.p * self.x).tolist())
-
-
-def annotate_estimates(dist: OutcomeDistribution) -> AnnotatedDistribution:
-    n, d = dist.n, dist.d
-    table = _atom_table(n, d)
-    x = -dist.log_q / n
-    x_star = -table.entropy[table.young_idx] - table.weight_log_s(np.log(dist.sigma_values)) / n
-    gap_bound = (d * math.log(n + 1) - table.log_ratio) / n
-    gap_bound_tight = ((d - 1) * math.log(n + 1) - table.log_ratio) / n
-    return AnnotatedDistribution(
-        dist, x, x_star, gap_bound[table.young_idx], gap_bound_tight[table.young_idx]
-    )
 
 
 @dataclass(frozen=True)
@@ -73,17 +36,11 @@ class EstimatorReport:
     ks: float | None  # None when the varentropy degenerates
 
 
-def exact_mse(ann: AnnotatedDistribution, center: float) -> float:
+def exact_mse(dist: OutcomeDistribution, center: float) -> float:
     """Exact mean square deviation of the estimate from a center value."""
     if not math.isfinite(center):
         raise ValueError("center must be finite")
-    return math.fsum((ann.p * (ann.x - center) ** 2).tolist())
-
-
-def exact_mse_star(ann: AnnotatedDistribution, center: float) -> float:
-    if not math.isfinite(center):
-        raise ValueError("center must be finite")
-    return math.fsum((ann.p * (ann.x_star - center) ** 2).tolist())
+    return math.fsum((dist.p * (dist.x - center) ** 2).tolist())
 
 
 def estimate_report(rho, sigma, n: int) -> EstimatorReport:
@@ -93,15 +50,14 @@ def estimate_report(rho, sigma, n: int) -> EstimatorReport:
         raise ValueError("relative entropy is infinite; the estimator needs full support")
     varentropy = relative_varentropy(rho, sigma)
     dist = distribution(rho, sigma, n)
-    ann = annotate_estimates(dist)
-    mean_x = ann.mean_x()
-    mse = exact_mse(ann, div)
-    mse_star = exact_mse_star(ann, div)
-    mean_star = math.fsum((ann.p * ann.x_star).tolist())
+    mean_x = dist.mean_x()
+    mse = exact_mse(dist, div)
+    mse_star = math.fsum((dist.p * (dist.x_star - div) ** 2).tolist())
+    mean_star = math.fsum((dist.p * dist.x_star).tolist())
     bound = mse_bound(n, varentropy, total_schur_dim(n, dist.d).total)
     ks = None
     if varentropy > 0:
-        ks = normality_report(ann, div, varentropy).ks
+        ks = normality_report(dist, div, varentropy).ks
     return EstimatorReport(
         n=n,
         d=dist.d,
@@ -128,7 +84,7 @@ class TailReport:
     bound_minus: float | None = None
 
 
-def tail_probabilities(ann: AnnotatedDistribution, center: float, epsilon: float,
+def tail_probabilities(dist: OutcomeDistribution, center: float, epsilon: float,
                        renyi=None) -> TailReport:
     """Exact strict tail masses, optionally with their optimized bounds.
 
@@ -139,15 +95,15 @@ def tail_probabilities(ann: AnnotatedDistribution, center: float, epsilon: float
     if epsilon <= 0:
         raise ValueError("need epsilon > 0")
     hi, lo = center + epsilon, center - epsilon
-    above = math.fsum(ann.p[ann.x > hi].tolist())
-    below = math.fsum(ann.p[ann.x < lo].tolist())
-    boundary = int(np.sum(np.abs(ann.x - hi) <= BOUNDARY_TOL)
-                   + np.sum(np.abs(ann.x - lo) <= BOUNDARY_TOL))
+    above = math.fsum(dist.p[dist.x > hi].tolist())
+    below = math.fsum(dist.p[dist.x < lo].tolist())
+    boundary = int(np.sum(np.abs(dist.x - hi) <= BOUNDARY_TOL)
+                   + np.sum(np.abs(dist.x - lo) <= BOUNDARY_TOL))
     bound_plus = bound_minus = None
     if renyi is not None:
-        schur_dim = total_schur_dim(ann.dist.n, ann.dist.d).total
-        bound_plus = tail_bound_above(ann.dist.n, schur_dim, hi, renyi).value
-        bound_minus = tail_bound_below(ann.dist.n, schur_dim, lo, renyi).value
+        schur_dim = total_schur_dim(dist.n, dist.d).total
+        bound_plus = tail_bound_above(dist.n, schur_dim, hi, renyi).value
+        bound_minus = tail_bound_below(dist.n, schur_dim, lo, renyi).value
     return TailReport(
         epsilon=epsilon,
         center=center,
@@ -163,20 +119,20 @@ def tail_report(rho, sigma, n: int, epsilon: float) -> TailReport:
     div = relative_entropy(rho, sigma)
     if not math.isfinite(div):
         raise ValueError("relative entropy is infinite; tails are not defined")
-    ann = annotate_estimates(distribution(rho, sigma, n))
-    return tail_probabilities(ann, div, epsilon, renyi=renyi_curve(rho, sigma))
+    return tail_probabilities(distribution(rho, sigma, n), div, epsilon,
+                              renyi=renyi_curve(rho, sigma))
 
 
-def sample_outcomes(ann: AnnotatedDistribution, m: int, seed: int = 0) -> np.ndarray:
+def sample_outcomes(dist: OutcomeDistribution, m: int, seed: int = 0) -> np.ndarray:
     """m inverse-CDF draws over the deterministic atom order; returns (m, 2)
     rows of (x, x_star)."""
     if m < 1:
         raise ValueError("need m >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(m)
-    cumulative = np.cumsum(ann.p)
-    idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(ann.p) - 1)
-    return np.column_stack([ann.x[idx], ann.x_star[idx]])
+    cumulative = np.cumsum(dist.p)
+    idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(dist.p) - 1)
+    return np.column_stack([dist.x[idx], dist.x_star[idx]])
 
 
 @dataclass(frozen=True)
@@ -192,23 +148,18 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, scaled), float, len(scaled))
 
 
-def normality_report(ann: AnnotatedDistribution, center: float, varentropy: float) -> NormalityReport:
+def normality_report(dist: OutcomeDistribution, center: float, varentropy: float) -> NormalityReport:
     """Exact Kolmogorov-Smirnov distance between the standardized estimate
     sqrt(n)(x - center)/sqrt(varentropy) and the standard normal."""
     if varentropy <= 0:
         raise ValueError("varentropy must be positive; constant log-ratio instances "
                          "have no normal limit")
-    n = ann.dist.n
-    z = (ann.x - center) * math.sqrt(n / varentropy)
+    n = dist.n
+    z = (dist.x - center) * math.sqrt(n / varentropy)
     values, inverse = np.unique(z, return_inverse=True)
-    masses = np.bincount(inverse, weights=ann.p, minlength=len(values))
+    masses = np.bincount(inverse, weights=dist.p, minlength=len(values))
     cdf = np.cumsum(masses)
     phi = _normal_cdf(values)
     ks = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(cdf - masses - phi))))
     return NormalityReport(n=n, ks=ks, points=np.column_stack([values, masses]))
 
-
-def log_mass_second_moment(dist: OutcomeDistribution) -> float:
-    """Sum of p log^2 p over outcomes; bounded by log^2(outcome count)."""
-    positive = dist.p[dist.p > 0]
-    return math.fsum((positive * np.log(positive) ** 2).tolist())

@@ -16,6 +16,7 @@ the test tree.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -224,8 +225,9 @@ def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
 
     Returns (H, lower, upper) with lower = exp(n H)/(n+1)**(d-1) and
     upper = exp(n H); the exact multinomial n!/prod(lam_i!) lies in
-    [lower, upper].  A bound past the float range reads inf.  Requires
-    n >= 1.
+    [lower, upper].  Past the float range upper reads inf and lower
+    saturates at the largest float, which stays below the multinomial.
+    Requires n >= 1.
     """
     parts = as_young(lam)
     n = sum(parts)
@@ -240,7 +242,7 @@ def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
         lower = upper / float(n + 1) ** (d - 1)
     except OverflowError:  # a term past the float range: take both through logs
         upper = _exp_bound(n * entropy)
-        lower = _exp_bound(n * entropy - (d - 1) * math.log(n + 1))
+        lower = min(_exp_bound(n * entropy - (d - 1) * math.log(n + 1)), sys.float_info.max)
     return entropy, lower, upper
 
 

@@ -1,4 +1,4 @@
-"""Validated density matrices, divergence functionals, and local-estimation checks.
+"""Validated density matrices, divergence functionals, and the local-estimation SLD data.
 
 All logarithms are natural.  Supports are handled by eigenvalue cutoffs:
 a state eigenvalue above 1e-10 counts as support, and a reference-state
@@ -302,113 +302,6 @@ def sld_quantities(rho: DensityMatrix, sigma: DensityMatrix) -> SldData:
     else:
         dual = (rho.mat @ op + op @ rho.mat) / (2 * inner)
     return SldData(operator=op, inner=inner, dual_direction=dual)
-
-
-@dataclass(frozen=True)
-class CramerRaoReport:
-    aligned_derivative: float  # expected 1
-    orthogonal_derivatives: np.ndarray  # expected all ~0
-    step: float
-    richardson_ratios: np.ndarray  # defect(h)/defect(h/2) per direction, where measurable
-    basis_size: int
-
-
-def _traceless_hermitian_basis(d: int) -> list[np.ndarray]:
-    basis: list[np.ndarray] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j
-            m[j, i] = 1j
-            basis.append(m)
-    for k in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(k), np.arange(k)] = 1.0
-        m[k, k] = -k
-        basis.append(m)
-    return basis
-
-
-def cramer_rao_check(
-    rho: DensityMatrix, sigma: DensityMatrix, step: float = 1e-4
-) -> CramerRaoReport:
-    """Finite-difference check of the local-unbiasedness structure.
-
-    Along X1 = (rho o L)/V the derivative of theta -> D(rho + theta X || sigma)
-    must be 1; along every traceless Hermitian direction X_j orthogonal to L
-    (trace inner product) it must be 0.  Central differences with automatic
-    step shrinking keep rho + theta X positive semidefinite.
-    """
-    sld = sld_quantities(rho, sigma)
-    if sld.inner <= 0:
-        raise ValueError("degenerate direction: rho and sigma have constant log-ratio")
-    d = rho.dim
-    # orthogonal directions: traceless Hermitian, trace-orthogonal to the operator
-    op_traceless = sld.operator - np.trace(sld.operator) / d * np.eye(d)
-    raw = _traceless_hermitian_basis(d)
-    coords = []
-    for m in raw:
-        overlap = np.real(np.trace(m @ op_traceless)) / max(
-            np.real(np.trace(op_traceless @ op_traceless)), 1e-300
-        )
-        coords.append(m - overlap * op_traceless)
-    directions: list[np.ndarray] = []
-    for m in coords:  # Gram-Schmidt under the trace inner product
-        for prev in directions:
-            m = m - np.real(np.trace(m @ prev)) * prev
-        norm = math.sqrt(max(np.real(np.trace(m @ m)), 0.0))
-        if norm > 1e-9:
-            directions.append(m / norm)
-    min_eig = rho.min_eig()
-
-    def derivative(direction: np.ndarray, h: float) -> float:
-        spectral = float(np.linalg.norm(direction, 2))
-        h_eff = min(h, 0.25 * min_eig / spectral)
-        for _ in range(60):
-            plus = rho.mat + h_eff * direction
-            minus = rho.mat - h_eff * direction
-            if np.linalg.eigvalsh(plus)[0] >= 0 and np.linalg.eigvalsh(minus)[0] >= 0:
-                break
-            h_eff *= 0.5
-        else:
-            raise ValueError("could not keep the perturbed state PSD")
-        f_plus = relative_entropy(DensityMatrix(plus), sigma)
-        f_minus = relative_entropy(DensityMatrix(minus), sigma)
-        return (f_plus - f_minus) / (2 * h_eff)
-
-    aligned = derivative(sld.dual_direction, step)
-    aligned_half = derivative(sld.dual_direction, step / 2)
-    orth = np.array([derivative(m, step) for m in directions])
-    orth_half = np.array([derivative(m, step / 2) for m in directions])
-    defects = np.abs(np.concatenate(([aligned - 1.0], orth)))
-    defects_half = np.abs(np.concatenate(([aligned_half - 1.0], orth_half)))
-    measurable = defects > 1e-9
-    ratios = np.where(measurable, defects / np.maximum(defects_half, 1e-300), np.nan)
-    return CramerRaoReport(
-        aligned_derivative=aligned,
-        orthogonal_derivatives=orth,
-        step=step,
-        richardson_ratios=ratios,
-        basis_size=len(directions),
-    )
-
-
-def varentropy_growth_check(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> tuple[float, float]:
-    """(sqrt of relative varentropy, log d + t d) for a floor-bounded reference.
-
-    Precondition: the reference state's minimum eigenvalue is at least
-    exp(-t d).  The left side never exceeds the right on such inputs.
-    """
-    d = sigma.dim
-    floor = math.exp(-t * d)
-    if sigma.min_eig() < floor * (1 - 1e-12):
-        raise ValueError("reference state violates the eigenvalue floor exp(-t d)")
-    lhs = math.sqrt(max(relative_varentropy(rho, sigma), 0.0))
-    rhs = math.log(d) + t * d
-    return lhs, rhs
 
 
 # --------------------------------------------------------------- state I/O

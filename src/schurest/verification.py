@@ -23,13 +23,7 @@ import numpy as np
 
 from .bounds import mse_bound, mse_bound_counting, sample_complexity_bound
 from .distribution import distribution
-from .estimator import (
-    annotate_estimates,
-    estimate_report,
-    normality_report,
-    sample_outcomes,
-    tail_report,
-)
+from .estimator import estimate_report, sample_outcomes, tail_report
 from .partitions import (
     enumerate_young,
     multinomial,
@@ -250,18 +244,17 @@ def _family_multiplicity_tiling(seed: int) -> None:
 def _family_mean_bias_window(seed: int) -> None:
     for d, n in ((2, 4), (2, 8), (3, 3)):
         rho, sigma = _pair(d, seed + 31)
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        bias = ann.mean_x() - relative_entropy(rho, sigma)
+        bias = distribution(rho, sigma, n).mean_x() - relative_entropy(rho, sigma)
         cap = (d + 1) * (d - 1) * math.log(n + 1) / n
         _check(-1e-9 <= bias <= cap + 1e-9, f"mean bias {bias:.3e} outside [0, {cap:.3e}]")
 
 
 def _family_gap_window(seed: int) -> None:
     for d, n in _SMALL_GRID:
-        ann = annotate_estimates(_dist(d, n, seed))
-        gap = ann.x - ann.x_star
+        dist = _dist(d, n, seed)
+        gap = dist.x - dist.x_star
         _check(float(gap.min()) >= -1e-12, f"negative approximation gap at d={d}, n={n}")
-        excess = float((gap - ann.gap_bound).max())
+        excess = float((gap - dist.gap_bound).max())
         _check(excess <= 1e-12, f"approximation gap exceeds its bound at d={d}, n={n}")
 
 
@@ -278,11 +271,11 @@ def _family_mse_bound(seed: int) -> None:
 def _family_monte_carlo(seed: int) -> None:
     d, n, m = 2, 6, 100_000
     rho, sigma = _pair(d, seed + 43)
-    ann = annotate_estimates(distribution(rho, sigma, n))
-    values, inverse = np.unique(ann.x, return_inverse=True)
-    masses = np.bincount(inverse, weights=ann.p, minlength=len(values))
+    dist = distribution(rho, sigma, n)
+    values, inverse = np.unique(dist.x, return_inverse=True)
+    masses = np.bincount(inverse, weights=dist.p, minlength=len(values))
     cdf = np.cumsum(masses)
-    draws = np.sort(sample_outcomes(ann, m, seed=seed)[:, 0])
+    draws = np.sort(sample_outcomes(dist, m, seed=seed)[:, 0])
     right = np.searchsorted(draws, values, side="right") / m
     left = np.searchsorted(draws, values, side="left") / m
     ks = float(max(np.max(np.abs(right - cdf)), np.max(np.abs(left - (cdf - masses)))))

@@ -13,6 +13,11 @@ arithmetic with the Jacobi-Trudi engine:
   library reads Kostka numbers off the engine at rho_tilde = I), and
   schur_eval expands a Schur polynomial over them;
 - operator_identity_mse rebuilds the estimate as a dense n-copy operator;
+- cramer_rao_check differentiates D(rho || sigma) by finite differences
+  along the dual direction of the centered log-ratio operator and along
+  every traceless Hermitian direction orthogonal to it, and
+  varentropy_growth_check compares the relative varentropy with its
+  floor-based bound;
 - reference_sandwiched_renyi evaluates the sandwiched divergence in mpmath
   at a precision chosen from the reference state's spectral spread;
 - gather_scan is the copy-budget scan as one batch of Young-index columns
@@ -55,8 +60,10 @@ from schurest.scaling import UniformReferenceScan
 from schurest.states import (
     DensityMatrix,
     relative_entropy,
+    relative_varentropy,
     sandwiched_renyi,
     sigma_spectrum,
+    sld_quantities,
 )
 
 BRUTE_MAX_STRINGS = 2**14
@@ -334,6 +341,14 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
     return _assemble(n, d, "brute", spec, block_rows, max_imag)
 
 
+def lam_marginal(dist: OutcomeDistribution) -> dict[tuple[int, ...], float]:
+    """Mass of each Young index: the atoms' p summed over their weights."""
+    out: dict[tuple[int, ...], list[float]] = {}
+    for young, p in zip(dist.youngs, dist.p):
+        out.setdefault(young, []).append(float(p))
+    return {young: math.fsum(values) for young, values in out.items()}
+
+
 # --------------------------------------------------------- dense block ops
 
 
@@ -550,6 +565,116 @@ def operator_identity_mse(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> f
         - block_log / n
     )
     return float(np.real(np.trace(big @ g @ g)))
+
+
+# ------------------------------------------------ single-copy divergence checks
+
+
+@dataclass(frozen=True)
+class CramerRaoReport:
+    aligned_derivative: float  # expected 1
+    orthogonal_derivatives: np.ndarray  # expected all ~0
+    step: float
+    richardson_ratios: np.ndarray  # defect(h)/defect(h/2) per direction, where measurable
+    basis_size: int
+
+
+def _traceless_hermitian_basis(d: int) -> list[np.ndarray]:
+    basis: list[np.ndarray] = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            basis.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = -1j
+            m[j, i] = 1j
+            basis.append(m)
+    for k in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(k), np.arange(k)] = 1.0
+        m[k, k] = -k
+        basis.append(m)
+    return basis
+
+
+def cramer_rao_check(
+    rho: DensityMatrix, sigma: DensityMatrix, step: float = 1e-4
+) -> CramerRaoReport:
+    """Finite-difference check of the local-unbiasedness structure.
+
+    Along X1 = (rho o L)/V the derivative of theta -> D(rho + theta X || sigma)
+    must be 1; along every traceless Hermitian direction X_j orthogonal to L
+    (trace inner product) it must be 0.  Central differences with automatic
+    step shrinking keep rho + theta X positive semidefinite.
+    """
+    sld = sld_quantities(rho, sigma)
+    if sld.inner <= 0:
+        raise ValueError("degenerate direction: rho and sigma have constant log-ratio")
+    d = rho.dim
+    # orthogonal directions: traceless Hermitian, trace-orthogonal to the operator
+    op_traceless = sld.operator - np.trace(sld.operator) / d * np.eye(d)
+    raw = _traceless_hermitian_basis(d)
+    coords = []
+    for m in raw:
+        overlap = np.real(np.trace(m @ op_traceless)) / max(
+            np.real(np.trace(op_traceless @ op_traceless)), 1e-300
+        )
+        coords.append(m - overlap * op_traceless)
+    directions: list[np.ndarray] = []
+    for m in coords:  # Gram-Schmidt under the trace inner product
+        for prev in directions:
+            m = m - np.real(np.trace(m @ prev)) * prev
+        norm = math.sqrt(max(np.real(np.trace(m @ m)), 0.0))
+        if norm > 1e-9:
+            directions.append(m / norm)
+    min_eig = rho.min_eig()
+
+    def derivative(direction: np.ndarray, h: float) -> float:
+        spectral = float(np.linalg.norm(direction, 2))
+        h_eff = min(h, 0.25 * min_eig / spectral)
+        for _ in range(60):
+            plus = rho.mat + h_eff * direction
+            minus = rho.mat - h_eff * direction
+            if np.linalg.eigvalsh(plus)[0] >= 0 and np.linalg.eigvalsh(minus)[0] >= 0:
+                break
+            h_eff *= 0.5
+        else:
+            raise ValueError("could not keep the perturbed state PSD")
+        f_plus = relative_entropy(DensityMatrix(plus), sigma)
+        f_minus = relative_entropy(DensityMatrix(minus), sigma)
+        return (f_plus - f_minus) / (2 * h_eff)
+
+    aligned = derivative(sld.dual_direction, step)
+    aligned_half = derivative(sld.dual_direction, step / 2)
+    orth = np.array([derivative(m, step) for m in directions])
+    orth_half = np.array([derivative(m, step / 2) for m in directions])
+    defects = np.abs(np.concatenate(([aligned - 1.0], orth)))
+    defects_half = np.abs(np.concatenate(([aligned_half - 1.0], orth_half)))
+    measurable = defects > 1e-9
+    ratios = np.where(measurable, defects / np.maximum(defects_half, 1e-300), np.nan)
+    return CramerRaoReport(
+        aligned_derivative=aligned,
+        orthogonal_derivatives=orth,
+        step=step,
+        richardson_ratios=ratios,
+        basis_size=len(directions),
+    )
+
+
+def varentropy_growth_check(rho: DensityMatrix, sigma: DensityMatrix, t: float) -> tuple[float, float]:
+    """(sqrt of relative varentropy, log d + t d) for a floor-bounded reference.
+
+    Precondition: the reference state's minimum eigenvalue is at least
+    exp(-t d).  The left side never exceeds the right on such inputs.
+    """
+    d = sigma.dim
+    floor = math.exp(-t * d)
+    if sigma.min_eig() < floor * (1 - 1e-12):
+        raise ValueError("reference state violates the eigenvalue floor exp(-t d)")
+    lhs = math.sqrt(max(relative_varentropy(rho, sigma), 0.0))
+    rhs = math.log(d) + t * d
+    return lhs, rhs
 
 
 # ------------------------------------------------------ high-precision Renyi

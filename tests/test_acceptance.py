@@ -18,22 +18,17 @@ import pytest
 from oracles import (
     block_projectors,
     brute_distribution,
+    cramer_rao_check,
     kron_power,
     operator_identity_mse,
     pinching_defect,
 )
 from schurest.bounds import mse_bound
 from schurest.distribution import distribution
-from schurest.estimator import (
-    annotate_estimates,
-    exact_mse,
-    normality_report,
-    tail_probabilities,
-)
+from schurest.estimator import exact_mse, normality_report, tail_probabilities
 from schurest.partitions import enumerate_young, sn_dim, total_schur_dim, weyl_dim
 from schurest.scaling import calibrated_budget, complexity_row, varentropy_scale_proxy
 from schurest.states import (
-    cramer_rao_check,
     diagonal_state,
     random_mixed,
     relative_entropy,
@@ -61,7 +56,7 @@ def _pair(d: int, seed: int):
 # ---------------------------------------------------------- shared instance grids
 
 _equivalence_grid = None  # (d, n, i) -> (rho, sigma, brute, jacobi_trudi)
-_mse_grid = None  # (d, n, i) -> (ann, div, varentropy)
+_mse_grid = None  # (d, n, i) -> (dist, div, varentropy)
 
 
 def equivalence_instances():
@@ -90,9 +85,9 @@ def mse_instances():
             for n in n_values:
                 for i in range(10):
                     rho, sigma = _pair(d, 20_000 + 613 * d + 37 * n + i)
-                    ann = annotate_estimates(distribution(rho, sigma, n))
+                    dist = distribution(rho, sigma, n)
                     grid[(d, n, i)] = (
-                        ann,
+                        dist,
                         relative_entropy(rho, sigma),
                         relative_varentropy(rho, sigma),
                     )
@@ -132,8 +127,8 @@ def test_criterion_02_backend_equivalence():
 
 def test_criterion_03_trivial_point():
     uniform = diagonal_state([0.5, 0.5])
-    ann = annotate_estimates(distribution(uniform, uniform, 1))
-    mse = exact_mse(ann, 0.0)
+    dist = distribution(uniform, uniform, 1)
+    mse = exact_mse(dist, 0.0)
     bound = mse_bound(1, 0.0, total_schur_dim(1, 2).total)
     target = math.log(2) ** 2
     assert abs(mse - target) <= 1e-12
@@ -144,8 +139,8 @@ def test_criterion_03_trivial_point():
 
 def test_criterion_04_mse_bound():
     worst_ratio = 0.0
-    for (d, n, i), (ann, div, varentropy) in mse_instances().items():
-        mse = exact_mse(ann, div)
+    for (d, n, i), (dist, div, varentropy) in mse_instances().items():
+        mse = exact_mse(dist, div)
         bound = mse_bound(n, varentropy, total_schur_dim(n, d).total)
         assert mse <= bound + 1e-9, f"MSE exceeds bound at d={d}, n={n}, pair {i}"
         worst_ratio = max(worst_ratio, mse / bound)
@@ -156,8 +151,8 @@ def test_criterion_04_mse_bound():
     div = relative_entropy(rho, sigma)
     gaps = {}
     for n in (6, 30):
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        gaps[n] = n * (exact_mse(ann, div) - varentropy / n)
+        dist = distribution(rho, sigma, n)
+        gaps[n] = n * (exact_mse(dist, div) - varentropy / n)
     assert gaps[30] < gaps[6], f"first-order MSE gap did not shrink: {gaps}"
     _line(4, f"exact MSE within its bound on {len(mse_instances())} instances "
              f"(worst MSE/bound = {worst_ratio:.3f}); gap n*(MSE - V/n): "
@@ -167,17 +162,17 @@ def test_criterion_04_mse_bound():
 @pytest.mark.xfail(strict=True, reason="the mean sits above the target value on every "
                                        "mixed instance; the stated upper edge is unattainable")
 def test_criterion_05_mean_sandwich_as_stated():
-    for (d, n, _), (ann, div, _) in mse_instances().items():
+    for (d, n, _), (dist, div, _) in mse_instances().items():
         width = (d + 1) * (d - 1) * math.log(n + 1) / n
-        mean = ann.mean_x()
+        mean = dist.mean_x()
         assert div - width - MEAN_WINDOW_TOL <= mean <= div + MEAN_WINDOW_TOL
 
 
 def test_criterion_05_mean_window():
     worst = 0.0
-    for (d, n, i), (ann, div, _) in mse_instances().items():
+    for (d, n, i), (dist, div, _) in mse_instances().items():
         width = (d + 1) * (d - 1) * math.log(n + 1) / n
-        bias = ann.mean_x() - div
+        bias = dist.mean_x() - div
         assert bias >= -MEAN_WINDOW_TOL, f"mean fell below the target at d={d}, n={n}, pair {i}"
         assert bias <= width + MEAN_WINDOW_TOL, f"mean bias exceeds the window at d={d}, n={n}"
         worst = max(worst, bias / width)
@@ -193,9 +188,9 @@ def test_criterion_06_tail_bounds():
         div = relative_entropy(rho, sigma)
         curve = renyi_curve(rho, sigma)
         for n in (4, 8):
-            ann = annotate_estimates(distribution(rho, sigma, n))
+            dist = distribution(rho, sigma, n)
             for eps in (0.25, 0.5, 1.0, 2.0, 4.0):
-                report = tail_probabilities(ann, div, eps, renyi=curve)
+                report = tail_probabilities(dist, div, eps, renyi=curve)
                 assert report.delta_plus <= report.bound_plus + 1e-9
                 assert report.delta_minus <= report.bound_minus + 1e-9
                 checked += 2
@@ -211,7 +206,7 @@ def test_criterion_07_dense_mse_oracle():
         rho, sigma = _pair(2, 40_000 + i)
         n = 2 + i % 4  # covers n = 2..5
         div = relative_entropy(rho, sigma)
-        atoms = exact_mse(annotate_estimates(distribution(rho, sigma, n)), div)
+        atoms = exact_mse(distribution(rho, sigma, n), div)
         dense = operator_identity_mse(rho, sigma, n)
         worst = max(worst, abs(atoms - dense))
         assert abs(atoms - dense) <= 1e-8, f"oracle mismatch {atoms!r} vs {dense!r} at pair {i}"
@@ -253,8 +248,8 @@ def test_criterion_09_normality_trend():
         div = relative_entropy(rho, sigma)
         ks = {}
         for n in (6, 24):
-            ann = annotate_estimates(distribution(rho, sigma, n))
-            ks[n] = normality_report(ann, div, varentropy).ks
+            dist = distribution(rho, sigma, n)
+            ks[n] = normality_report(dist, div, varentropy).ks
         assert ks[24] < ks[6], f"KS distance failed to shrink on pair {k}: {ks}"
     _line(9, "KS distance to the normal limit shrinks from n=6 to n=24 on "
              "5 commuting and 5 non-commuting pairs")
@@ -284,23 +279,21 @@ def test_criterion_10_cramer_rao():
                                        "so the surrogate-minus-estimate ordering fails")
 def test_criterion_11_gap_as_stated():
     for (_, _, _), (_, _, _, jt) in equivalence_instances().items():
-        ann = annotate_estimates(jt)
-        reversed_gap = ann.x_star - ann.x
+        reversed_gap = jt.x_star - jt.x
         assert float(reversed_gap.min()) >= -1e-12
-        assert float((reversed_gap - ann.gap_bound).max()) <= 1e-12
+        assert float((reversed_gap - jt.gap_bound).max()) <= 1e-12
 
 
 def test_criterion_11_gap_window():
     atoms = 0
     worst = 0.0
     for (d, n, i), (_, _, _, jt) in equivalence_instances().items():
-        ann = annotate_estimates(jt)
-        gap = ann.x - ann.x_star
+        gap = jt.x - jt.x_star
         assert float(gap.min()) >= -1e-12, f"negative gap at d={d}, n={n}, pair {i}"
-        excess = float((gap - ann.gap_bound).max())
+        excess = float((gap - jt.gap_bound).max())
         assert excess <= 1e-12, f"gap exceeds its per-atom bound at d={d}, n={n}, pair {i}"
-        atoms += len(ann)
-        worst = max(worst, float((gap / ann.gap_bound).max()))
+        atoms += len(jt)
+        worst = max(worst, float((gap / jt.gap_bound).max()))
     _line(11, f"estimate-minus-surrogate gap inside [0, per-atom bound] on {atoms} atoms "
               f"(worst gap/bound = {worst:.3f}); the reversed ordering is a strict xfail")
 

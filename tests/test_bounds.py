@@ -19,7 +19,7 @@ from schurest.bounds import (
     tomography_baseline,
 )
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates, tail_probabilities, tail_report
+from schurest.estimator import tail_probabilities, tail_report
 from schurest.partitions import total_schur_dim
 from schurest.states import (
     diagonal_state,
@@ -184,10 +184,10 @@ def test_tail_bounds_dominate_exact_tails(n):
     for seed in (1, 2, 3, 4):
         rho, sigma = random_pair(2, seed=seed)
         div = relative_entropy(rho, sigma)
-        ann = annotate_estimates(distribution(rho, sigma, n))
+        dist = distribution(rho, sigma, n)
         renyi = renyi_curve(rho, sigma)
         for eps in (0.3, 0.7, 1.5, 3.0):
-            report = tail_probabilities(ann, div, eps, renyi=renyi)
+            report = tail_probabilities(dist, div, eps, renyi=renyi)
             assert report.delta_plus <= report.bound_plus + 1e-9
             assert report.delta_minus <= report.bound_minus + 1e-9
             assert math.isfinite(report.bound_plus) and math.isfinite(report.bound_minus)

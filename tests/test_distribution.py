@@ -27,6 +27,7 @@ from oracles import (
     brute_distribution,
     kostka,
     kron_power,
+    lam_marginal,
     pinching_defect,
     renyi_trace_check,
     schur_eval,
@@ -192,7 +193,7 @@ def test_self_distribution_equals_unit_mass(d, n):
 def test_block_marginal_is_schur_polynomial(d, n):
     rho, sigma = random_pair(d, seed=7 * d + n)
     dist = distribution(rho, sigma, n)
-    marginal = dist.lam_marginal()
+    marginal = lam_marginal(dist)
     rho_spec = np.linalg.eigvalsh(rho.mat).real
     for young in enumerate_young(n, d):
         v_dim, _ = sn_dim(young)
@@ -323,7 +324,7 @@ def test_large_n_stability():
     assert dist.total_probability() == pytest.approx(1.0, abs=1e-9)
     assert dist.max_imag < 1e-9
     assert dist.neg_clip > -1e-6
-    marginal = dist.lam_marginal()
+    marginal = lam_marginal(dist)
     rho_spec = np.linalg.eigvalsh(rho.mat).real
     for young in [(0, 30), (10, 20), (15, 15)]:
         v_dim, _ = sn_dim(young)
@@ -529,7 +530,7 @@ def test_block_spectrum_against_distribution():
     rho, sigma = random_pair(2, seed=66)
     n = 4
     dist = distribution(rho, sigma, n)
-    marginal = dist.lam_marginal()
+    marginal = lam_marginal(dist)
     for young in enumerate_young(n, 2):
         vals = block_spectrum(rho, sigma, n, young)
         assert math.fsum(vals.tolist()) == pytest.approx(marginal[young], abs=1e-10)
@@ -604,17 +605,16 @@ def test_renyi_trace_alpha_validation():
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (6, 4), (4, 5), (3, 6), (20, 3), (16, 4), (10, 5)])
 def test_atom_table_matches_kostka_loop(n, d):
-    from schurest.distribution import _atom_table
-
     # reference: one strip-recursion kostka call per (Young index, weight),
     # Young index first; the largest K checked is 30, at (16, 4) and (10, 5)
     atoms = [(young, weight, kostka(young, weight))
              for young in enumerate_young(n, d) for weight in compositions(n, d)]
     atoms = [atom for atom in atoms if atom[2]]
-    table = _atom_table(n, d)
-    assert table.youngs == tuple(young for young, _, _ in atoms)
-    assert table.weights == tuple(weight for _, weight, _ in atoms)
-    assert table.mult.tolist() == [k for _, _, k in atoms]
+    uniform = diagonal_state([1 / d] * d)
+    dist = distribution(uniform, uniform, n)
+    assert dist.youngs == tuple(young for young, _, _ in atoms)
+    assert dist.weights == tuple(weight for _, weight, _ in atoms)
+    assert dist.mult.tolist() == [k for _, _, k in atoms]
 
 
 @pytest.mark.parametrize("offset", [0.3, 1e-3j])

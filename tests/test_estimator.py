@@ -17,10 +17,8 @@ from schurest.bounds import mse_bound
 from schurest.distribution import distribution
 from schurest.estimator import (
     _normal_cdf,
-    annotate_estimates,
     estimate_report,
     exact_mse,
-    log_mass_second_moment,
     normality_report,
     sample_outcomes,
     tail_probabilities,
@@ -39,18 +37,14 @@ def random_pair(d, seed, floor=0.05):
     return random_mixed(d, seed=seed, floor=floor), random_mixed(d, seed=seed + 1000, floor=floor)
 
 
-def annotated(rho, sigma, n):
-    return annotate_estimates(distribution(rho, sigma, n))
-
-
 # -------------------------------------------------------------- estimates
 
 
 def test_single_copy_uniform_reference():
     rho = DensityMatrix(np.eye(2) / 2)
-    ann = annotated(rho, rho, 1)
-    np.testing.assert_allclose(ann.x, math.log(2), atol=1e-14)
-    np.testing.assert_allclose(ann.x_star, math.log(2), atol=1e-14)
+    dist = distribution(rho, rho, 1)
+    np.testing.assert_allclose(dist.x, math.log(2), atol=1e-14)
+    np.testing.assert_allclose(dist.x_star, math.log(2), atol=1e-14)
 
 
 def test_one_row_block_estimate_is_exact():
@@ -58,24 +52,24 @@ def test_one_row_block_estimate_is_exact():
     s = 0.7
     sigma = diagonal_state([s, 1 - s])
     rho = diagonal_state([0.9, 0.1])
-    ann = annotated(rho, sigma, 2)
+    dist = distribution(rho, sigma, 2)
     idx = [
         i
-        for i, (young, weight) in enumerate(zip(ann.dist.youngs, ann.dist.weights))
+        for i, (young, weight) in enumerate(zip(dist.youngs, dist.weights))
         if young == (0, 2) and weight == (2, 0)
     ]
     assert len(idx) == 1
     i = idx[0]
-    assert ann.x[i] == pytest.approx(-math.log(s), abs=1e-13)
-    assert ann.x_star[i] == pytest.approx(-math.log(s), abs=1e-13)
+    assert dist.x[i] == pytest.approx(-math.log(s), abs=1e-13)
+    assert dist.x_star[i] == pytest.approx(-math.log(s), abs=1e-13)
 
 
 def test_balanced_block_gap_is_log_two():
     sigma = diagonal_state([0.6, 0.4])
     rho = diagonal_state([0.5, 0.5])
-    ann = annotated(rho, sigma, 2)
-    for i, young in enumerate(ann.dist.youngs):
-        gap = ann.x[i] - ann.x_star[i]
+    dist = distribution(rho, sigma, 2)
+    for i, young in enumerate(dist.youngs):
+        gap = dist.x[i] - dist.x_star[i]
         if young == (1, 1):
             assert gap == pytest.approx(math.log(2), abs=1e-13)
             assert gap <= 0.5 * (2 * math.log(3) - math.log(0.5)) + 1e-13
@@ -86,15 +80,17 @@ def test_balanced_block_gap_is_log_two():
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 7), (3, 4), (2, 20)])
 def test_gap_within_per_block_bounds(d, n):
     rho, sigma = random_pair(d, seed=10 * d + n)
-    ann = annotated(rho, sigma, n)
-    gap = ann.x - ann.x_star
+    dist = distribution(rho, sigma, n)
+    gap = dist.x - dist.x_star
     assert (gap >= -1e-12).all()
-    assert (gap <= ann.gap_bound + 1e-12).all()
-    assert (gap <= ann.gap_bound_tight + 1e-12).all()
-    assert (ann.gap_bound_tight <= ann.gap_bound + 1e-15).all()
-    for i, young in enumerate(ann.dist.youngs):
+    assert (gap <= dist.gap_bound + 1e-12).all()
+    # the sharper bound, one log(n+1) less
+    tight = dist.gap_bound - math.log(n + 1) / n
+    assert (gap <= tight + 1e-12).all()
+    assert (tight <= dist.gap_bound + 1e-15).all()
+    for i, young in enumerate(dist.youngs):
         ratio = sn_dim(young)[1]
-        assert ann.gap_bound[i] == pytest.approx(
+        assert dist.gap_bound[i] == pytest.approx(
             (d * math.log(n + 1) - math.log(ratio)) / n, abs=1e-13
         )
 
@@ -102,10 +98,10 @@ def test_gap_within_per_block_bounds(d, n):
 def test_gap_bound_formula():
     # two-row balanced block: ratio e = 1/2, so the bound is explicit
     rho, sigma = random_pair(2, seed=3)
-    ann = annotated(rho, sigma, 2)
-    i = ann.dist.youngs.index((1, 1))
+    dist = distribution(rho, sigma, 2)
+    i = dist.youngs.index((1, 1))
     assert sn_dim((1, 1))[1] == 0.5
-    assert ann.gap_bound[i] == pytest.approx((2 * math.log(3) - math.log(0.5)) / 2, abs=1e-14)
+    assert dist.gap_bound[i] == pytest.approx((2 * math.log(3) - math.log(0.5)) / 2, abs=1e-14)
 
 
 # ------------------------------------------------------------ mean and MSE
@@ -142,9 +138,9 @@ def test_mean_above_center_within_sandwich(d, n):
 
 def test_exact_mse_rejects_infinite_center():
     rho, sigma = random_pair(2, seed=5)
-    ann = annotated(rho, sigma, 3)
+    dist = distribution(rho, sigma, 3)
     with pytest.raises(ValueError):
-        exact_mse(ann, math.inf)
+        exact_mse(dist, math.inf)
 
 
 # ------------------------------------------------- operator-identity oracle
@@ -154,18 +150,18 @@ def test_exact_mse_rejects_infinite_center():
 def test_operator_identity_matches_atom_mse(n):
     for seed in (1, 2):
         rho, sigma = random_pair(2, seed=seed * 7 + n)
-        ann = annotated(rho, sigma, n)
+        dist = distribution(rho, sigma, n)
         center = relative_entropy(rho, sigma)
-        assert exact_mse(ann, center) == pytest.approx(
+        assert exact_mse(dist, center) == pytest.approx(
             operator_identity_mse(rho, sigma, n), abs=1e-8
         )
 
 
 def test_operator_identity_noncommuting_qutrit():
     rho, sigma = random_pair(3, seed=77)
-    ann = annotated(rho, sigma, 3)
+    dist = distribution(rho, sigma, 3)
     center = relative_entropy(rho, sigma)
-    assert exact_mse(ann, center) == pytest.approx(
+    assert exact_mse(dist, center) == pytest.approx(
         operator_identity_mse(rho, sigma, 3), abs=1e-8
     )
 
@@ -175,30 +171,30 @@ def test_operator_identity_noncommuting_qutrit():
 
 def test_tails_empty_beyond_range():
     rho, sigma = random_pair(2, seed=13)
-    ann = annotated(rho, sigma, 4)
+    dist = distribution(rho, sigma, 4)
     center = relative_entropy(rho, sigma)
-    span = float(np.abs(ann.x - center).max())
-    report = tail_probabilities(ann, center, span + 1.0)
+    span = float(np.abs(dist.x - center).max())
+    report = tail_probabilities(dist, center, span + 1.0)
     assert report.delta_plus == 0.0 and report.delta_minus == 0.0
 
 
 def test_single_copy_tail_is_certain():
     rho = DensityMatrix(np.eye(2) / 2)
-    ann = annotated(rho, rho, 1)
-    report = tail_probabilities(ann, 0.0, 0.5)
+    dist = distribution(rho, rho, 1)
+    report = tail_probabilities(dist, 0.0, 0.5)
     assert report.delta_plus == 1.0
     assert report.delta_minus == 0.0
 
 
 def test_boundary_atoms_excluded_from_both_tails():
     rho, sigma = random_pair(2, seed=17)
-    ann = annotated(rho, sigma, 4)
-    x0 = float(ann.x[0])
-    mass0 = math.fsum(ann.p[np.abs(ann.x - x0) <= 1e-12].tolist())
+    dist = distribution(rho, sigma, 4)
+    x0 = float(dist.x[0])
+    mass0 = math.fsum(dist.p[np.abs(dist.x - x0) <= 1e-12].tolist())
     eps = 0.25
-    report = tail_probabilities(ann, x0 - eps, eps)
+    report = tail_probabilities(dist, x0 - eps, eps)
     assert report.boundary_atoms >= 1
-    strict_above = math.fsum(ann.p[ann.x > x0].tolist())
+    strict_above = math.fsum(dist.p[dist.x > x0].tolist())
     assert report.delta_plus == pytest.approx(strict_above, abs=1e-15)
     assert report.delta_plus + report.delta_minus + mass0 <= 1 + 1e-12
 
@@ -207,19 +203,19 @@ def test_boundary_atoms_excluded_from_both_tails():
 def test_chebyshev_dominates_tails(d, n):
     for seed in (3, 4):
         rho, sigma = random_pair(d, seed=seed * 11 + n)
-        ann = annotated(rho, sigma, n)
+        dist = distribution(rho, sigma, n)
         center = relative_entropy(rho, sigma)
-        mse = exact_mse(ann, center)
+        mse = exact_mse(dist, center)
         for eps in (0.2, 0.5, 1.0):
-            report = tail_probabilities(ann, center, eps)
+            report = tail_probabilities(dist, center, eps)
             assert report.delta_plus + report.delta_minus <= mse / eps**2 + 1e-12
 
 
 def test_tail_validation():
     rho, sigma = random_pair(2, seed=19)
-    ann = annotated(rho, sigma, 3)
+    dist = distribution(rho, sigma, 3)
     with pytest.raises(ValueError):
-        tail_probabilities(ann, 0.5, 0.0)
+        tail_probabilities(dist, 0.5, 0.0)
 
 
 # --------------------------------------------------------------- sampling
@@ -227,58 +223,58 @@ def test_tail_validation():
 
 def test_sampling_reproducible():
     rho, sigma = random_pair(2, seed=23)
-    ann = annotated(rho, sigma, 5)
-    a = sample_outcomes(ann, 64, seed=9)
-    b = sample_outcomes(ann, 64, seed=9)
-    c = sample_outcomes(ann, 64, seed=10)
+    dist = distribution(rho, sigma, 5)
+    a = sample_outcomes(dist, 64, seed=9)
+    b = sample_outcomes(dist, 64, seed=9)
+    c = sample_outcomes(dist, 64, seed=10)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (64, 2)
-    single = sample_outcomes(ann, 1, seed=9)
+    single = sample_outcomes(dist, 1, seed=9)
     np.testing.assert_array_equal(single, a[:1])
 
 
 def test_sampling_values_come_from_atoms():
     rho, sigma = random_pair(2, seed=29)
-    ann = annotated(rho, sigma, 4)
-    draws = sample_outcomes(ann, 500, seed=0)
-    xs = set(np.round(ann.x, 12));  drawn = set(np.round(draws[:, 0], 12))
+    dist = distribution(rho, sigma, 4)
+    draws = sample_outcomes(dist, 500, seed=0)
+    xs = set(np.round(dist.x, 12));  drawn = set(np.round(draws[:, 0], 12))
     assert drawn <= xs
 
 
 def test_sampling_mean_and_mse_consistent():
     rho, sigma = random_pair(2, seed=37)
     n, m = 6, 100_000
-    ann = annotated(rho, sigma, n)
+    dist = distribution(rho, sigma, n)
     center = relative_entropy(rho, sigma)
-    draws = sample_outcomes(ann, m, seed=1)
-    mean = ann.mean_x()
-    variance = exact_mse(ann, mean)
+    draws = sample_outcomes(dist, m, seed=1)
+    mean = dist.mean_x()
+    variance = exact_mse(dist, mean)
     se = math.sqrt(variance / m)
     assert abs(draws[:, 0].mean() - mean) < 5 * se
     empirical_mse = float(np.mean((draws[:, 0] - center) ** 2))
-    exact = exact_mse(ann, center)
-    fourth = math.fsum((ann.p * (ann.x - center) ** 4).tolist())
+    exact = exact_mse(dist, center)
+    fourth = math.fsum((dist.p * (dist.x - center) ** 4).tolist())
     mse_sd = math.sqrt(max(fourth - exact**2, 0.0) / m)
     assert abs(empirical_mse - exact) < 4 * mse_sd
 
 
 def test_empirical_cdf_converges():
     rho, sigma = random_pair(2, seed=41)
-    ann = annotated(rho, sigma, 6)
+    dist = distribution(rho, sigma, 6)
     m = 100_000
-    draws = sample_outcomes(ann, m, seed=2)[:, 0]
-    values = np.unique(ann.x)
-    exact_cdf = np.array([math.fsum(ann.p[ann.x <= t].tolist()) for t in values])
+    draws = sample_outcomes(dist, m, seed=2)[:, 0]
+    values = np.unique(dist.x)
+    exact_cdf = np.array([math.fsum(dist.p[dist.x <= t].tolist()) for t in values])
     empirical = np.searchsorted(np.sort(draws), values, side="right") / m
     assert np.abs(empirical - exact_cdf).max() < 1.63 / math.sqrt(m)
 
 
 def test_sampling_validation():
     rho, sigma = random_pair(2, seed=43)
-    ann = annotated(rho, sigma, 3)
+    dist = distribution(rho, sigma, 3)
     with pytest.raises(ValueError):
-        sample_outcomes(ann, 0)
+        sample_outcomes(dist, 0)
 
 
 # -------------------------------------------------------------- normality
@@ -286,9 +282,9 @@ def test_sampling_validation():
 
 def test_normality_rejects_degenerate_varentropy():
     sigma = random_mixed(2, seed=47, floor=0.1)
-    ann = annotated(sigma, sigma, 3)
+    dist = distribution(sigma, sigma, 3)
     with pytest.raises(ValueError):
-        normality_report(ann, 0.0, 0.0)
+        normality_report(dist, 0.0, 0.0)
 
 
 def test_normal_cdf_matches_high_precision_reference():
@@ -309,8 +305,8 @@ def test_normality_trend_commuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        ks[n] = normality_report(ann, center, varentropy).ks
+        dist = distribution(rho, sigma, n)
+        ks[n] = normality_report(dist, center, varentropy).ks
     assert ks[24] < ks[6]
 
 
@@ -321,17 +317,17 @@ def test_normality_trend_noncommuting():
     assert varentropy > 0.1
     ks = {}
     for n in (6, 24):
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        ks[n] = normality_report(ann, center, varentropy).ks
+        dist = distribution(rho, sigma, n)
+        ks[n] = normality_report(dist, center, varentropy).ks
     assert ks[24] < ks[6]
 
 
 def test_normality_points_form_distribution():
     rho, sigma = random_pair(2, seed=59)
-    ann = annotated(rho, sigma, 6)
+    dist = distribution(rho, sigma, 6)
     center = relative_entropy(rho, sigma)
     varentropy = relative_varentropy(rho, sigma)
-    report = normality_report(ann, center, varentropy)
+    report = normality_report(dist, center, varentropy)
     z, masses = report.points[:, 0], report.points[:, 1]
     assert (np.diff(z) > 0).all()
     assert math.fsum(masses.tolist()) == pytest.approx(1.0, abs=1e-11)
@@ -346,7 +342,9 @@ def test_atom_mass_second_moment_bound(d, n):
     rho, sigma = random_pair(d, seed=61 + n)
     dist = distribution(rho, sigma, n)
     bound = math.log(total_schur_dim(n, d).total) ** 2
-    assert log_mass_second_moment(dist) <= bound + 1e-12
+    # sum of p log^2 p over outcomes; bounded by log^2(outcome count)
+    positive = dist.p[dist.p > 0]
+    assert math.fsum((positive * np.log(positive) ** 2).tolist()) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

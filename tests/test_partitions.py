@@ -1,6 +1,7 @@
 """Oracle-backed tests for the exact combinatorics layer."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -351,24 +352,24 @@ def test_type_entropy_bounds_examples():
 
 
 @pytest.mark.parametrize(
-    "lam,finite_lower",
+    "lam,lower_in_range",
     [((600, 600), False), ((515, 515), True), ((0,) * 290 + (1,) * 10, True)],
     ids=["600-600", "515-515", "ten-ones-in-300"],
 )
-def test_type_entropy_bounds_saturate_past_the_float_range(lam, finite_lower):
+def test_type_entropy_bounds_saturate_past_the_float_range(lam, lower_in_range):
     # (515, 515): exp(n H) overflows but the lower bound does not;
     # 290 zeros and ten ones: (n + 1)^(d - 1) = 11^299 overflows
     entropy, lower, upper = type_entropy_bounds(lam)
     n = sum(lam)
     assert entropy == -math.fsum((x / n) * math.log(x / n) for x in lam if x)
-    assert math.isfinite(lower) == finite_lower
     assert multinomial(lam) <= upper
-    if finite_lower:
+    assert 0 < lower <= multinomial(lam)
+    if lower_in_range:
         log_lower = n * entropy - (len(lam) - 1) * math.log(n + 1)
         assert lower == pytest.approx(math.exp(log_lower), rel=1e-12)
-        assert 0 < lower <= multinomial(lam)
     else:
-        assert lower == upper == math.inf  # saturated, as total_schur_dim's bounds
+        # saturated at the largest float, which stays below the multinomial
+        assert lower == sys.float_info.max and upper == math.inf
 
 
 @given(st.integers(1, 20), st.integers(2, 4), st.data())

@@ -16,7 +16,7 @@ import pytest
 from schurest.bounds import sample_complexity_bound
 from oracles import gather_scan, schur_eval
 from schurest.distribution import distribution
-from schurest.estimator import annotate_estimates, tail_probabilities
+from schurest.estimator import tail_probabilities
 from schurest.partitions import sn_dim, young_count
 from schurest.scaling import (
     SCAN_MAX_N,
@@ -194,11 +194,11 @@ class TestScan:
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
         assert scan.divergence == pytest.approx(relative_entropy(rho, sigma), abs=1e-12)
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        report = tail_probabilities(ann, scan.divergence, eps)
+        dist = distribution(rho, sigma, n)
+        report = tail_probabilities(dist, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
-        assert scan.block_count == len({atom.young for atom in ann.dist.atoms})
+        assert scan.block_count == len({atom.young for atom in dist.atoms})
 
     def test_three_level_matches_generic_backend(self):
         d, n, q, eps = 3, 7, 0.55, 0.4
@@ -206,8 +206,8 @@ class TestScan:
         rho = DensityMatrix(np.diag(spectrum).astype(complex))
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        report = tail_probabilities(ann, scan.divergence, eps)
+        dist = distribution(rho, sigma, n)
+        report = tail_probabilities(dist, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
 
@@ -218,11 +218,11 @@ class TestScan:
         rho = DensityMatrix(np.diag(spectrum).astype(complex))
         sigma = DensityMatrix(np.eye(d, dtype=complex) / d)
         scan = uniform_reference_scan(d, n, q, eps)
-        ann = annotate_estimates(distribution(rho, sigma, n))
-        report = tail_probabilities(ann, scan.divergence, eps)
+        dist = distribution(rho, sigma, n)
+        report = tail_probabilities(dist, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
-        assert scan.block_count == len({atom.young for atom in ann.dist.atoms})
+        assert scan.block_count == len({atom.young for atom in dist.atoms})
         assert scan.delta_plus > 0 and scan.delta_minus > 0  # both tails are checked
 
     @pytest.mark.parametrize("d", [2, 3, 4])

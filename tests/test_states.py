@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_sandwiched_renyi
+from oracles import cramer_rao_check, reference_sandwiched_renyi, varentropy_growth_check
 
 from schurest.states import (
     DensityMatrix,
-    cramer_rao_check,
     diagonal_state,
     haar_unitary,
     load_state,
@@ -22,7 +21,6 @@ from schurest.states import (
     sigma_spectrum,
     sld_quantities,
     validate_state,
-    varentropy_growth_check,
 )
 
 

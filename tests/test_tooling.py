@@ -63,6 +63,21 @@ def test_library_imports_no_scipy():
     assert found == []
 
 
+def test_library_imports_no_private_name_across_modules():
+    # a `_` name is its module's own; another module that imports it couples
+    # itself to a layout only the defining module should know
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted((ROOT / "src" / "schurest").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "schurest")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def loaded_by_cli_import(module):
     """Whether a fresh `import schurest.cli` loads `module`."""
     done = subprocess.run(
