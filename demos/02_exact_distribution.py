@@ -34,10 +34,12 @@ def main() -> None:
     dist = distribution(rho, sigma, N)
 
     print(f"{'young':>8} {'weight':>8} {'mult':>5} {'probability':>13} {'x':>9} {'x_star':>9}")
-    for atom, x, x_star in zip(dist.atoms, dist.x, dist.x_star):
+    for young, weight, mult, p, x, x_star in zip(
+        dist.youngs, dist.weights, dist.mult, dist.p, dist.x, dist.x_star
+    ):
         print(
-            f"{str(atom.young):>8} {str(atom.weight):>8} {atom.multiplicity:>5} "
-            f"{atom.p:>13.9f} {x:>9.5f} {x_star:>9.5f}"
+            f"{str(young):>8} {str(weight):>8} {mult:>5} "
+            f"{p:>13.9f} {x:>9.5f} {x_star:>9.5f}"
         )
     total = float(np.sum(dist.p))
     print(f"\nTotal probability: {total:.15f}")

@@ -14,9 +14,12 @@ Subcommands:
 Every command is a pure function of its argument list: floats serialize
 via repr (the shortest form that round-trips to the same double), rows
 come out sorted, and no timestamps or environment details are written,
-so re-running a command reproduces its report byte for byte.  Parse and
-validation problems exit with status 2 and one structured line on
-stderr; verify exits with status 1 when an invariant fails.
+so re-running a command reproduces its report byte for byte.  The four
+table commands (dims, distribution, normality, complexity-scan) write the
+same columns as CSV or as JSON objects, one per row; JSON writes a
+non-finite cell as null.  Parse and validation problems exit with status 2
+and one structured line on stderr; verify exits with status 1 when an
+invariant fails.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from .estimator import estimate_report, normality_report, tail_report
 from .distribution import check_size, distribution
 from .partitions import enumerate_young, sn_dim, weyl_dim, young_count
-from .scaling import SCAN_MAX_D, calibrated_budget, complexity_row, varentropy_scale_proxy
+from .scaling import (SCAN_MAX_D, ComplexityRow, calibrated_budget, complexity_row,
+                      varentropy_scale_proxy)
 from .states import (
     DensityMatrix,
     diagonal_state,
@@ -47,9 +52,10 @@ from .states import (
 
 SCAN_SPECTRUM_RATIO = 0.9  # geometric eigenvalue ratio used by complexity-scan states
 DIMS_MAX_BLOCKS = 100_000  # dims --n 100 --d 6 (189,509 Young indices) needs 0.4 GB
-# every block prints d parts and weyl_dim takes up to d^2 factors, so the
-# Young-index count times d^2 must stay below this too; (80, 6) at 2.5e6
-# takes 7 s on a 2-vCPU VM.  Every d above 2,000 has a cap of 0.
+# every block prints d parts, weyl_dim takes up to d^2 factors and sn_dim
+# multiplies integers of up to n log10(d) digits, so the Young-index count
+# times d^2 + ceil(n log10 d) must stay below this too; the slowest sizes it
+# admits, (5147, 2) and (51, 8), take 2-4 s on a 2-vCPU VM.  Every d above 2,000 has a cap of 0.
 DIMS_MAX_WORK = 4_000_000
 
 
@@ -64,27 +70,12 @@ class CliError(Exception):
 # -------------------------------------------------------------- serialization
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
-
-
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_cell(value)
-    if isinstance(value, (tuple, list)):
-        return " ".join(str(int(v)) for v in value)
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, float):
+        return repr(float(value))
     return str(value)
-
-
-def _finite_or_none(value: float):
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,26 +90,45 @@ def _emit_json(payload, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    _emit(buf.getvalue(), out)
+def _emit_table(args, header, rows, key, **meta) -> None:
+    """Write one table report as CSV (the header, then one line per row) or
+    as JSON (`meta`, then the rows under `key` as objects keyed by the
+    header, a non-finite float cell as null)."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        _emit(buf.getvalue(), args.out)
+        return
+    table = [
+        {
+            name: None if isinstance(v, float) and not math.isfinite(v) else v
+            for name, v in zip(header, row)
+        }
+        for row in rows
+    ]
+    _emit_json({**meta, key: table}, args.out)
 
 
 # ------------------------------------------------------------------ arguments
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy's default_rng takes no negative seed
 
 
 def _positive_float(text: str) -> float:
@@ -195,31 +205,19 @@ def cmd_dims(args) -> int:
             "validation", f"dims limited to sn_dim below {digit_limit} digits; (n, d) = "
             f"({args.n}, {args.d}) may pass it"
         )
-    cap = min(DIMS_MAX_BLOCKS, DIMS_MAX_WORK // (args.d * args.d))
+    charge = args.d * args.d + math.ceil(args.n * math.log10(args.d))
+    cap = min(DIMS_MAX_BLOCKS, DIMS_MAX_WORK // charge)
     if young_count(args.n, args.d, cap) > cap:
         raise CliError(
-            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices and to Young "
-            f"indices times d^2 <= {DIMS_MAX_WORK}; (n, d) = ({args.n}, {args.d}) passes them"
+            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices and to Young indices "
+            f"times (d^2 + n log10 d) <= {DIMS_MAX_WORK}; (n, d) = ({args.n}, {args.d}) passes them"
         )
-    blocks = [
-        (young, weyl_dim(young), sn_dim(young)[0])
-        for young in enumerate_young(args.n, args.d)
-    ]
-    if args.format == "csv":
-        _emit_csv(["young", "weyl_dim", "sn_dim"], blocks, args.out)
-        return 0
+    blocks = [(y, weyl_dim(y), sn_dim(y)[0]) for y in enumerate_young(args.n, args.d)]
     total = sum(u for _, u, _ in blocks)
-    payload = {
-        "n": args.n,
-        "d": args.d,
-        "count": len(blocks),
-        "total_dim": total,
-        "log_total_dim": math.log(total),
-        "blocks": [
-            {"young": list(young), "weyl_dim": u, "sn_dim": v} for young, u, v in blocks
-        ],
-    }
-    _emit_json(payload, args.out)
+    _emit_table(
+        args, ["young", "weyl_dim", "sn_dim"], blocks, "blocks", n=args.n, d=args.d,
+        count=len(blocks), total_dim=total, log_total_dim=math.log(total),
+    )
     return 0
 
 
@@ -243,36 +241,13 @@ def cmd_distribution(args) -> int:
         dist = distribution(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
-    q_unit = np.exp(dist.log_q)
-    rows = [
-        (young, weight, float(p), float(q), int(m), float(x), float(xs))
-        for young, weight, p, q, m, x, xs in zip(
-            dist.youngs, dist.weights, dist.p, q_unit, dist.mult, dist.x, dist.x_star
-        )
-    ]
-    header = ["lambda", "mu", "p", "q_unit", "multiplicity", "x", "x_star"]
-    if args.format == "csv":
-        _emit_csv(header, rows, args.out)
-        return 0
-    payload = {
-        "n": dist.n,
-        "d": dist.d,
-        "backend": dist.backend,
-        "sigma_spectrum": [float(v) for v in dist.sigma_values],
-        "atoms": [
-            {
-                "lambda": list(young),
-                "mu": list(weight),
-                "p": p,
-                "q_unit": q,
-                "multiplicity": m,
-                "x": x,
-                "x_star": xs,
-            }
-            for young, weight, p, q, m, x, xs in rows
-        ],
-    }
-    _emit_json(payload, args.out)
+    columns = (dist.p, np.exp(dist.log_q), dist.mult, dist.x, dist.x_star)
+    rows = list(zip(dist.youngs, dist.weights, *(c.tolist() for c in columns)))
+    _emit_table(
+        args, ["lambda", "mu", "p", "q_unit", "multiplicity", "x", "x_star"], rows, "atoms",
+        n=dist.n, d=dist.d, backend=dist.backend,
+        sigma_spectrum=[float(v) for v in dist.sigma_values],
+    )
     return 0
 
 
@@ -305,18 +280,7 @@ def cmd_tail(args) -> int:
         report = tail_report(rho, sigma, args.n, args.epsilon)
     except (ValueError, ArithmeticError) as exc:
         raise CliError("compute", str(exc))
-    payload = {
-        "n": args.n,
-        "d": rho.dim,
-        "epsilon": report.epsilon,
-        "center": report.center,
-        "delta_plus": report.delta_plus,
-        "delta_minus": report.delta_minus,
-        "boundary_atoms": report.boundary_atoms,
-        "bound_plus": report.bound_plus,
-        "bound_minus": report.bound_minus,
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"n": args.n, "d": rho.dim, **asdict(report)}, args.out)
     return 0
 
 
@@ -343,16 +307,9 @@ def cmd_normality(args) -> int:
         except (ValueError, ArithmeticError) as exc:
             raise CliError("compute", f"n={n}: {exc}")
         rows.append((n, normality_report(dist, div, varentropy).ks))
-    if args.format == "csv":
-        _emit_csv(["n", "ks"], rows, args.out)
-        return 0
-    payload = {
-        "d": rho.dim,
-        "relative_entropy": div,
-        "varentropy": varentropy,
-        "rows": [{"n": n, "ks": ks} for n, ks in rows],
-    }
-    _emit_json(payload, args.out)
+    _emit_table(
+        args, ["n", "ks"], rows, "rows", d=rho.dim, relative_entropy=div, varentropy=varentropy
+    )
     return 0
 
 
@@ -368,48 +325,8 @@ def cmd_complexity_scan(args) -> int:
         except (ValueError, ArithmeticError) as exc:
             raise CliError("compute", f"d={d}: {exc}")
         rows.append(row)
-    header = [
-        "d",
-        "n",
-        "tail_mass",
-        "bound_simple",
-        "bound_exact",
-        "c",
-        "c0",
-        "epsilon",
-        "q",
-        "log_delta_plus",
-        "log_delta_minus",
-        "tomography_ratio",
-    ]
-    table = [
-        (
-            row.d,
-            row.n,
-            row.tail_mass,
-            row.bound_simple,
-            row.bound_exact,
-            row.c,
-            row.c0,
-            row.epsilon,
-            row.q,
-            row.log_delta_plus,
-            row.log_delta_minus,
-            row.tomography_ratio,
-        )
-        for row in rows
-    ]
-    if args.format == "csv":
-        _emit_csv(header, table, args.out)
-        return 0
-    json_rows = []
-    for row in table:
-        entry = dict(zip(header, row))
-        entry["log_delta_plus"] = _finite_or_none(entry["log_delta_plus"])
-        entry["log_delta_minus"] = _finite_or_none(entry["log_delta_minus"])
-        json_rows.append(entry)
-    payload = {"rows": json_rows}
-    _emit_json(payload, args.out)
+    header = [f.name for f in fields(ComplexityRow)]
+    _emit_table(args, header, list(map(astuple, rows)), "rows")
     return 0
 
 
@@ -474,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", required=True, help="state JSON file")
         p.add_argument("--sigma", required=True, help="reference state JSON file")
 
-    def add_out(p, formats=None, default=None):
+    def add_out(p, formats=None):
         p.add_argument("--out", help="output file (default: stdout)")
         if formats:
-            p.add_argument("--format", choices=formats, default=default or formats[0])
+            p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("dims", help="Young indices and block dimensions for one (n, d)")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -522,18 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, nargs="+", default=[2, 3, 4])
     p.add_argument("--c", type=_positive_float, help="copies budget; default calibrates the bound to 0.25")
     p.add_argument("--epsilon", type=_positive_float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_out(p, formats=["csv", "json"])
     p.set_defaults(func=cmd_complexity_scan)
 
     p = sub.add_parser("verify", help="run the library invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen-state", help="write reproducible test states")
     p.add_argument("kind", choices=["random_mixed", "random_pure_depolarized", "diagonal"])
     p.add_argument("--d", type=_positive_int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--spectrum", help="comma-separated eigenvalues")
     p.add_argument("--p", type=float, help="depolarization weight in [0, 1]")
     p.add_argument("--out", required=True)

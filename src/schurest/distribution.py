@@ -69,21 +69,6 @@ KOSTKA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class OutcomeAtom:
-    """One aggregated measurement outcome."""
-
-    young: tuple[int, ...]
-    weight: tuple[int, ...]
-    p: float
-    log_q_unit: float  # log of the per-outcome reference-state weight
-    multiplicity: int  # weight-space dimension inside the unitary block
-
-    @property
-    def q_unit(self) -> float:
-        return math.exp(self.log_q_unit)
-
-
-@dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact outcome table for one (state, reference, n) triple, with each
     atom's estimate x, its approximation x_star and the bound on x - x_star."""
@@ -95,8 +80,8 @@ class OutcomeDistribution:
     youngs: tuple[tuple[int, ...], ...]  # per atom
     weights: tuple[tuple[int, ...], ...]  # per atom
     p: np.ndarray
-    log_q: np.ndarray
-    mult: np.ndarray
+    log_q: np.ndarray  # log of the per-outcome reference-state weight q_unit
+    mult: np.ndarray  # weight-space dimension inside the unitary block
     x: np.ndarray  # -log_q / n
     x_star: np.ndarray  # -H(lam/n) - sum_i (mu_i/n) log s_i
     gap_bound: np.ndarray  # per-block bound on x - x_star
@@ -105,15 +90,6 @@ class OutcomeDistribution:
 
     def __len__(self) -> int:
         return len(self.p)
-
-    @property
-    def atoms(self) -> list[OutcomeAtom]:
-        return [
-            OutcomeAtom(young, weight, float(p), float(lq), int(m))
-            for young, weight, p, lq, m in zip(
-                self.youngs, self.weights, self.p, self.log_q, self.mult
-            )
-        ]
 
     def total_probability(self) -> float:
         return math.fsum(self.p.tolist())

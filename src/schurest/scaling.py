@@ -363,17 +363,19 @@ def calibrated_budget(c0: float, target: float = 0.25, epsilon: float = 0.5) -> 
 
 @dataclass(frozen=True)
 class ComplexityRow:
+    """One row of the complexity-scan report; the fields are its columns, in order."""
+
     d: int
     n: int
+    tail_mass: float
+    bound_simple: float
+    bound_exact: float
     c: float
     c0: float
     epsilon: float
     q: float
-    tail_mass: float
     log_delta_plus: float  # -inf when the upper tail set is empty
     log_delta_minus: float
-    bound_simple: float
-    bound_exact: float
     tomography_ratio: float
 
 

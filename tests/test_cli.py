@@ -6,6 +6,7 @@ exactly as a shell user would see them.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -208,14 +209,31 @@ class TestDims:
         assert captured.out == ""
 
     def test_refuses_blocks_past_the_digit_limit(self, capsys):
-        # 10,001 Young indices pass the count guard, but sn_dim((10000, 10000))
-        # has 6,015 digits, past the default int-to-str limit of 4,300
+        # sn_dim((10000, 10000)) has 6,015 digits, past the default int-to-str
+        # limit of 4,300, which is checked before the count guard
         start = time.perf_counter()
         assert main(["dims", "--n", "20000", "--d", "2"]) == 2
         assert time.perf_counter() - start < 5
         captured = capsys.readouterr()
         assert captured.err.startswith("error: validation:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("n,d", [("14000", "2"), ("1000", "3")])
+    def test_refuses_blocks_with_long_dimensions(self, n, d):
+        # charged d^2 a block, (14000, 2) passed the guard and took 19 s, most
+        # of it in math.comb on integers of up to 4,200 digits inside sn_dim
+        start = time.perf_counter()
+        code, out, err = run_main(["dims", "--n", n, "--d", d])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: validation:")
+
+    def test_csv_text(self, capsys):
+        assert main(["dims", "--n", "8", "--d", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "young,weyl_dim,sn_dim\n0 0 8,45,1\n0 1 7,63,7\n0 2 6,60,20\n0 3 5,42,28\n"
+            "0 4 4,15,14\n1 1 6,21,21\n1 2 5,24,64\n1 3 4,15,70\n2 2 4,6,56\n2 3 3,3,42\n"
+        )
 
     @given(d=st.integers(-5, 10**25), n=st.integers(-5, 10**6))
     @example(d=100_000, n=3)
@@ -362,6 +380,55 @@ class TestComplexityScan:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: compute: d={d}: scan")
+
+
+# argv (with {rho} and {sigma} for the state files) and the JSON key of each table report
+TABLES = {
+    "dims": (["dims", "--n", "6", "--d", "3"], "blocks"),
+    "distribution": (["distribution", "--rho", "{rho}", "--sigma", "{sigma}", "--n", "4"], "atoms"),
+    "normality": (["normality", "--rho", "{rho}", "--sigma", "{sigma}", "--n-range", "2:8:3"],
+                  "rows"),
+    # at c = 0.2 the upper tail set is empty, so log_delta_plus is -inf
+    "complexity-scan": (["complexity-scan", "--d", "2", "--c", "0.2"], "rows"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_json_rows_are_the_csv_rows(states, command):
+    template, key = TABLES[command]
+    argv = [arg.format(**states) for arg in template]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        code, outputs[fmt], err = run_main(argv + ["--format", fmt])
+        assert code == 0 and err == ""
+    header, *lines = csv.reader(io.StringIO(outputs["csv"]))
+    rows = json.loads(outputs["json"])[key]
+    assert len(rows) == len(lines) > 0
+    nulls = 0
+    for line, row in zip(lines, rows):
+        assert list(row) == header
+        for cell, value in zip(line, row.values()):
+            if value is None:
+                nulls += 1
+                assert not math.isfinite(float(cell))
+            elif isinstance(value, list):
+                assert cell == " ".join(map(str, value))
+            else:
+                assert cell == (repr(value) if isinstance(value, float) else str(value))
+    assert (nulls > 0) == (command == "complexity-scan")
+
+
+@pytest.mark.parametrize("argv", [
+    ["complexity-scan", "--d", "2", "--seed", "-5"],
+    ["verify", "--seed", "-3"],
+    ["gen-state", "random_mixed", "--d", "2", "--seed", "-1", "--out", "{tmp}/rho.json"],
+])
+def test_negative_seed_is_a_parse_error(tmp_path, argv):
+    # numpy's default_rng refuses it; unchecked, the scan raised and verify
+    # reported failed invariant families
+    code, out, err = run_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --seed: must be >= 0\n")
 
 
 # Any JSON value, with the keys a state file uses drawn often.

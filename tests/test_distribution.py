@@ -35,7 +35,7 @@ from oracles import (
     string_digits,
     type_mask,
 )
-from schurest.distribution import JT_MAX_N, JT_MAX_WORK, OutcomeAtom, _work, distribution
+from schurest.distribution import JT_MAX_N, JT_MAX_WORK, _work, distribution
 from schurest.partitions import (
     compositions,
     enumerate_young,
@@ -76,9 +76,8 @@ def test_uniform_qubit_two_copies():
     }
     for value in table.values():
         assert value == pytest.approx(0.25, abs=1e-14)
-    for atom in dist.atoms:
-        assert atom.q_unit == pytest.approx(0.25, abs=1e-14)
-        assert atom.multiplicity == 1
+    assert np.exp(dist.log_q) == pytest.approx(np.full(len(dist), 0.25), abs=1e-14)
+    assert dist.mult.tolist() == [1] * len(dist)
 
 
 def test_commuting_qubit_two_copies():
@@ -108,9 +107,9 @@ def test_atom_ordering_and_fields():
     dist = brute_distribution(rho, sigma, 4)
     pairs = list(zip(dist.youngs, dist.weights))
     assert pairs == sorted(pairs)
-    atom = dist.atoms[0]
-    assert isinstance(atom, OutcomeAtom)
-    assert atom.q_unit == pytest.approx(math.exp(atom.log_q_unit))
+    columns = (dist.youngs, dist.weights, dist.p, dist.log_q, dist.mult, dist.x, dist.x_star)
+    assert {len(column) for column in columns} == {len(dist)}
+    assert all(len(young) == len(weight) == 2 for young, weight in pairs)
     assert all(m >= 1 for m in dist.mult)
 
 

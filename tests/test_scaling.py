@@ -198,7 +198,7 @@ class TestScan:
         report = tail_probabilities(dist, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
-        assert scan.block_count == len({atom.young for atom in dist.atoms})
+        assert scan.block_count == len(set(dist.youngs))
 
     def test_three_level_matches_generic_backend(self):
         d, n, q, eps = 3, 7, 0.55, 0.4
@@ -222,7 +222,7 @@ class TestScan:
         report = tail_probabilities(dist, scan.divergence, eps)
         assert scan.delta_plus == pytest.approx(report.delta_plus, abs=1e-10)
         assert scan.delta_minus == pytest.approx(report.delta_minus, abs=1e-10)
-        assert scan.block_count == len({atom.young for atom in dist.atoms})
+        assert scan.block_count == len(set(dist.youngs))
         assert scan.delta_plus > 0 and scan.delta_minus > 0  # both tails are checked
 
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -78,6 +78,21 @@ def test_library_imports_no_private_name_across_modules():
     assert found == []
 
 
+def test_only_the_table_writer_reads_the_output_format():
+    # each table report lists its columns once and hands them to one writer,
+    # so CSV and JSON cannot drift apart inside a subcommand
+    tree = ast.parse((ROOT / "src" / "schurest" / "cli.py").read_text())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "format"
+        and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    assert readers == {"_emit_table"}
+
+
 def loaded_by_cli_import(module):
     """Whether a fresh `import schurest.cli` loads `module`."""
     done = subprocess.run(
