@@ -10,6 +10,8 @@ bookkeeping end to end with exact integer arithmetic.
 Run:  python3 demos/01_block_structure.py
 """
 
+import math
+
 import numpy as np
 
 from schurest.distribution import distribution
@@ -60,10 +62,10 @@ def show_growth(d: int) -> None:
     print(f"{'n':>4} {'blocks':>8} {'total dim':>12} {'count/bound':>12}")
     for n in (4, 8, 16, 32):
         summary = total_schur_dim(n, d)
-        ratio = summary.count / summary.count_bound
-        print(f"{n:>4} {summary.count:>8} {summary.total:>12} {ratio:>12.4f}")
-        assert summary.count <= summary.count_bound
-        assert summary.total <= summary.total_bound
+        count_cap = (n + 1) ** (d - 1)
+        print(f"{n:>4} {summary.count:>8} {summary.total:>12} {summary.count / count_cap:>12.4f}")
+        assert summary.count <= count_cap
+        assert summary.total <= (n + 1) ** ((d + 2) * (d - 1) // 2)
     print()
 
 
@@ -73,10 +75,11 @@ def show_type_entropy(n: int, d: int) -> None:
           f"exp(nH)/(n+1)^(d-1) <= multinomial <= exp(nH)")
     print(f"{'young':>12} {'entropy H':>10} {'lower':>10} {'multinomial':>12} {'upper':>10}")
     for young in enumerate_young(n, d):
-        entropy, lower, upper = type_entropy_bounds(young)
+        entropy, log_lower, log_upper = type_entropy_bounds(young)
         multi = multinomial(young)
+        lower, upper = math.exp(log_lower), math.exp(log_upper)
         print(f"{str(young):>12} {entropy:>10.4f} {lower:>10.3f} {multi:>12} {upper:>10.3f}")
-        assert lower - 1e-9 <= multi <= upper + 1e-9
+        assert log_lower - 1e-12 <= math.log(multi) <= log_upper + 1e-12
     print()
 
 

@@ -51,11 +51,10 @@ from .states import (
 )
 
 SCAN_SPECTRUM_RATIO = 0.9  # geometric eigenvalue ratio used by complexity-scan states
-DIMS_MAX_BLOCKS = 100_000  # dims --n 100 --d 6 (189,509 Young indices) needs 0.4 GB
-# every block prints d parts, weyl_dim takes up to d^2 factors and sn_dim
-# multiplies integers of up to n log10(d) digits, so the Young-index count
-# times d^2 + ceil(n log10 d) must stay below this too; the slowest sizes it
-# admits, (5147, 2) and (51, 8), take 2-4 s on a 2-vCPU VM.  Every d above 2,000 has a cap of 0.
+# every block dims prints has d parts, weyl_dim takes up to d^2 factors and
+# sn_dim multiplies integers of up to n log10(d) digits, so the Young-index
+# count times d^2 + ceil(n log10 d) must stay below this; the slowest sizes
+# it admits, (5147, 2) and (51, 8), take 2-4 s on a 2-vCPU VM.  Every d above 2,000 has a cap of 0.
 DIMS_MAX_WORK = 4_000_000
 
 
@@ -198,19 +197,22 @@ def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
 
 def cmd_dims(args) -> int:
     # sn_dim < d^n has at most n log10(d) digits; past the interpreter's
-    # int-to-str limit it could not be written out
+    # int-to-str limit it could not be written out.  n is compared with a
+    # float, which Python does exactly, so no n is too large to convert
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit and args.n * math.log10(args.d) > digit_limit:
+    if digit_limit and args.d > 1 and args.n > digit_limit / math.log10(args.d):
         raise CliError(
             "validation", f"dims limited to sn_dim below {digit_limit} digits; (n, d) = "
             f"({args.n}, {args.d}) may pass it"
         )
+    if args.n >= 2**63:  # young_columns holds int64 parts
+        raise CliError("validation", f"dims limited to n below 2^63, got n = {args.n}")
     charge = args.d * args.d + math.ceil(args.n * math.log10(args.d))
-    cap = min(DIMS_MAX_BLOCKS, DIMS_MAX_WORK // charge)
+    cap = DIMS_MAX_WORK // charge
     if young_count(args.n, args.d, cap) > cap:
         raise CliError(
-            "validation", f"dims limited to {DIMS_MAX_BLOCKS} Young indices and to Young indices "
-            f"times (d^2 + n log10 d) <= {DIMS_MAX_WORK}; (n, d) = ({args.n}, {args.d}) passes them"
+            "validation", f"dims limited to Young indices times (d^2 + n log10 d) <= "
+            f"{DIMS_MAX_WORK}; (n, d) = ({args.n}, {args.d}) passes it"
         )
     blocks = [(y, weyl_dim(y), sn_dim(y)[0]) for y in enumerate_young(args.n, args.d)]
     total = sum(u for _, u, _ in blocks)
@@ -314,12 +316,17 @@ def cmd_normality(args) -> int:
 
 
 def cmd_complexity_scan(args) -> int:
+    # the budget and the bounds divide by epsilon^2
+    if not 0 < args.epsilon * args.epsilon < math.inf:
+        raise CliError("validation", f"epsilon = {args.epsilon!r} has a square outside the float range")
     rows = []
     for d in sorted(set(args.d)):
         if not 2 <= d <= SCAN_MAX_D:
             raise CliError("validation", f"complexity-scan supports d in [2, {SCAN_MAX_D}], got {d}")
         c0 = varentropy_scale_proxy(d, seeds=range(args.seed, args.seed + 8))
         c = args.c if args.c is not None else calibrated_budget(c0, epsilon=args.epsilon)
+        if not math.isfinite(c):
+            raise CliError("validation", f"epsilon = {args.epsilon!r} calibrates an infinite budget")
         try:
             row = complexity_row(d, c, c0, args.epsilon, q=SCAN_SPECTRUM_RATIO)
         except (ValueError, ArithmeticError) as exc:

@@ -4,9 +4,9 @@ A Young index is stored in the increasing convention: a tuple of d
 non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.
 young_columns is the one enumerator and enumerate_young reads it; the
 large-n scan walks its own triangular grids, and young_count counts
-without enumerating.  Every block dimension is exact (Python integers
-and fractions); floating point appears only in the explicit *_bound
-helpers, which evaluate closed-form inequalities.  Kostka numbers are
+without enumerating.  Every block dimension and count is exact (Python
+integers and fractions); the closed-form inequalities come as logs, so no
+bound leaves the float range.  Kostka numbers are
 not here: the distribution engine reads them off as Schur coefficients.
 Symmetric-group characters, Schur polynomial expansions and the
 horizontal-strip Kostka recursion serve only as test oracles and live in
@@ -16,7 +16,6 @@ the test tree.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -181,69 +180,29 @@ class SchurDimSummary:
     d: int
     total: int  # sum over Young indices of the unitary block dimension
     count: int  # number of Young indices
-    per_block_bound: float  # (n+1)^(d(d-1)/2), bounds every single block
-    count_bound: float  # (n+1)^(d-1)
-    total_bound: float  # (n+1)^((d+2)(d-1)/2)
-
-
-def _power_bound(base: int, exponent: float) -> float:
-    """float(base) ** exponent, saturating at inf past the float range."""
-    try:
-        return float(base) ** exponent
-    except OverflowError:
-        return math.inf
-
-
-def _exp_bound(exponent: float) -> float:
-    """math.exp(exponent), saturating at inf past the float range."""
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        return math.inf
 
 
 def total_schur_dim(n: int, d: int) -> SchurDimSummary:
-    """Exact total dimension of the direct sum of unitary blocks, with bounds.
-
-    The total and the count are exact integers at any size; a bound past
-    the float range reads inf.
-    """
+    """Exact total dimension of the direct sum of unitary blocks, and the block count."""
     dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
-    return SchurDimSummary(
-        n=n,
-        d=d,
-        total=sum(dims),
-        count=len(dims),
-        per_block_bound=_power_bound(n + 1, d * (d - 1) / 2),
-        count_bound=_power_bound(n + 1, d - 1),
-        total_bound=_power_bound(n + 1, (d + 2) * (d - 1) / 2),
-    )
+    return SchurDimSummary(n=n, d=d, total=sum(dims), count=len(dims))
 
 
 def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
-    """Shannon entropy of lam/n (nats) and the multinomial sandwich.
+    """Shannon entropy of lam/n (nats) and the multinomial sandwich in logs.
 
-    Returns (H, lower, upper) with lower = exp(n H)/(n+1)**(d-1) and
-    upper = exp(n H); the exact multinomial n!/prod(lam_i!) lies in
-    [lower, upper].  Past the float range upper reads inf and lower
-    saturates at the largest float, which stays below the multinomial.
-    Requires n >= 1.
+    Returns (H, log_lower, log_upper) with log_lower = n H - (d-1) log(n+1)
+    and log_upper = n H; the log of the exact multinomial n!/prod(lam_i!)
+    lies in [log_lower, log_upper] (the method of types).  Requires n >= 1.
     """
     parts = as_young(lam)
     n = sum(parts)
     if n < 1:
         raise ValueError("need total weight >= 1")
-    d = len(parts)
     entropy = -math.fsum(
         (x / n) * math.log(x / n) for x in parts if x
     )
-    try:
-        upper = math.exp(n * entropy)
-        lower = upper / float(n + 1) ** (d - 1)
-    except OverflowError:  # a term past the float range: take both through logs
-        upper = _exp_bound(n * entropy)
-        lower = min(_exp_bound(n * entropy - (d - 1) * math.log(n + 1)), sys.float_info.max)
-    return entropy, lower, upper
+    return entropy, n * entropy - (len(parts) - 1) * math.log(n + 1), n * entropy
 
 
 def weyl_dim_log_bound(n: int, d: int, s: float) -> float:

@@ -82,7 +82,7 @@ class _LogSum:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log) if self.log < 50 else math.inf
+        return math.exp(self.log)
 
 
 class _Band(NamedTuple):

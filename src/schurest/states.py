@@ -327,9 +327,15 @@ def load_state(path) -> DensityMatrix:
         except RecursionError:
             raise ValueError("JSON nests too deeply") from None
     if "spectrum" in payload:
+        if "re" in payload or "im" in payload:
+            raise ValueError("a state file holds either a spectrum or re/im, not both")
+        if not isinstance(payload["spectrum"], list):
+            raise ValueError("spectrum must be a JSON list")
         return validate_state(np.diag([float(x) for x in payload["spectrum"]]))
     re = np.array(payload["re"], dtype=float)
     im = np.array(payload.get("im", np.zeros_like(re)), dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"im has shape {im.shape}, re has shape {re.shape}")
     mat = re.astype(complex)
     mat.imag = im
     state = validate_state(mat)

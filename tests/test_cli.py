@@ -240,6 +240,9 @@ class TestDims:
     @example(d=10**10, n=1)
     @example(d=99999999999999999999999, n=2)
     @example(d=1000, n=3)
+    @example(d=1, n=2**63)  # past young_columns' int64 parts
+    @example(d=1, n=10**400)
+    @example(d=2, n=10**400)  # n log10(d) is past the float range
     @settings(max_examples=60, deadline=None)
     def test_any_dimension_fails_cleanly(self, d, n):
         # every block prints d parts: a huge d must be refused before enumerating
@@ -381,6 +384,25 @@ class TestComplexityScan:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: compute: d={d}: scan")
 
+    @given(epsilon=st.floats(min_value=-300, max_value=300).map(lambda e: 10.0**e),
+           budget=st.sampled_from([(), ("--c", "1")]))
+    @example(epsilon=1e-300, budget=())
+    @example(epsilon=1e-300, budget=("--c", "1"))
+    @example(epsilon=1e300, budget=())
+    @example(epsilon=1e300, budget=("--c", "1"))
+    @example(epsilon=1e-160, budget=())  # the calibrated budget is inf
+    @example(epsilon=1e-160, budget=("--c", "1"))
+    @settings(max_examples=40, deadline=None)
+    def test_any_epsilon_fails_cleanly(self, epsilon, budget):
+        # the budget and the bounds divide by epsilon^2
+        code, out, err = run_main(["complexity-scan", "--d", "2", "--epsilon", repr(epsilon),
+                                   *budget])
+        assert code in (0, 2), err
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err
+            assert out == ""
+
 
 # argv (with {rho} and {sigma} for the state files) and the JSON key of each table report
 TABLES = {
@@ -468,6 +490,10 @@ class TestErrors:
         '{"spectrum": [Infinity, 0.5]}\n',
         '{"dim": 1e400, "re": [[1.0]]}\n',
         '{"re": [[1e308, 1e308], [1e308, 1e308]]}\n',
+        '{"re": [[0.5, 0], [0, 0.5]], "im": 0}\n',
+        '{"re": [[0.5, 0], [0, 0.5]], "im": [[0.0]]}\n',
+        '{"spectrum": "1"}\n',
+        '{"spectrum": [0.5, 0.5], "re": [[0.5, 0], [0, 0.5]]}\n',
         pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="nested-100000-deep"),
     ])
     def test_malformed_state_file(self, tmp_path, capsys, payload):

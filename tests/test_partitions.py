@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import CycleType, character, cycle_types, kostka, schur_eval
+from schurest.bounds import log_schur_dim_counting
 from schurest.partitions import (
     compositions,
     enumerate_young,
@@ -312,19 +313,21 @@ def test_schur_eval_two_routes_agree():
 def test_total_schur_dim_examples_and_bounds():
     assert total_schur_dim(1, 2).total == 2
     assert total_schur_dim(2, 2).total == 4
-    rec = total_schur_dim(2, 2)
-    assert rec.total_bound == 9.0
+    assert log_schur_dim_counting(2, 2) == pytest.approx(math.log(9), abs=1e-15)
     for n in range(0, 11):
         for d in (2, 3, 4):
             rec = total_schur_dim(n, d)
-            assert rec.total <= rec.total_bound + 1e-9
-            assert rec.count <= rec.count_bound + 1e-9
+            assert rec.total <= (n + 1) ** ((d + 2) * (d - 1) // 2)
+            assert math.log(rec.total) <= log_schur_dim_counting(n, d) + 1e-12
+            assert rec.count <= (n + 1) ** (d - 1)
             for lam in enumerate_young(n, d):
-                assert weyl_dim(lam) <= rec.per_block_bound + 1e-9
+                assert weyl_dim(lam) <= (n + 1) ** (d * (d - 1) // 2)
 
 
 @pytest.mark.parametrize("n, d, count", [(3, 40, 3), (20, 30, 627)])
 def test_total_schur_dim_saturates_bounds_past_the_float_range(n, d, count):
+    # (n+1)^(d(d-1)/2) and (n+1)^((d+2)(d-1)/2) are past the float range
+    # here; as exact integers and logs they still bound the blocks
     rec = total_schur_dim(n, d)
     # Schur's identity: the sum of all s_lam(x) is prod_i (1 - x_i)^-1
     # prod_{i<j} (1 - x_i x_j)^-1, so at x = 1^d the weight-n blocks add up to
@@ -336,50 +339,48 @@ def test_total_schur_dim_saturates_bounds_past_the_float_range(n, d, count):
     )
     assert rec.total == expected
     assert rec.count == count  # partitions of n into at most d parts; here d >= n
-    assert rec.count_bound == float(n + 1) ** (d - 1)
-    assert rec.per_block_bound == math.inf
-    assert rec.total_bound == math.inf
+    assert rec.count <= (n + 1) ** (d - 1)
+    assert max(weyl_dim(lam) for lam in enumerate_young(n, d)) <= (n + 1) ** pairs
+    assert pairs * math.log(n + 1) > math.log(sys.float_info.max)
+    assert math.log(rec.total) <= log_schur_dim_counting(n, d) < math.inf
 
 
 def test_type_entropy_bounds_examples():
     H, lo, up = type_entropy_bounds((0, 4))
-    assert H == 0 and up == 1.0 and abs(lo - 1 / 5) < 1e-12
+    assert H == 0 and up == 0 and abs(lo - math.log(1 / 5)) < 1e-12
     H, lo, up = type_entropy_bounds((2, 2))
-    assert abs(up - 16.0) < 1e-9 and abs(lo - 16.0 / 5) < 1e-9
-    assert lo <= 6 <= up
+    assert abs(up - math.log(16)) < 1e-12 and abs(lo - math.log(16 / 5)) < 1e-12
+    assert lo <= math.log(6) <= up
     H, lo, up = type_entropy_bounds((1, 2))
-    assert lo <= 3 <= up
+    assert lo <= math.log(3) <= up
 
 
 @pytest.mark.parametrize(
-    "lam,lower_in_range",
-    [((600, 600), False), ((515, 515), True), ((0,) * 290 + (1,) * 10, True)],
+    "lam",
+    [(600, 600), (515, 515), (0,) * 290 + (1,) * 10],
     ids=["600-600", "515-515", "ten-ones-in-300"],
 )
-def test_type_entropy_bounds_saturate_past_the_float_range(lam, lower_in_range):
-    # (515, 515): exp(n H) overflows but the lower bound does not;
-    # 290 zeros and ten ones: (n + 1)^(d - 1) = 11^299 overflows
-    entropy, lower, upper = type_entropy_bounds(lam)
-    n = sum(lam)
+def test_type_entropy_bounds_saturate_past_the_float_range(lam):
+    # exp(n H) or (n + 1)^(d - 1) = 11^299 is past the float range here;
+    # the bounds stay finite logs that sandwich the multinomial
+    entropy, log_lower, log_upper = type_entropy_bounds(lam)
+    n, d = sum(lam), len(lam)
     assert entropy == -math.fsum((x / n) * math.log(x / n) for x in lam if x)
-    assert multinomial(lam) <= upper
-    assert 0 < lower <= multinomial(lam)
-    if lower_in_range:
-        log_lower = n * entropy - (len(lam) - 1) * math.log(n + 1)
-        assert lower == pytest.approx(math.exp(log_lower), rel=1e-12)
-    else:
-        # saturated at the largest float, which stays below the multinomial
-        assert lower == sys.float_info.max and upper == math.inf
+    assert max(n * entropy, (d - 1) * math.log(n + 1)) > math.log(sys.float_info.max)
+    assert log_upper == n * entropy
+    assert log_lower == n * entropy - (d - 1) * math.log(n + 1)
+    assert log_lower - 1e-12 <= math.log(multinomial(lam)) <= log_upper + 1e-12
 
 
-@given(st.integers(1, 20), st.integers(2, 4), st.data())
+@given(st.integers(1, 2000), st.integers(2, 8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_type_entropy_sandwich_random(n, d, data):
-    lams = enumerate_young(n, d)
-    lam = data.draw(st.sampled_from(lams))
-    _, lo, up = type_entropy_bounds(lam)
-    m = multinomial(lam)
-    assert lo * (1 - 1e-12) <= m <= up * (1 + 1e-12)
+    # d - 1 cuts of 0..n give the parts; enumerating (2000, 8) is out of reach
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
+    lam = tuple(sorted(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+    _, log_lower, log_upper = type_entropy_bounds(lam)
+    value = math.log(multinomial(lam))
+    assert log_lower - 1e-12 <= value <= log_upper + 1e-12
 
 
 def test_weyl_dim_log_bound_examples_and_validity():

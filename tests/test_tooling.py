@@ -93,6 +93,25 @@ def test_only_the_table_writer_reads_the_output_format():
     assert readers == {"_emit_table"}
 
 
+def test_only_state_file_loading_handles_overflow():
+    # a quantity that can leave the float range is kept as an exact integer or
+    # a log; only the CLI's reading of state-file input maps OverflowError
+    found = []
+    for path in sorted((ROOT / "src" / "schurest").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(name, ast.Name) and name.id == "OverflowError"
+                for name in ast.walk(node.type)
+            ):
+                # the innermost function holding the handler, or the module
+                owner = min((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno, default=None)
+                found.append(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert found == ["cli.py:_load_density"]
+
+
 def loaded_by_cli_import(module):
     """Whether a fresh `import schurest.cli` loads `module`."""
     done = subprocess.run(
