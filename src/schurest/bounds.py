@@ -19,6 +19,19 @@ refinement read it back.  An order where renyi returns NaN (the curve
 could not certify the value, which happens at small orders) is left out
 of the search; every order gives a valid bound, so the minimum over the
 rest is still one.
+
+Every refinement runs one bounded Brent search, _brent_steps, a generator
+that yields each point and is sent the objective's value there.
+tail_bounds computes both tails at once: after the two grid calls it
+advances both refinements in lockstep and, at each step, passes the two
+orders they read next to renyi in one call, so a memoized curve does one
+eigensolve per step for both tails.  Its results are the same floats as
+tail_bound_above's and tail_bound_below's.  That rests on the kernel's
+bits depending on the batch's shape: a one- or two-order call gives the
+same value for an order, while a long batch may not (numpy's power takes
+another path for long arrays, up to 4.4e-16 apart at order 0.5).  So the
+lockstep calls hold at most the two pending orders, and the grids keep
+their own calls.
 """
 
 from __future__ import annotations
@@ -65,22 +78,24 @@ def _nan_max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Bounded Brent minimization of fun on [lo, hi]; returns (argmin, min).
+def _brent_steps(lo: float, hi: float, xatol: float):
+    """Bounded Brent minimization on [lo, hi] as a generator.
 
     Brent (1973), "Algorithms for Minimization Without Derivatives", ch. 5,
     in the form of scipy.optimize.minimize_scalar(method="bounded"): the
     same operations in the same order, so the search visits the same
-    points and returns the same floats.  A NaN or +inf value inside the
-    bracket turns the parabola into NaN, and the step falls back to golden
-    section.  The search stops after 500 evaluations.
+    points and returns the same floats.  It yields each point and must be
+    sent the objective's value there; its return value is (argmin, min).
+    A NaN or +inf value inside the bracket turns the parabola into NaN, and
+    the step falls back to golden section.  The search stops after 500
+    evaluations.
     """
     a, b = lo, hi
     fulc = a + _GOLDEN * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = fun(x)
+    fx = yield x
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -111,7 +126,7 @@ def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, floa
             e = a - xf if xf >= xm else b - xf
             rat = _GOLDEN * e
         x = xf + _step_sign(rat) * _nan_max(abs(rat), tol1)
-        fu = fun(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -139,11 +154,43 @@ def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, floa
     return xf, fx
 
 
-def _refine(fun, grid_points, lo, hi, tol=1e-6):
-    """Grid scan then bounded refinement; returns (argmin, min).
+def _evaluated(steps, fun, order):
+    """Send a search generator fun's value at each point x it yields.
 
-    Points where fun is NaN or +inf are skipped; when every grid point is,
-    the result is (the first grid point, +inf).
+    A generator itself: before fun is evaluated at x it yields order(x),
+    the Renyi order fun is about to read, so a driver can fetch that order
+    together with other searches' (see tail_bounds).  Returns the search's
+    result.
+    """
+    x = next(steps)
+    while True:
+        yield order(x)
+        try:
+            x = steps.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _result(search):
+    """Run a search generator to its end, ignoring what it yields."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Bounded Brent minimization of fun on [lo, hi]; returns (argmin, min)."""
+    return _result(_evaluated(_brent_steps(lo, hi, xatol), fun, float))
+
+
+def _refine(fun, grid_points, lo, hi, order=float, tol=1e-6):
+    """Grid scan then bounded refinement, as a generator; returns (argmin, min).
+
+    The refinement yields order(x) before each point x it evaluates (see
+    _evaluated).  Points where fun is NaN or +inf are skipped; when every
+    grid point is, the result is (the first grid point, +inf).
     """
     best_x, best_v = None, math.inf
     for x in grid_points:
@@ -156,7 +203,7 @@ def _refine(fun, grid_points, lo, hi, tol=1e-6):
     idx = span.index(best_x)
     left = span[idx - 1] if idx > 0 else lo
     right = span[idx + 1] if idx + 1 < len(span) else hi
-    x, value = _bounded_brent(fun, left, right, xatol=tol / 10)
+    x, value = yield from _evaluated(_brent_steps(left, right, tol / 10), fun, order)
     if value < best_v:
         return float(x), float(value)
     return float(best_x), float(best_v)
@@ -175,6 +222,24 @@ def _admissible(value: float) -> float:
     return math.inf if math.isnan(value) else value
 
 
+def _below_search(n: int, schur_dim: int, rate: float, renyi):
+    """tail_bound_below as a search generator (see _refine) returning the bound."""
+    if n < 1 or schur_dim < 1:
+        raise ValueError("need n >= 1 and schur_dim >= 1")
+    log_dim = math.log(schur_dim)
+
+    def order(a: float) -> float:
+        return 1 - a
+
+    def exponent(a: float) -> float:
+        return _admissible(a * log_dim - n * a * (renyi(order(a)) - rate))
+
+    grid = [i / 100 for i in range(1, 100)]
+    renyi(np.array([order(a) for a in grid]))
+    alpha, best = yield from _refine(exponent, grid, 0.01, 0.99, order)
+    return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
+
+
 def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     """Bound on P{estimate < rate}: min over a in (0,1) of
     schur_dim**a * exp(-n a (renyi(1-a) - rate)).
@@ -182,17 +247,7 @@ def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     renyi maps an order, or a 1-D array of orders, to the sandwiched
     divergence; the 99 grid orders 1 - i/100 go to it in one call first.
     """
-    if n < 1 or schur_dim < 1:
-        raise ValueError("need n >= 1 and schur_dim >= 1")
-    log_dim = math.log(schur_dim)
-
-    def exponent(a: float) -> float:
-        return _admissible(a * log_dim - n * a * (renyi(1 - a) - rate))
-
-    grid = [i / 100 for i in range(1, 100)]
-    renyi(np.array([1 - a for a in grid]))
-    alpha, best = _refine(exponent, grid, 0.01, 0.99)
-    return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
+    return _result(_below_search(n, schur_dim, rate, renyi))
 
 
 def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[float, float, float]:
@@ -212,6 +267,37 @@ def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[fl
     return value, top + math.log1p(math.exp(min(first, second) - top)), r_star
 
 
+def _above_search(n: int, schur_dim: int, rate: float, renyi):
+    """tail_bound_above as a search generator (see _refine) returning the bound."""
+    if n < 1 or schur_dim < 1:
+        raise ValueError("need n >= 1 and schur_dim >= 1")
+    log_dim = math.log(schur_dim)
+
+    def alpha_of(u: float) -> float:
+        return u / (1 - u)
+
+    def order(u: float) -> float:
+        return 1 + alpha_of(u)
+
+    def best_for(u: float) -> float:
+        a = alpha_of(u)
+        offset = -n * a * (rate - renyi(1 + a))
+        return _admissible(_split_term(n, log_dim, a, offset)[1])
+
+    grid = [i / 256 for i in range(1, 256)]
+    renyi(np.array([order(u) for u in grid]))
+    u_opt, best_log = yield from _refine(best_for, grid, 1e-4, 1 - 1e-4, order)
+    alpha = alpha_of(u_opt)
+    if best_log == math.inf:  # no order gives a finite bound
+        return TailBound(value=1.0, exponent=0.0, alpha=alpha)
+    offset = -n * alpha * (rate - renyi(1 + alpha))
+    value, log_value, r_star = _split_term(n, log_dim, alpha, offset)
+    if value >= 1:
+        return TailBound(value=1.0, exponent=min(best_log, 0.0), alpha=alpha,
+                         split=r_star if r_star > 0 else None)
+    return TailBound(value=value, exponent=log_value, alpha=alpha, split=r_star)
+
+
 def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     """Bound on P{estimate > rate}: min over a > 0, r > 0 of
     exp(-n a (rate - r - renyi(1+a))) + schur_dim * exp(-n r).
@@ -223,30 +309,38 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     divergence; the 255 grid orders 1 + u/(1-u), u = i/256, go to it in
     one call first.
     """
-    if n < 1 or schur_dim < 1:
-        raise ValueError("need n >= 1 and schur_dim >= 1")
-    log_dim = math.log(schur_dim)
+    return _result(_above_search(n, schur_dim, rate, renyi))
 
-    def alpha_of(u: float) -> float:
-        return u / (1 - u)
 
-    def best_for(u: float) -> float:
-        a = alpha_of(u)
-        offset = -n * a * (rate - renyi(1 + a))
-        return _admissible(_split_term(n, log_dim, a, offset)[1])
+def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
+                renyi) -> tuple[TailBound, TailBound]:
+    """tail_bound_above at rate_above and tail_bound_below at rate_below,
+    with the two refinements in lockstep; the results are the same floats.
 
-    grid = [i / 256 for i in range(1, 256)]
-    renyi(np.array([1 + alpha_of(u) for u in grid]))
-    u_opt, best_log = _refine(best_for, grid, 1e-4, 1 - 1e-4)
-    alpha = alpha_of(u_opt)
-    if best_log == math.inf:  # no order gives a finite bound
-        return TailBound(value=1.0, exponent=0.0, alpha=alpha)
-    offset = -n * alpha * (rate - renyi(1 + alpha))
-    value, log_value, r_star = _split_term(n, log_dim, alpha, offset)
-    if value >= 1:
-        return TailBound(value=1.0, exponent=min(best_log, 0.0), alpha=alpha,
-                         split=r_star if r_star > 0 else None)
-    return TailBound(value=value, exponent=log_value, alpha=alpha, split=r_star)
+    Each search's grid goes to renyi in its own call, the above grid
+    first.  Then at each Brent step the orders both searches read next go
+    to renyi in one call, so a memoized curve evaluates them in one
+    batched eigensolve and each search reads its value back from it.
+    """
+    searches = [_above_search(n, schur_dim, rate_above, renyi),
+                _below_search(n, schur_dim, rate_below, renyi)]
+    results = [None] * len(searches)
+    pending: dict[int, float] = {}  # search index -> the order it reads next
+
+    def advance(i: int) -> None:
+        try:
+            pending[i] = next(searches[i])
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i)
+    while pending:
+        renyi(np.array(list(pending.values())))
+        for i in list(pending):
+            advance(i)
+    return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -270,7 +364,7 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
         return (s - 1) * log_c - math.log(s) - math.log(1 - s)
 
     grid = [i / 64 for i in range(1, 64)]
-    s_opt, best = _refine(log_inner, grid, 1e-6, 1 - 1e-6)
+    s_opt, best = _result(_refine(log_inner, grid, 1e-6, 1 - 1e-6))
     exact = (math.sqrt(c0 / c) + math.exp(best)) ** 2 / epsilon**2
     simple = (math.sqrt(c0) + 4) ** 2 / (c * epsilon**2)
     return ComplexityBound(exact=exact, simple=simple, s_opt=s_opt)

@@ -56,6 +56,11 @@ from .partitions import (
 )
 from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
 
+# JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
+# near-pure states at d >= 3: a (3, 30) marginal is already off by 7.5e-9
+# and a (4, 24) one by 4.0e-9 (tests/test_distribution.py), and past it a
+# d = 3 pair aborts on mass below NEG_ABORT near n = 60.  The work guard
+# bounds the cost.
 JT_MAX_N = 30
 # warm calls took 1.7-3.4e-8 s per work unit from d = 4 to 9 on a 2-vCPU VM,
 # so the limit keeps a call near 4-8 s and under 0.6 GB; it admits every

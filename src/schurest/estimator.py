@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import mse_bound, tail_bound_above, tail_bound_below
+from .bounds import mse_bound, tail_bounds
 from .distribution import OutcomeDistribution, distribution
 from .partitions import total_schur_dim
 from .states import relative_entropy, relative_varentropy, renyi_curve
@@ -102,8 +102,8 @@ def tail_probabilities(dist: OutcomeDistribution, center: float, epsilon: float,
     bound_plus = bound_minus = None
     if renyi is not None:
         schur_dim = total_schur_dim(dist.n, dist.d).total
-        bound_plus = tail_bound_above(dist.n, schur_dim, hi, renyi).value
-        bound_minus = tail_bound_below(dist.n, schur_dim, lo, renyi).value
+        plus, minus = tail_bounds(dist.n, schur_dim, hi, lo, renyi)
+        bound_plus, bound_minus = plus.value, minus.value
     return TailReport(
         epsilon=epsilon,
         center=center,

@@ -95,8 +95,8 @@ def young_count(n: int, d: int, cap: int) -> int:
     if n < 0 or d < 1 or cap < 0:
         raise ValueError("need n >= 0, d >= 1 and cap >= 0")
     m = min(n, 2 * cap)
-    counts = [1] + [0] * m
-    for k in range(1, min(d, m) + 1):
+    counts = [1] * (m + 1)  # p_1, so a one-level count makes no pass over m
+    for k in range(2, min(d, m) + 1):
         for j in range(k, m + 1):
             counts[j] += counts[j - k]
         if counts[m] > cap:

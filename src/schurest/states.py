@@ -320,27 +320,38 @@ def save_state(path, state: DensityMatrix) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    """Read a state file: either a dense matrix or a diagonal spectrum."""
+    """Read a state file: either a dense matrix or a diagonal spectrum.
+
+    The file holds one JSON object.  A "dim" entry, if present, must be an
+    integer equal to the state's size.
+    """
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except RecursionError:
             raise ValueError("JSON nests too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError("a state file holds a JSON object")
     if "spectrum" in payload:
         if "re" in payload or "im" in payload:
             raise ValueError("a state file holds either a spectrum or re/im, not both")
         if not isinstance(payload["spectrum"], list):
             raise ValueError("spectrum must be a JSON list")
-        return validate_state(np.diag([float(x) for x in payload["spectrum"]]))
-    re = np.array(payload["re"], dtype=float)
-    im = np.array(payload.get("im", np.zeros_like(re)), dtype=float)
-    if im.shape != re.shape:
-        raise ValueError(f"im has shape {im.shape}, re has shape {re.shape}")
-    mat = re.astype(complex)
-    mat.imag = im
-    state = validate_state(mat)
-    if "dim" in payload and state.dim != payload["dim"]:
-        raise ValueError("declared dimension does not match the matrix")
+        state = validate_state(np.diag([float(x) for x in payload["spectrum"]]))
+    else:
+        re = np.array(payload["re"], dtype=float)
+        im = np.array(payload.get("im", np.zeros_like(re)), dtype=float)
+        if im.shape != re.shape:
+            raise ValueError(f"im has shape {im.shape}, re has shape {re.shape}")
+        mat = re.astype(complex)
+        mat.imag = im
+        state = validate_state(mat)
+    if "dim" in payload:
+        dim = payload["dim"]
+        if type(dim) is not int:  # bool is an int subclass, and 2.0 is not a dimension
+            raise ValueError(f"dim must be an integer, got {json.dumps(dim)}")
+        if dim != state.dim:
+            raise ValueError("declared dimension does not match the state")
     return state
 
 

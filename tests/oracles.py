@@ -9,6 +9,8 @@ arithmetic with the Jacobi-Trudi engine:
   symmetric-group characters (Murnaghan-Nakayama);
 - the dense toolkit builds the d**n x d**n isotypic projectors from the
   characters and the permutation action on basis strings;
+- reference_lam_marginal evaluates each Young index's mass dimV * s_lam
+  by the bialternant formula in 300-digit mpmath;
 - kostka counts semistandard fillings by a horizontal-strip recursion (the
   library reads Kostka numbers off the engine at rho_tilde = I), and
   schur_eval expands a Schur polynomial over them;
@@ -347,6 +349,34 @@ def lam_marginal(dist: OutcomeDistribution) -> dict[tuple[int, ...], float]:
     for young, p in zip(dist.youngs, dist.p):
         out.setdefault(young, []).append(float(p))
     return {young: math.fsum(values) for young, values in out.items()}
+
+
+LAM_REFERENCE_DIGITS = 300  # at 80 the bialternant cancels to 0 for d = 2, n >= 800
+
+
+def reference_lam_marginal(rho: DensityMatrix, n: int) -> dict[tuple[int, ...], mpmath.mpf]:
+    """Mass of each Young index, dimV * s_lam(r), in mpmath.
+
+    r is the spectrum of the stored matrix, taken in mpmath, and s_lam is
+    the bialternant det(r_i^(lam_j + d - j)) / det(r_i^(d - j)) with lam in
+    descending order.  The ratio cancels hard for a near-pure state, so it
+    runs at LAM_REFERENCE_DIGITS digits.
+    """
+    d = rho.dim
+    with mpmath.workdps(LAM_REFERENCE_DIGITS):
+        r = [mpmath.re(x) for x in
+             mpmath.eighe(mpmath.matrix(rho.mat.tolist()), eigvals_only=True)]
+
+        def alternant(exponents):
+            return mpmath.det(mpmath.matrix([[ri**k for k in exponents] for ri in r]))
+
+        vandermonde = alternant([d - 1 - j for j in range(d)])
+        out = {}
+        for young in enumerate_young(n, d):
+            lam = young[::-1]
+            schur = alternant([lam[j] + d - 1 - j for j in range(d)]) / vandermonde
+            out[young] = sn_dim(young)[0] * schur
+        return out
 
 
 # --------------------------------------------------------- dense block ops

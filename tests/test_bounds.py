@@ -16,6 +16,7 @@ from schurest.bounds import (
     sample_complexity_bound,
     tail_bound_above,
     tail_bound_below,
+    tail_bounds,
     tomography_baseline,
 )
 from schurest.distribution import distribution
@@ -224,26 +225,45 @@ def logged(fun, log):
 def brent_against_scipy(monkeypatch):
     """Run scipy's bounded minimizer beside every refinement; collect both
     results, whether both visited the same points, and whether the port met
-    a NaN or +inf inside the bracket."""
-    port = bounds._bounded_brent
+    a NaN or +inf inside the bracket.
+
+    The port is a generator that is sent each value, so scipy is run on
+    the values the port was sent, replayed in order; a point where scipy
+    leaves the port's path gets NaN and counts as a different path."""
+    port = bounds._brent_steps
     results = []
 
-    def both(fun, lo, hi, xatol):
-        log, ref_log = [], []
-        ours = port(logged(fun, log), lo, hi, xatol)
+    def both(lo, hi, xatol):
+        log = []
+        steps = port(lo, hi, xatol)
+        x = next(steps)
+        while True:
+            value = yield x
+            log.append((x, value))
+            try:
+                x = steps.send(value)
+            except StopIteration as stop:
+                ours = stop.value
+                break
+        replay, ref_points = iter(log), []
+
+        def replayed(t):
+            ref_points.append(t)
+            point, value = next(replay, (None, math.nan))
+            return value if point == t else math.nan
+
         with np.errstate(invalid="ignore"):
-            theirs = scipy_bounded(logged(fun, ref_log), lo, hi, xatol)
-        same_points = [t for t, _ in log] == [t for t, _ in ref_log]
+            theirs = scipy_bounded(replayed, lo, hi, xatol)
+        same_points = [t for t, _ in log] == ref_points
         holes = not all(math.isfinite(value) for _, value in log)
         results.append((ours, theirs, same_points, holes))
         return ours
 
-    monkeypatch.setattr(bounds, "_bounded_brent", both)
+    monkeypatch.setattr(bounds, "_brent_steps", both)
     return results
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_tail_bound_refinement_is_bit_identical_to_scipy(d, brent_against_scipy):
+def assert_tail_refinements_match_scipy(d, results, paired):
     for seed in (0, 7, 12):
         rho = random_mixed(d, seed, floor=0.05)
         sigma = random_mixed(d, 500 + seed, floor=0.05)
@@ -252,13 +272,26 @@ def test_tail_bound_refinement_is_bit_identical_to_scipy(d, brent_against_scipy)
         for n in (2, 8):
             schur_dim = total_schur_dim(n, d).total
             for eps in (0.1, 1.0):
-                tail_bound_below(n, schur_dim, div - eps, renyi)
-                tail_bound_above(n, schur_dim, div + eps, renyi)
-    assert len(brent_against_scipy) == 3 * 2 * 2 * 2
-    for (x, value), (ref_x, ref_value), same_points, _ in brent_against_scipy:
+                if paired:
+                    tail_bounds(n, schur_dim, div + eps, div - eps, renyi)
+                else:
+                    tail_bound_below(n, schur_dim, div - eps, renyi)
+                    tail_bound_above(n, schur_dim, div + eps, renyi)
+    assert len(results) == 3 * 2 * 2 * 2
+    for (x, value), (ref_x, ref_value), same_points, _ in results:
         assert same_points and x == ref_x and same_float(value, ref_value)
     if d == 2:  # seeds 0 and 7 at eps = 1 skip uncertified orders inside the bracket
-        assert sum(holes for *_, holes in brent_against_scipy) >= 4
+        assert sum(holes for *_, holes in results) >= 4
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tail_bound_refinement_is_bit_identical_to_scipy(d, brent_against_scipy):
+    assert_tail_refinements_match_scipy(d, brent_against_scipy, paired=False)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_paired_tail_refinement_is_bit_identical_to_scipy(d, brent_against_scipy):
+    assert_tail_refinements_match_scipy(d, brent_against_scipy, paired=True)
 
 
 def test_complexity_refinement_is_bit_identical_to_scipy(brent_against_scipy):
@@ -407,9 +440,26 @@ def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
     monkeypatch.setattr(states, "_renyi_orders", counting)
     rho, sigma = random_pair(3, seed=5)
     tail_report(rho, sigma, 5, 0.3)
-    batches = sorted(size for size in calls if size > 1)
-    assert batches == [99, 255]  # the below grid, then the above grid
-    assert len(calls) - 2 <= 80 and all(size in (1, 99, 255) for size in calls)
+    assert calls[:2] == [255, 99]  # the above grid, then the below grid
+    # then one call per lockstep Brent step, holding both searches' orders
+    assert len(calls) - 2 <= 25 and all(1 <= size <= 2 for size in calls[2:])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_paired_tail_bounds_are_bit_identical_to_single_tail_bounds(d):
+    # a fresh curve for each path, so the paired one evaluates its Brent
+    # orders two to a call while the single-tail ones go one at a time
+    for seed in range(12):
+        rho = random_mixed(d, seed, floor=0.05)
+        sigma = random_mixed(d, 500 + seed, floor=0.05)
+        div = relative_entropy(rho, sigma)
+        single, paired = renyi_curve(rho, sigma), renyi_curve(rho, sigma)
+        for n in (2, 5, 8, 16):
+            schur_dim = total_schur_dim(n, d).total
+            for eps in (0.1, 0.3, 1.0):
+                above = tail_bound_above(n, schur_dim, div + eps, single)
+                below = tail_bound_below(n, schur_dim, div - eps, single)
+                assert tail_bounds(n, schur_dim, div + eps, div - eps, paired) == (above, below)
 
 
 class _ReferenceCurve:

@@ -494,6 +494,11 @@ class TestErrors:
         '{"re": [[0.5, 0], [0, 0.5]], "im": [[0.0]]}\n',
         '{"spectrum": "1"}\n',
         '{"spectrum": [0.5, 0.5], "re": [[0.5, 0], [0, 0.5]]}\n',
+        '{"spectrum": [0.5, 0.5], "dim": 3}\n',
+        '{"spectrum": [0.5, 0.5], "dim": 2.0}\n',
+        '{"re": [[0.5, 0], [0, 0.5]], "dim": 2.0}\n',
+        '{"re": [[1.0]], "dim": true}\n',
+        '"state"\n',
         pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="nested-100000-deep"),
     ])
     def test_malformed_state_file(self, tmp_path, capsys, payload):

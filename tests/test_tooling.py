@@ -1,12 +1,15 @@
 """Checks on the library source and on the test tooling itself."""
 
 import ast
+import importlib.util
 import inspect
 import subprocess
 import sys
 from pathlib import Path
 
-from schurest import partitions
+import pytest
+
+from schurest import estimator, partitions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,3 +147,29 @@ def test_partitions_all_names_exactly_its_public_definitions():
         and value.__module__ == partitions.__name__
     }
     assert sorted(partitions.__all__) == sorted(defined)
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file; estimator.distribution,
+    which an exact workload's set-up rebinds, is restored afterwards."""
+    monkeypatch.setattr(estimator, "distribution", estimator.distribution)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["exact-small", "exact-large", "scan"])
+def test_benchmark_checks_pass_on_one_tiny_round(bench_workloads, tmp_path, name):
+    # the benchmark checks every output (two outcome tables per exact
+    # operation, bounds above the exact tails, unit mass); a library change
+    # that breaks those checks fails here before any benchmark run
+    workload = bench_workloads.make(name, tiny=True)
+    workload.setup(seed=1, workdir=str(tmp_path))
+    ops = workload.round(0)
+    assert ops
+    for op in ops:
+        assert workload.check(op, workload.run(op)) == []
