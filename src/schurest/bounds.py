@@ -13,12 +13,12 @@ The two tail bounds are named by the tail they control:
 
 Both take the divergence as renyi, a map that accepts one order or a 1-D
 array of orders (states.renyi_curve).  Each passes its whole grid of
-orders to renyi in one call before the scan, so a memoized curve
-evaluates the grid in one batched eigensolve and the scan and the
-refinement read it back.  An order where renyi returns NaN (the curve
-could not certify the value, which happens at small orders) is left out
-of the search; every order gives a valid bound, so the minimum over the
-rest is still one.
+orders to renyi in one call and scans the values that call returns, so a
+memoized curve evaluates the grid in one batched eigensolve and the
+refinement reads only its own points.  An order where renyi returns NaN
+(the curve could not certify the value, which happens at small orders)
+is left out of the search; every order gives a valid bound, so the
+minimum over the rest is still one.
 
 Every refinement runs one bounded Brent search, _brent_steps, a generator
 that yields each point and is sent the objective's value there.
@@ -185,16 +185,17 @@ def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, floa
     return _result(_evaluated(_brent_steps(lo, hi, xatol), fun, float))
 
 
-def _refine(fun, grid_points, lo, hi, order=float, tol=1e-6):
+def _refine(fun, grid_points, grid_values, lo, hi, order=float, tol=1e-6):
     """Grid scan then bounded refinement, as a generator; returns (argmin, min).
 
-    The refinement yields order(x) before each point x it evaluates (see
-    _evaluated).  Points where fun is NaN or +inf are skipped; when every
-    grid point is, the result is (the first grid point, +inf).
+    grid_values are fun's values at grid_points, which the caller computes
+    (from one batched call where fun reads a Renyi curve).  The refinement
+    yields order(x) before each point x it evaluates (see _evaluated).
+    Points where fun is NaN or +inf are skipped; when every grid point is,
+    the result is (the first grid point, +inf).
     """
     best_x, best_v = None, math.inf
-    for x in grid_points:
-        v = fun(x)
+    for x, v in zip(grid_points, grid_values):
         if v < best_v:
             best_x, best_v = x, v
     if best_x is None:
@@ -231,12 +232,16 @@ def _below_search(n: int, schur_dim: int, rate: float, renyi):
     def order(a: float) -> float:
         return 1 - a
 
+    def exponent_at(a: float, div: float) -> float:
+        return _admissible(a * log_dim - n * a * (div - rate))
+
     def exponent(a: float) -> float:
-        return _admissible(a * log_dim - n * a * (renyi(order(a)) - rate))
+        return exponent_at(a, renyi(order(a)))
 
     grid = [i / 100 for i in range(1, 100)]
-    renyi(np.array([order(a) for a in grid]))
-    alpha, best = yield from _refine(exponent, grid, 0.01, 0.99, order)
+    divs = renyi(np.array([order(a) for a in grid])).tolist()
+    scan = [exponent_at(a, div) for a, div in zip(grid, divs)]
+    alpha, best = yield from _refine(exponent, grid, scan, 0.01, 0.99, order)
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
 
@@ -279,14 +284,18 @@ def _above_search(n: int, schur_dim: int, rate: float, renyi):
     def order(u: float) -> float:
         return 1 + alpha_of(u)
 
-    def best_for(u: float) -> float:
+    def best_at(u: float, div: float) -> float:
         a = alpha_of(u)
-        offset = -n * a * (rate - renyi(1 + a))
+        offset = -n * a * (rate - div)
         return _admissible(_split_term(n, log_dim, a, offset)[1])
 
+    def best_for(u: float) -> float:
+        return best_at(u, renyi(order(u)))
+
     grid = [i / 256 for i in range(1, 256)]
-    renyi(np.array([order(u) for u in grid]))
-    u_opt, best_log = yield from _refine(best_for, grid, 1e-4, 1 - 1e-4, order)
+    divs = renyi(np.array([order(u) for u in grid])).tolist()
+    scan = [best_at(u, div) for u, div in zip(grid, divs)]
+    u_opt, best_log = yield from _refine(best_for, grid, scan, 1e-4, 1 - 1e-4, order)
     alpha = alpha_of(u_opt)
     if best_log == math.inf:  # no order gives a finite bound
         return TailBound(value=1.0, exponent=0.0, alpha=alpha)
@@ -364,7 +373,7 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
         return (s - 1) * log_c - math.log(s) - math.log(1 - s)
 
     grid = [i / 64 for i in range(1, 64)]
-    s_opt, best = _result(_refine(log_inner, grid, 1e-6, 1 - 1e-6))
+    s_opt, best = _result(_refine(log_inner, grid, [log_inner(s) for s in grid], 1e-6, 1 - 1e-6))
     exact = (math.sqrt(c0 / c) + math.exp(best)) ** 2 / epsilon**2
     simple = (math.sqrt(c0) + 4) ** 2 / (c * epsilon**2)
     return ComplexityBound(exact=exact, simple=simple, s_opt=s_opt)

@@ -197,8 +197,12 @@ def _renyi_orders(pair: _RenyiPair, alphas: np.ndarray) -> np.ndarray:
         raise ValueError("need alpha > 0 and alpha != 1")
     t = (1.0 - alphas) / (2.0 * alphas)
     powers = np.power(pair.s, t[:, None])
-    half = (pair.sv * powers[:, None, :]) @ pair.sv_h
-    core = half @ pair.rho @ half
+    # a product with a shared right factor is one (G d, d) @ (d, d) product:
+    # numpy's stacked matmul calls BLAS once per matrix, and the rows come
+    # out the same either way
+    d = len(pair.s)
+    half = ((pair.sv * powers[:, None, :]).reshape(-1, d) @ pair.sv_h).reshape(-1, d, d)
+    core = (half.reshape(-1, d) @ pair.rho).reshape(-1, d, d) @ half
     vals = np.linalg.eigvalsh((core + core.conj().swapaxes(-1, -2)) / 2)
     vals = np.maximum(vals[:, pair.null:], 0.0)
     a = alphas[:, None]

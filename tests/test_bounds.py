@@ -445,6 +445,23 @@ def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
     assert len(calls) - 2 <= 25 and all(1 <= size <= 2 for size in calls[2:])
 
 
+def test_grid_scans_read_the_values_of_their_batch_call():
+    rho, sigma = random_pair(3, seed=5)
+    curve = renyi_curve(rho, sigma)
+    single_orders = []
+
+    def renyi(alpha):
+        if not isinstance(alpha, np.ndarray):
+            single_orders.append(alpha)
+        return curve(alpha)
+
+    div = relative_entropy(rho, sigma)
+    tail_bounds(5, total_schur_dim(5, 3).total, div + 0.3, div - 0.3, renyi)
+    # one order per Brent point of each search and the above bound's final
+    # read; none of the 255 + 99 grid orders is asked for again
+    assert len(single_orders) <= 2 * 25 + 1
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_paired_tail_bounds_are_bit_identical_to_single_tail_bounds(d):
     # a fresh curve for each path, so the paired one evaluates its Brent
