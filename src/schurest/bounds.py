@@ -11,27 +11,28 @@ The two tail bounds are named by the tail they control:
   over the true divergence; driven by Renyi orders above 1, with an
   auxiliary split parameter trading the two terms.
 
-Both take the divergence as renyi, a map that accepts one order or a 1-D
-array of orders (states.renyi_curve).  Each passes its whole grid of
-orders to renyi in one call and scans the values that call returns, so a
-memoized curve evaluates the grid in one batched eigensolve and the
-refinement reads only its own points.  An order where renyi returns NaN
-(the curve could not certify the value, which happens at small orders)
-is left out of the search; every order gives a valid bound, so the
-minimum over the rest is still one.
+Both take the divergence as renyi, a map from a 1-D array of orders to
+the array of sandwiched divergences (states.renyi_curve).  Each tail is
+a Renyi search, _renyi_search: a generator that yields the orders it
+needs, first its whole grid as one array and then one order per point of
+its refinement, is sent the divergences there, and computes its
+objective from them.  One driver, _run, is the only caller of renyi: it
+passes each grid in a call of its own and then, at each Brent step, the
+next order of every search still running in one call.  tail_bound_above
+and tail_bound_below run it over one search, and tail_bounds over both,
+so the two refinements advance in lockstep with one call per step.  An
+order where renyi returns NaN (the curve could not certify the value,
+which happens at small orders) is left out of the search; every order
+gives a valid bound, so the minimum over the rest is still one.
 
 Every refinement runs one bounded Brent search, _brent_steps, a generator
 that yields each point and is sent the objective's value there.
-tail_bounds computes both tails at once: after the two grid calls it
-advances both refinements in lockstep and, at each step, passes the two
-orders they read next to renyi in one call, so a memoized curve does one
-eigensolve per step for both tails.  Its results are the same floats as
-tail_bound_above's and tail_bound_below's.  That rests on the kernel's
-bits depending on the batch's shape: a one- or two-order call gives the
-same value for an order, while a long batch may not (numpy's power takes
-another path for long arrays, up to 4.4e-16 apart at order 0.5).  So the
-lockstep calls hold at most the two pending orders, and the grids keep
-their own calls.
+tail_bounds gives the same floats as tail_bound_above and
+tail_bound_below.  That rests on the kernel's bits depending on the
+batch's shape: a one- or two-order call gives the same value for an
+order, while a long batch may not (numpy's power takes another path for
+long arrays, up to 4.4e-16 apart at order 0.5).  So the lockstep calls
+hold at most the two pending orders, and the grids keep their own calls.
 """
 
 from __future__ import annotations
@@ -154,45 +155,27 @@ def _brent_steps(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _evaluated(steps, fun, order):
-    """Send a search generator fun's value at each point x it yields.
+def _minimize(fun, steps):
+    """Run a search generator, sending fun's value at each point it yields.
 
-    A generator itself: before fun is evaluated at x it yields order(x),
-    the Renyi order fun is about to read, so a driver can fetch that order
-    together with other searches' (see tail_bounds).  Returns the search's
-    result.
+    Returns the search's result.
     """
-    x = next(steps)
-    while True:
-        yield order(x)
-        try:
+    try:
+        x = next(steps)
+        while True:
             x = steps.send(fun(x))
-        except StopIteration as stop:
-            return stop.value
+    except StopIteration as stop:
+        return stop.value
 
 
-def _result(search):
-    """Run a search generator to its end, ignoring what it yields."""
-    while True:
-        try:
-            next(search)
-        except StopIteration as stop:
-            return stop.value
-
-
-def _bounded_brent(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Bounded Brent minimization of fun on [lo, hi]; returns (argmin, min)."""
-    return _result(_evaluated(_brent_steps(lo, hi, xatol), fun, float))
-
-
-def _refine(fun, grid_points, grid_values, lo, hi, order=float, tol=1e-6):
+def _refine(grid_points, grid_values, lo, hi, tol=1e-6):
     """Grid scan then bounded refinement, as a generator; returns (argmin, min).
 
-    grid_values are fun's values at grid_points, which the caller computes
-    (from one batched call where fun reads a Renyi curve).  The refinement
-    yields order(x) before each point x it evaluates (see _evaluated).
-    Points where fun is NaN or +inf are skipped; when every grid point is,
-    the result is (the first grid point, +inf).
+    grid_values are the objective's values at grid_points, which the caller
+    computes.  The refinement yields each point it evaluates and is sent
+    the objective's value there (see _brent_steps).  Points whose value is
+    NaN or +inf are skipped; when every grid point is, the result is (the
+    first grid point, +inf) and nothing is yielded.
     """
     best_x, best_v = None, math.inf
     for x, v in zip(grid_points, grid_values):
@@ -204,10 +187,31 @@ def _refine(fun, grid_points, grid_values, lo, hi, order=float, tol=1e-6):
     idx = span.index(best_x)
     left = span[idx - 1] if idx > 0 else lo
     right = span[idx + 1] if idx + 1 < len(span) else hi
-    x, value = yield from _evaluated(_brent_steps(left, right, tol / 10), fun, order)
+    x, value = yield from _brent_steps(left, right, tol / 10)
     if value < best_v:
         return float(x), float(value)
     return float(best_x), float(best_v)
+
+
+def _renyi_search(grid, lo, hi, order, objective):
+    """Minimize objective(x, div) over x, div the divergence at order(x).
+
+    A generator: it yields the grid's orders as one array and is sent the
+    array of their divergences, then yields the order of each point the
+    refinement reads and is sent the divergence there.  A point read
+    twice (a Brent point on the grid) keeps the first value it was sent.
+    Returns (argmin, min, the divergence at the argmin).
+    """
+    divs = dict(zip(grid, (yield np.array([order(x) for x in grid])).tolist()))
+    steps = _refine(grid, [objective(x, divs[x]) for x in grid], lo, hi)
+    try:
+        x = next(steps)
+        while True:
+            div = yield order(x)
+            x = steps.send(objective(x, divs.setdefault(x, div)))
+    except StopIteration as stop:
+        x, best = stop.value
+    return x, best, divs[x]
 
 
 @dataclass(frozen=True)
@@ -223,25 +227,17 @@ def _admissible(value: float) -> float:
     return math.inf if math.isnan(value) else value
 
 
-def _below_search(n: int, schur_dim: int, rate: float, renyi):
-    """tail_bound_below as a search generator (see _refine) returning the bound."""
+def _below_search(n: int, schur_dim: int, rate: float):
+    """tail_bound_below as a Renyi search (see _renyi_search) returning the bound."""
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
     log_dim = math.log(schur_dim)
 
-    def order(a: float) -> float:
-        return 1 - a
-
-    def exponent_at(a: float, div: float) -> float:
+    def exponent(a: float, div: float) -> float:
         return _admissible(a * log_dim - n * a * (div - rate))
 
-    def exponent(a: float) -> float:
-        return exponent_at(a, renyi(order(a)))
-
     grid = [i / 100 for i in range(1, 100)]
-    divs = renyi(np.array([order(a) for a in grid])).tolist()
-    scan = [exponent_at(a, div) for a, div in zip(grid, divs)]
-    alpha, best = yield from _refine(exponent, grid, scan, 0.01, 0.99, order)
+    alpha, best, _ = yield from _renyi_search(grid, 0.01, 0.99, lambda a: 1 - a, exponent)
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
 
@@ -249,10 +245,11 @@ def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     """Bound on P{estimate < rate}: min over a in (0,1) of
     schur_dim**a * exp(-n a (renyi(1-a) - rate)).
 
-    renyi maps an order, or a 1-D array of orders, to the sandwiched
-    divergence; the 99 grid orders 1 - i/100 go to it in one call first.
+    renyi maps a 1-D array of orders to the array of sandwiched
+    divergences; the 99 grid orders 1 - i/100 go to it in one call, then
+    each refinement point's order in a call of its own.
     """
-    return _result(_below_search(n, schur_dim, rate, renyi))
+    return _run([_below_search(n, schur_dim, rate)], renyi)[0]
 
 
 def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[float, float, float]:
@@ -272,8 +269,8 @@ def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[fl
     return value, top + math.log1p(math.exp(min(first, second) - top)), r_star
 
 
-def _above_search(n: int, schur_dim: int, rate: float, renyi):
-    """tail_bound_above as a search generator (see _refine) returning the bound."""
+def _above_search(n: int, schur_dim: int, rate: float):
+    """tail_bound_above as a Renyi search (see _renyi_search) returning the bound."""
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
     log_dim = math.log(schur_dim)
@@ -281,26 +278,20 @@ def _above_search(n: int, schur_dim: int, rate: float, renyi):
     def alpha_of(u: float) -> float:
         return u / (1 - u)
 
-    def order(u: float) -> float:
-        return 1 + alpha_of(u)
+    def split_term(u: float, div: float) -> tuple[float, float, float]:
+        a = alpha_of(u)
+        return _split_term(n, log_dim, a, -n * a * (rate - div))
 
     def best_at(u: float, div: float) -> float:
-        a = alpha_of(u)
-        offset = -n * a * (rate - div)
-        return _admissible(_split_term(n, log_dim, a, offset)[1])
-
-    def best_for(u: float) -> float:
-        return best_at(u, renyi(order(u)))
+        return _admissible(split_term(u, div)[1])
 
     grid = [i / 256 for i in range(1, 256)]
-    divs = renyi(np.array([order(u) for u in grid])).tolist()
-    scan = [best_at(u, div) for u, div in zip(grid, divs)]
-    u_opt, best_log = yield from _refine(best_for, grid, scan, 1e-4, 1 - 1e-4, order)
+    u_opt, best_log, div = yield from _renyi_search(
+        grid, 1e-4, 1 - 1e-4, lambda u: 1 + alpha_of(u), best_at)
     alpha = alpha_of(u_opt)
     if best_log == math.inf:  # no order gives a finite bound
         return TailBound(value=1.0, exponent=0.0, alpha=alpha)
-    offset = -n * alpha * (rate - renyi(1 + alpha))
-    value, log_value, r_star = _split_term(n, log_dim, alpha, offset)
+    value, log_value, r_star = split_term(u_opt, div)
     if value >= 1:
         return TailBound(value=1.0, exponent=min(best_log, 0.0), alpha=alpha,
                          split=r_star if r_star > 0 else None)
@@ -314,11 +305,11 @@ def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
     The split parameter is eliminated by calculus; the remaining scalar
     search runs over u = a/(1+a) in (0,1), which compactifies the
     unbounded a-domain (the objective has a finite a -> infinity limit).
-    renyi maps an order, or a 1-D array of orders, to the sandwiched
-    divergence; the 255 grid orders 1 + u/(1-u), u = i/256, go to it in
-    one call first.
+    renyi maps a 1-D array of orders to the array of sandwiched
+    divergences; the 255 grid orders 1 + u/(1-u), u = i/256, go to it in
+    one call, then each refinement point's order in a call of its own.
     """
-    return _result(_above_search(n, schur_dim, rate, renyi))
+    return _run([_above_search(n, schur_dim, rate)], renyi)[0]
 
 
 def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
@@ -328,27 +319,35 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
 
     Each search's grid goes to renyi in its own call, the above grid
     first.  Then at each Brent step the orders both searches read next go
-    to renyi in one call, so a memoized curve evaluates them in one
-    batched eigensolve and each search reads its value back from it.
+    to renyi in one call.
     """
-    searches = [_above_search(n, schur_dim, rate_above, renyi),
-                _below_search(n, schur_dim, rate_below, renyi)]
+    return _run([_above_search(n, schur_dim, rate_above),
+                 _below_search(n, schur_dim, rate_below)], renyi)
+
+
+def _run(searches, renyi) -> tuple:
+    """Run Renyi searches (see _renyi_search) to their ends; returns their results.
+
+    The one caller of renyi.  Each search's grid goes to renyi in a call
+    of its own, in the order given; after that each call holds the next
+    order of every search still running, and each search is sent its
+    value.
+    """
     results = [None] * len(searches)
     pending: dict[int, float] = {}  # search index -> the order it reads next
 
-    def advance(i: int) -> None:
+    def advance(i: int, sent) -> None:
         try:
-            pending[i] = next(searches[i])
+            pending[i] = searches[i].send(sent)
         except StopIteration as stop:
             pending.pop(i, None)
             results[i] = stop.value
 
-    for i in range(len(searches)):
-        advance(i)
+    for i, search in enumerate(searches):
+        advance(i, renyi(next(search)))
     while pending:
-        renyi(np.array(list(pending.values())))
-        for i in list(pending):
-            advance(i)
+        for i, div in zip(list(pending), renyi(np.array(list(pending.values()))).tolist()):
+            advance(i, div)
     return tuple(results)
 
 
@@ -373,7 +372,7 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
         return (s - 1) * log_c - math.log(s) - math.log(1 - s)
 
     grid = [i / 64 for i in range(1, 64)]
-    s_opt, best = _result(_refine(log_inner, grid, [log_inner(s) for s in grid], 1e-6, 1 - 1e-6))
+    s_opt, best = _minimize(log_inner, _refine(grid, [log_inner(s) for s in grid], 1e-6, 1 - 1e-6))
     exact = (math.sqrt(c0 / c) + math.exp(best)) ** 2 / epsilon**2
     simple = (math.sqrt(c0) + 4) ** 2 / (c * epsilon**2)
     return ComplexityBound(exact=exact, simple=simple, s_opt=s_opt)

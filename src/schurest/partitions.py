@@ -89,11 +89,14 @@ def young_count(n: int, d: int, cap: int) -> int:
     The count is p_d(n), the partitions of n into at most d parts, from
     p_k(m) = p_(k-1)(m) + p_k(m - k).  It never decreases in n or in d, so
     the recurrence stops at the first k whose count passes cap, and n is
-    cut to 2 * cap: p_2 passes cap there, and p_1 = 1 for every n.  The
-    cost is O(cap * k) for the k passes made, whatever n and d are.
+    cut to 2 * cap: p_2 passes cap there, and p_1 = 1 for every n, which
+    needs no table.  The cost is O(cap * k) for the k passes made, whatever
+    n and d are.
     """
     if n < 0 or d < 1 or cap < 0:
         raise ValueError("need n >= 0, d >= 1 and cap >= 0")
+    if d == 1:
+        return 1
     m = min(n, 2 * cap)
     counts = [1] * (m + 1)  # p_1, so a one-level count makes no pass over m
     for k in range(2, min(d, m) + 1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,9 +90,6 @@ class SigmaSpectrum:
     @property
     def dim(self) -> int:
         return len(self.values)
-
-    def matrix(self) -> np.ndarray:
-        return (self.basis * self.values) @ self.basis.conj().T
 
 
 def sigma_spectrum(sigma: DensityMatrix, min_eig: float = 1e-12) -> SigmaSpectrum:
@@ -193,7 +191,9 @@ def _renyi_orders(pair: _RenyiPair, alphas: np.ndarray) -> np.ndarray:
     pair.null smallest eigenvalues are the exact zeros of a rank-deficient
     rho and are left out of the trace.
     """
-    if alphas.ndim != 1 or not ((alphas > 0) & (alphas != 1) & (alphas < np.inf)).all():
+    if not isinstance(alphas, np.ndarray) or alphas.ndim != 1:
+        raise ValueError("need a 1-D array of orders")
+    if not ((alphas > 0) & (alphas != 1) & (alphas < np.inf)).all():
         raise ValueError("need alpha > 0 and alpha != 1")
     t = (1.0 - alphas) / (2.0 * alphas)
     powers = np.power(pair.s, t[:, None])
@@ -243,30 +243,13 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
 
 
 def renyi_curve(rho: DensityMatrix, sigma: DensityMatrix):
-    """Return a memoized map from orders to sandwiched divergences for one pair.
+    """Return the map from a 1-D array of orders to sandwiched divergences for one pair.
 
-    The reference is diagonalized and checked for full rank once, here.
-    The map takes one order and returns a float, or a 1-D array of orders
-    and returns an array; the orders not yet memoized are evaluated in one
-    batched call.  Uncertified orders come back as NaN, as from
-    sandwiched_renyi.
+    The reference is diagonalized and checked for full rank once, here;
+    each call evaluates its orders in one batched eigensolve and returns an
+    array.  Uncertified orders come back as NaN, as from sandwiched_renyi.
     """
-    pair = _renyi_pair(rho, sigma)
-    cache: dict[float, float] = {}
-
-    def curve(alpha):
-        if not isinstance(alpha, np.ndarray):
-            key = float(alpha)
-            if key not in cache:
-                cache[key] = float(_renyi_orders(pair, np.array([key]))[0])
-            return cache[key]
-        keys = alpha.astype(float).tolist()
-        missing = [key for key in dict.fromkeys(keys) if key not in cache]
-        if missing:
-            cache.update(zip(missing, _renyi_orders(pair, np.array(missing)).tolist()))
-        return np.array([cache[key] for key in keys])
-
-    return curve
+    return partial(_renyi_orders, _renyi_pair(rho, sigma))
 
 
 # ------------------------------------------------- local estimation checks

@@ -61,6 +61,7 @@ from schurest.partitions import (
 from schurest.scaling import UniformReferenceScan
 from schurest.states import (
     DensityMatrix,
+    SigmaSpectrum,
     relative_entropy,
     relative_varentropy,
     sandwiched_renyi,
@@ -522,6 +523,11 @@ def pinching_defect(state, projectors) -> float:
     return float(np.linalg.eigvalsh(diff)[0])
 
 
+def spectrum_matrix(spec: SigmaSpectrum) -> np.ndarray:
+    """The reference state rebuilt from its eigendecomposition."""
+    return (spec.basis * spec.values) @ spec.basis.conj().T
+
+
 def renyi_trace_check(rho: DensityMatrix, sigma, n: int, alpha: float) -> tuple[float, float]:
     """Pinched Renyi trace against its dimension-weighted single-copy power.
 
@@ -546,7 +552,8 @@ def renyi_trace_check(rho: DensityMatrix, sigma, n: int, alpha: float) -> tuple[
     gamma_pow = (vecs * powered) @ vecs.conj().T
     sigma_diag = kron_power(np.diag(spec.values), n).real.diagonal()
     lhs = float(np.real(gamma_pow.diagonal() @ np.power(sigma_diag, 1 - alpha)))
-    single = math.exp((alpha - 1) * sandwiched_renyi(rho, DensityMatrix(spec.matrix()), alpha))
+    reference = DensityMatrix(spectrum_matrix(spec))
+    single = math.exp((alpha - 1) * sandwiched_renyi(rho, reference, alpha))
     rhs = total_schur_dim(n, d).total ** (1 - alpha) * single**n
     return lhs, rhs
 

@@ -155,7 +155,8 @@ def test_above_bound_beats_any_sampled_parameter_choice():
     assert 0 < bound.value <= 1
     for a in (0.1, 0.5, 1.0, 2.0, 5.0):
         for r in (0.01, 0.1, 0.5, 1.0):
-            direct = math.exp(-n * a * (rate - r - renyi(1 + a))) + schur_dim * math.exp(-n * r)
+            div = sandwiched_renyi(rho, sigma, 1 + a)
+            direct = math.exp(-n * a * (rate - r - div)) + schur_dim * math.exp(-n * r)
             assert bound.value <= min(1.0, direct) + 1e-12
 
 
@@ -176,7 +177,8 @@ def test_below_bound_beats_any_sampled_alpha():
     rate = relative_entropy(rho, sigma) - 1.0
     bound = tail_bound_below(n, schur_dim, rate, renyi)
     for a in (0.05, 0.2, 0.5, 0.8, 0.95):
-        direct = math.exp(a * math.log(schur_dim) - n * a * (renyi(1 - a) - rate))
+        div = sandwiched_renyi(rho, sigma, 1 - a)
+        direct = math.exp(a * math.log(schur_dim) - n * a * (div - rate))
         assert bound.value <= min(1.0, direct) + 1e-12
 
 
@@ -328,7 +330,7 @@ def _hole(fill, lo, hi):
 @pytest.mark.parametrize("xatol", [1e-3, 1e-7, 1e-10])
 def test_bounded_brent_is_bit_identical_to_scipy(fun, lo, hi, xatol):
     log, ref_log = [], []
-    x, value = bounds._bounded_brent(logged(fun, log), lo, hi, xatol)
+    x, value = bounds._minimize(logged(fun, log), bounds._brent_steps(lo, hi, xatol))
     with np.errstate(invalid="ignore"):
         ref_x, ref_value = scipy_bounded(logged(fun, ref_log), lo, hi, xatol)
     assert [t for t, _ in log] == [t for t, _ in ref_log]  # the same points, in order
@@ -423,7 +425,7 @@ def test_tomography_validation():
 def test_sandwiched_renyi_feeds_bounds_consistently():
     rho, sigma = random_pair(3, seed=21)
     renyi = renyi_curve(rho, sigma)
-    assert renyi(0.5) == pytest.approx(sandwiched_renyi(rho, sigma, 0.5), abs=1e-12)
+    assert renyi(np.array([0.5]))[0] == pytest.approx(sandwiched_renyi(rho, sigma, 0.5), abs=1e-12)
     bound = tail_bound_below(4, total_schur_dim(4, 3).total,
                              relative_entropy(rho, sigma) - 2.0, renyi)
     assert 0 < bound.value <= 1
@@ -445,53 +447,50 @@ def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
     assert len(calls) - 2 <= 25 and all(1 <= size <= 2 for size in calls[2:])
 
 
-def test_grid_scans_read_the_values_of_their_batch_call():
+def test_tail_bounds_ask_a_plain_batched_map_for_each_order_once():
+    # the searches keep the divergences they are sent, so a map with no
+    # memo gives renyi_curve's floats and sees no order twice: the grids,
+    # then one order per Brent point of each search
     rho, sigma = random_pair(3, seed=5)
-    curve = renyi_curve(rho, sigma)
-    single_orders = []
+    pair = states._renyi_pair(rho, sigma)
+    orders = []
 
-    def renyi(alpha):
-        if not isinstance(alpha, np.ndarray):
-            single_orders.append(alpha)
-        return curve(alpha)
+    def renyi(alphas):
+        orders.extend(alphas.tolist())
+        return states._renyi_orders(pair, alphas)
 
     div = relative_entropy(rho, sigma)
-    tail_bounds(5, total_schur_dim(5, 3).total, div + 0.3, div - 0.3, renyi)
-    # one order per Brent point of each search and the above bound's final
-    # read; none of the 255 + 99 grid orders is asked for again
-    assert len(single_orders) <= 2 * 25 + 1
+    args = (5, total_schur_dim(5, 3).total, div + 0.3, div - 0.3)
+    assert tail_bounds(*args, renyi) == tail_bounds(*args, renyi_curve(rho, sigma))
+    assert len(orders) == len(set(orders)) <= 255 + 99 + 2 * 25
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_paired_tail_bounds_are_bit_identical_to_single_tail_bounds(d):
-    # a fresh curve for each path, so the paired one evaluates its Brent
-    # orders two to a call while the single-tail ones go one at a time
+    # the paired path evaluates its Brent orders two to a call, the
+    # single-tail ones one at a time
     for seed in range(12):
         rho = random_mixed(d, seed, floor=0.05)
         sigma = random_mixed(d, 500 + seed, floor=0.05)
         div = relative_entropy(rho, sigma)
-        single, paired = renyi_curve(rho, sigma), renyi_curve(rho, sigma)
+        renyi = renyi_curve(rho, sigma)
         for n in (2, 5, 8, 16):
             schur_dim = total_schur_dim(n, d).total
             for eps in (0.1, 0.3, 1.0):
-                above = tail_bound_above(n, schur_dim, div + eps, single)
-                below = tail_bound_below(n, schur_dim, div - eps, single)
-                assert tail_bounds(n, schur_dim, div + eps, div - eps, paired) == (above, below)
+                above = tail_bound_above(n, schur_dim, div + eps, renyi)
+                below = tail_bound_below(n, schur_dim, div - eps, renyi)
+                assert tail_bounds(n, schur_dim, div + eps, div - eps, renyi) == (above, below)
 
 
 class _ReferenceCurve:
-    """renyi_curve's contract (one order or an array) over the mpmath reference."""
+    """renyi_curve's contract (a 1-D array of orders) over the mpmath reference."""
 
     def __init__(self, rho, sigma):
-        self.rho, self.sigma, self.cache = rho, sigma, {}
+        self.rho, self.sigma = rho, sigma
 
-    def __call__(self, alpha):
-        if isinstance(alpha, np.ndarray):
-            return np.array([self(float(a)) for a in alpha])
-        key = float(alpha)
-        if key not in self.cache:
-            self.cache[key] = reference_sandwiched_renyi(self.rho, self.sigma, key)
-        return self.cache[key]
+    def __call__(self, alphas):
+        return np.array([reference_sandwiched_renyi(self.rho, self.sigma, a)
+                         for a in alphas.tolist()])
 
 
 @pytest.mark.parametrize("n", [4, 8])

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -143,6 +144,18 @@ def test_young_count_is_cheap_for_any_size():
     assert young_count(10**12, 2, 100) == 101
     assert young_count(10**12, 10**12, 100) == 101
     assert young_count(200, 9, 10**5) == 10**5 + 1  # 405,047,836 in full
+
+
+def test_young_count_at_one_level_builds_no_table():
+    # p_1(n) = 1 needs no table; one of min(n, 2 cap) + 1 counts would hold
+    # 8e6 entries here and take 64 MB
+    tracemalloc.start()
+    try:
+        assert young_count(10**18, 1, 4_000_000) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_compositions_cover_and_order():

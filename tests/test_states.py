@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import cramer_rao_check, reference_sandwiched_renyi, varentropy_growth_check
+from oracles import (
+    cramer_rao_check,
+    reference_sandwiched_renyi,
+    spectrum_matrix,
+    varentropy_growth_check,
+)
 
 from schurest.states import (
     DensityMatrix,
@@ -67,7 +72,7 @@ def test_validate_rejects_bad_inputs():
 def test_sigma_spectrum_orders_and_rejects_rank_deficiency():
     spec = sigma_spectrum(diagonal_state([0.1, 0.6, 0.3]))
     assert np.all(np.diff(spec.values) <= 0)
-    assert np.allclose(spec.matrix(), np.diag([0.1, 0.6, 0.3]))
+    assert np.allclose(spectrum_matrix(spec), np.diag([0.1, 0.6, 0.3]))
     with pytest.raises(ValueError):
         sigma_spectrum(diagonal_state([1.0, 0.0]))
 
@@ -189,12 +194,11 @@ def test_renyi_monotone_and_continuous_at_one():
     for seed in range(8):
         rho, sigma = random_pair(2, seed)
         d_value = relative_entropy(rho, sigma)
-        curve = renyi_curve(rho, sigma)
         grid = [0.3, 0.5, 0.8, 0.999, 1.001, 1.2, 2.0]
-        values = [curve(a) for a in grid]
+        values = renyi_curve(rho, sigma)(np.array(grid)).tolist()
         assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
-        assert abs(curve(0.999) - d_value) < 5e-3 * (1 + abs(d_value))
-        assert abs(curve(1.001) - d_value) < 5e-3 * (1 + abs(d_value))
+        assert abs(values[grid.index(0.999)] - d_value) < 5e-3 * (1 + abs(d_value))
+        assert abs(values[grid.index(1.001)] - d_value) < 5e-3 * (1 + abs(d_value))
 
 
 def test_renyi_rejects_bad_alpha():
@@ -248,11 +252,14 @@ def test_renyi_curve_checks_once_and_per_order():
     curve = renyi_curve(rho, sigma)
     for bad in (0.0, -0.5, 1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            curve(bad)
+            curve(np.array([bad]))
     with pytest.raises(ValueError):
         curve(np.array([0.5, 1.0]))
-    assert isinstance(curve(0.5), float)
-    assert curve(np.array([0.5, 2.0]))[0] == curve(0.5)
+    # the curve maps a 1-D array of orders and nothing else
+    for shape_error in (0.5, np.array([[0.5, 2.0]])):
+        with pytest.raises(ValueError, match="1-D array"):
+            curve(shape_error)
+    assert curve(np.array([0.5, 2.0]))[0] == sandwiched_renyi(rho, sigma, 0.5)
 
 
 # The qubit pair on which the tail bound once chose a lost order: at

@@ -96,6 +96,21 @@ def test_only_the_table_writer_reads_the_output_format():
     assert readers == {"_emit_table"}
 
 
+def test_only_the_search_driver_calls_the_renyi_curve():
+    # the tail-bound searches are sent their divergences; a second caller of
+    # renyi would be a second path to the curve, and a reason to memoize it
+    tree = ast.parse((ROOT / "src" / "schurest" / "bounds.py").read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "renyi"
+    }
+    assert callers == {"_run"}
+
+
 def test_only_state_file_loading_handles_overflow():
     # a quantity that can leave the float range is kept as an exact integer or
     # a log; only the CLI's reading of state-file input maps OverflowError
