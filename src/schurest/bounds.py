@@ -1,38 +1,26 @@
 """Closed-form finite-size error bounds with free-parameter optimization.
 
-Every bound here is a smooth expression in one or two free parameters;
-optimization is a coarse grid scan followed by bounded scalar refinement
-with 1e-6 tolerance in the exponent.  Probability bounds are clamped at 1.
-The two tail bounds are named by the tail they control:
+Probability bounds are clamped at 1.  sample_complexity_bound minimizes
+its free parameter in closed form.  tail_bounds is the one tail-bound
+function; it bounds the mass of estimates above a rate (Renyi orders
+above 1, with an auxiliary split parameter) and below another (orders
+below 1), each nontrivial on its side of the true divergence.
 
-- tail_bound_below: mass of estimates below a rate R, nontrivial for R
-  under the true divergence; driven by Renyi orders below 1.
-- tail_bound_above: mass of estimates above a rate R, nontrivial for R
-  over the true divergence; driven by Renyi orders above 1, with an
-  auxiliary split parameter trading the two terms.
+Each tail is a Renyi search, _renyi_search: a generator that yields the
+orders it needs, first its whole grid as one array and then one order
+per step of a bounded Brent refinement (_brent_steps), and is sent the
+divergences there.  One driver, _run, is the only caller of the
+divergence map: it passes each grid in a call of its own, then at each
+Brent step both searches' next orders in one call, so the refinements
+advance in lockstep.  An order the curve could not certify (NaN, at small
+orders) is left out; every order gives a valid bound, so the minimum over
+the rest is still one.
 
-Both take the divergence as renyi, a map from a 1-D array of orders to
-the array of sandwiched divergences (states.renyi_curve).  Each tail is
-a Renyi search, _renyi_search: a generator that yields the orders it
-needs, first its whole grid as one array and then one order per point of
-its refinement, is sent the divergences there, and computes its
-objective from them.  One driver, _run, is the only caller of renyi: it
-passes each grid in a call of its own and then, at each Brent step, the
-next order of every search still running in one call.  tail_bound_above
-and tail_bound_below run it over one search, and tail_bounds over both,
-so the two refinements advance in lockstep with one call per step.  An
-order where renyi returns NaN (the curve could not certify the value,
-which happens at small orders) is left out of the search; every order
-gives a valid bound, so the minimum over the rest is still one.
-
-Every refinement runs one bounded Brent search, _brent_steps, a generator
-that yields each point and is sent the objective's value there.
-tail_bounds gives the same floats as tail_bound_above and
-tail_bound_below.  That rests on the kernel's bits depending on the
-batch's shape: a one- or two-order call gives the same value for an
-order, while a long batch may not (numpy's power takes another path for
-long arrays, up to 4.4e-16 apart at order 0.5).  So the lockstep calls
-hold at most the two pending orders, and the grids keep their own calls.
+A tail's floats do not depend on the other tail beside it, because a
+one- or two-order call gives the kernel's same bits for an order, while
+a long batch may not (numpy's power takes another path for long arrays,
+up to 4.4e-16 apart at order 0.5).  So the lockstep calls hold at most
+the two pending orders, and the grids keep their own calls.
 """
 
 from __future__ import annotations
@@ -65,6 +53,7 @@ def mse_bound_counting(n: int, d: int, varentropy: float) -> float:
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _MAX_EVALS = 500
+_SEARCH_XATOL = 1e-7  # each refinement's absolute tolerance in the parameter it searches
 
 
 def _step_sign(v: float) -> float:
@@ -155,63 +144,41 @@ def _brent_steps(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _minimize(fun, steps):
-    """Run a search generator, sending fun's value at each point it yields.
-
-    Returns the search's result.
-    """
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(fun(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _refine(grid_points, grid_values, lo, hi, tol=1e-6):
-    """Grid scan then bounded refinement, as a generator; returns (argmin, min).
-
-    grid_values are the objective's values at grid_points, which the caller
-    computes.  The refinement yields each point it evaluates and is sent
-    the objective's value there (see _brent_steps).  Points whose value is
-    NaN or +inf are skipped; when every grid point is, the result is (the
-    first grid point, +inf) and nothing is yielded.
-    """
-    best_x, best_v = None, math.inf
-    for x, v in zip(grid_points, grid_values):
-        if v < best_v:
-            best_x, best_v = x, v
-    if best_x is None:
-        return float(grid_points[0]), math.inf
-    span = sorted(grid_points)
-    idx = span.index(best_x)
-    left = span[idx - 1] if idx > 0 else lo
-    right = span[idx + 1] if idx + 1 < len(span) else hi
-    x, value = yield from _brent_steps(left, right, tol / 10)
-    if value < best_v:
-        return float(x), float(value)
-    return float(best_x), float(best_v)
-
-
 def _renyi_search(grid, lo, hi, order, objective):
-    """Minimize objective(x, div) over x, div the divergence at order(x).
+    """Minimize objective(x, div) over x in [lo, hi], div the divergence at order(x).
 
-    A generator: it yields the grid's orders as one array and is sent the
-    array of their divergences, then yields the order of each point the
-    refinement reads and is sent the divergence there.  A point read
-    twice (a Brent point on the grid) keeps the first value it was sent.
-    Returns (argmin, min, the divergence at the argmin).
+    A generator: it yields the orders of the ascending grid as one array
+    and is sent the array of their divergences.  From the best grid point
+    a bounded Brent search (_brent_steps, tolerance 1e-7) refines over the
+    bracket of its grid neighbours, or lo and hi at the ends; it yields the
+    order of each point it reads and is sent the divergence there.  A point
+    read twice (a Brent point on the grid) keeps the first value it was
+    sent.  Points whose value is NaN or +inf are skipped, and the grid
+    point is kept unless Brent beats it.  Returns (argmin, min, the
+    divergence at the argmin); when no grid value is finite that is (the
+    first grid point, +inf, its divergence) and nothing more is yielded.
     """
     divs = dict(zip(grid, (yield np.array([order(x) for x in grid])).tolist()))
-    steps = _refine(grid, [objective(x, divs[x]) for x in grid], lo, hi)
+    best_x, best = grid[0], math.inf
+    for x in grid:
+        value = objective(x, divs[x])
+        if value < best:
+            best_x, best = x, value
+    if best == math.inf:
+        return best_x, best, divs[best_x]
+    i = grid.index(best_x)
+    steps = _brent_steps(grid[i - 1] if i > 0 else lo,
+                         grid[i + 1] if i + 1 < len(grid) else hi, _SEARCH_XATOL)
     try:
         x = next(steps)
         while True:
             div = yield order(x)
             x = steps.send(objective(x, divs.setdefault(x, div)))
     except StopIteration as stop:
-        x, best = stop.value
-    return x, best, divs[x]
+        x, value = stop.value
+    if value < best:
+        best_x, best = x, value
+    return best_x, best, divs[best_x]
 
 
 @dataclass(frozen=True)
@@ -228,9 +195,12 @@ def _admissible(value: float) -> float:
 
 
 def _below_search(n: int, schur_dim: int, rate: float):
-    """tail_bound_below as a Renyi search (see _renyi_search) returning the bound."""
-    if n < 1 or schur_dim < 1:
-        raise ValueError("need n >= 1 and schur_dim >= 1")
+    """The below-tail bound as a Renyi search (see _renyi_search) returning it.
+
+    min over a in (0, 1) of schur_dim**a * exp(-n a (D_(1-a) - rate)), D_b
+    the sandwiched divergence of order b, over the 99 grid orders
+    1 - i/100 and then Brent's.
+    """
     log_dim = math.log(schur_dim)
 
     def exponent(a: float, div: float) -> float:
@@ -239,17 +209,6 @@ def _below_search(n: int, schur_dim: int, rate: float):
     grid = [i / 100 for i in range(1, 100)]
     alpha, best, _ = yield from _renyi_search(grid, 0.01, 0.99, lambda a: 1 - a, exponent)
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
-
-
-def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
-    """Bound on P{estimate < rate}: min over a in (0,1) of
-    schur_dim**a * exp(-n a (renyi(1-a) - rate)).
-
-    renyi maps a 1-D array of orders to the array of sandwiched
-    divergences; the 99 grid orders 1 - i/100 go to it in one call, then
-    each refinement point's order in a call of its own.
-    """
-    return _run([_below_search(n, schur_dim, rate)], renyi)[0]
 
 
 def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[float, float, float]:
@@ -270,9 +229,15 @@ def _split_term(n: int, log_dim: float, alpha: float, offset: float) -> tuple[fl
 
 
 def _above_search(n: int, schur_dim: int, rate: float):
-    """tail_bound_above as a Renyi search (see _renyi_search) returning the bound."""
-    if n < 1 or schur_dim < 1:
-        raise ValueError("need n >= 1 and schur_dim >= 1")
+    """The above-tail bound as a Renyi search (see _renyi_search) returning it.
+
+    min over a > 0, r > 0 of exp(-n a (rate - r - D_(1+a))) + schur_dim exp(-n r).
+    The split parameter r is eliminated by calculus (_split_term); the
+    remaining scalar search runs over u = a/(1+a) in (0, 1), which
+    compactifies the unbounded a-domain (the objective has a finite
+    a -> infinity limit), over the 255 grid orders 1 + u/(1-u), u = i/256,
+    and then Brent's.
+    """
     log_dim = math.log(schur_dim)
 
     def alpha_of(u: float) -> float:
@@ -298,29 +263,22 @@ def _above_search(n: int, schur_dim: int, rate: float):
     return TailBound(value=value, exponent=log_value, alpha=alpha, split=r_star)
 
 
-def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> TailBound:
-    """Bound on P{estimate > rate}: min over a > 0, r > 0 of
-    exp(-n a (rate - r - renyi(1+a))) + schur_dim * exp(-n r).
-
-    The split parameter is eliminated by calculus; the remaining scalar
-    search runs over u = a/(1+a) in (0,1), which compactifies the
-    unbounded a-domain (the objective has a finite a -> infinity limit).
-    renyi maps a 1-D array of orders to the array of sandwiched
-    divergences; the 255 grid orders 1 + u/(1-u), u = i/256, go to it in
-    one call, then each refinement point's order in a call of its own.
-    """
-    return _run([_above_search(n, schur_dim, rate)], renyi)[0]
-
-
 def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
                 renyi) -> tuple[TailBound, TailBound]:
-    """tail_bound_above at rate_above and tail_bound_below at rate_below,
-    with the two refinements in lockstep; the results are the same floats.
+    """Bounds on P{estimate > rate_above} and P{estimate < rate_below}.
 
-    Each search's grid goes to renyi in its own call, the above grid
-    first.  Then at each Brent step the orders both searches read next go
-    to renyi in one call.
+    above: min over a > 0, r > 0 of
+           exp(-n a (rate_above - r - D_(1+a))) + schur_dim exp(-n r)
+    below: min over a in (0, 1) of schur_dim**a exp(-n a (D_(1-a) - rate_below))
+
+    D_b is the sandwiched divergence of order b, read from renyi, a map
+    from a 1-D array of orders to the array of divergences
+    (states.renyi_curve).  Each search's grid goes to renyi in its own
+    call, the above grid first; then at each Brent step the orders both
+    searches read next go to renyi in one call.
     """
+    if n < 1 or schur_dim < 1:
+        raise ValueError("need n >= 1 and schur_dim >= 1")
     return _run([_above_search(n, schur_dim, rate_above),
                  _below_search(n, schur_dim, rate_below)], renyi)
 
@@ -366,14 +324,14 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
     """
     if c <= 0 or c0 < 0 or epsilon <= 0:
         raise ValueError("need c > 0, c0 >= 0, epsilon > 0")
+    # the log of the inner term, (s - 1) log c - log s - log(1 - s), is
+    # strictly convex in s; its derivative log c - 1/s + 1/(1 - s) vanishes
+    # at the root in (0, 1) of log c s^2 - (log c + 2) s + 1, written here
+    # so that log c = 0 needs no case of its own
     log_c = math.log(c)
-
-    def log_inner(s: float) -> float:
-        return (s - 1) * log_c - math.log(s) - math.log(1 - s)
-
-    grid = [i / 64 for i in range(1, 64)]
-    s_opt, best = _minimize(log_inner, _refine(grid, [log_inner(s) for s in grid], 1e-6, 1 - 1e-6))
-    exact = (math.sqrt(c0 / c) + math.exp(best)) ** 2 / epsilon**2
+    s_opt = 2 / (log_c + 2 + math.sqrt(log_c * log_c + 4))
+    inner = math.exp((s_opt - 1) * log_c - math.log(s_opt) - math.log1p(-s_opt))
+    exact = (math.sqrt(c0 / c) + inner) ** 2 / epsilon**2
     simple = (math.sqrt(c0) + 4) ** 2 / (c * epsilon**2)
     return ComplexityBound(exact=exact, simple=simple, s_opt=s_opt)
 

@@ -50,7 +50,6 @@ from .states import (
     save_state,
 )
 
-SCAN_SPECTRUM_RATIO = 0.9  # geometric eigenvalue ratio used by complexity-scan states
 # every block dims prints has d parts, weyl_dim takes up to d^2 factors and
 # sn_dim multiplies integers of up to n log10(d) digits, so the Young-index
 # count times d^2 + ceil(n log10 d) must stay below this; the slowest sizes
@@ -192,6 +191,15 @@ def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
     return rho, sigma
 
 
+def _supported_pair(args) -> tuple[DensityMatrix, DensityMatrix, float]:
+    """The state pair and D(rho || sigma), refused when rho leaves sigma's support."""
+    rho, sigma = _load_pair(args)
+    div = relative_entropy(rho, sigma)
+    if not math.isfinite(div):
+        raise CliError("validation", "relative entropy is infinite (support violation)")
+    return rho, sigma, div
+
+
 # ----------------------------------------------------------------- subcommands
 
 
@@ -224,10 +232,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    rho, sigma = _load_pair(args)
-    div = relative_entropy(rho, sigma)
-    if not math.isfinite(div):
-        raise CliError("validation", "relative entropy is infinite (support violation)")
+    rho, sigma, div = _supported_pair(args)
     payload = {
         "d": rho.dim,
         "relative_entropy": div,
@@ -254,7 +259,7 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    rho, sigma = _load_pair(args)
+    rho, sigma, _ = _supported_pair(args)
     try:
         report = estimate_report(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
@@ -277,7 +282,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    rho, sigma = _load_pair(args)
+    rho, sigma, _ = _supported_pair(args)
     try:
         report = tail_report(rho, sigma, args.n, args.epsilon)
     except (ValueError, ArithmeticError) as exc:
@@ -287,13 +292,10 @@ def cmd_tail(args) -> int:
 
 
 def cmd_normality(args) -> int:
-    rho, sigma = _load_pair(args)
+    rho, sigma, div = _supported_pair(args)
     if (args.n is None) == (args.n_range is None):
         raise CliError("parse", "normality needs exactly one of --n / --n-range")
     n_values = [args.n] if args.n is not None else _parse_n_range(args.n_range)
-    div = relative_entropy(rho, sigma)
-    if not math.isfinite(div):
-        raise CliError("validation", "relative entropy is infinite (support violation)")
     varentropy = relative_varentropy(rho, sigma)
     if varentropy <= 0:
         raise CliError("validation", "varentropy is zero; no normal limit to compare to")
@@ -328,7 +330,7 @@ def cmd_complexity_scan(args) -> int:
         if not math.isfinite(c):
             raise CliError("validation", f"epsilon = {args.epsilon!r} calibrates an infinite budget")
         try:
-            row = complexity_row(d, c, c0, args.epsilon, q=SCAN_SPECTRUM_RATIO)
+            row = complexity_row(d, c, c0, args.epsilon)
         except (ValueError, ArithmeticError) as exc:
             raise CliError("compute", f"d={d}: {exc}")
         rows.append(row)
@@ -353,8 +355,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_state(args) -> int:
-    if args.out is None:
-        raise CliError("parse", "gen-state requires --out")
     if args.kind == "diagonal":
         if args.spectrum is None:
             raise CliError("parse", "diagonal states need --spectrum")

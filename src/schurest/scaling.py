@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import sample_complexity_bound, tomography_baseline
-from .states import DensityMatrix, relative_varentropy
+from .states import DensityMatrix, random_mixed, relative_varentropy
 
 SCAN_MAX_D = 4
 # the scan refuses more Young indices than this (about 15 s at d = 4)
@@ -339,16 +339,15 @@ def uniform_reference_scan(d: int, n: int, q: float, epsilon: float) -> UniformR
     )
 
 
-def varentropy_scale_proxy(d: int, seeds=range(8), q_grid=(0.3, 0.6, 0.9)) -> float:
+def varentropy_scale_proxy(d: int, seeds=range(8)) -> float:
     """Finite-d stand-in for the limiting constant: the largest observed
-    varentropy against I/d over a seeded state family, scaled by d^2."""
-    from .states import random_mixed
-
+    varentropy against I/d over a seeded state family and the geometric
+    spectra of ratio 0.3, 0.6 and 0.9, scaled by d^2."""
     uniform = DensityMatrix(np.eye(d) / d)
     best = 0.0
     for seed in seeds:
         best = max(best, relative_varentropy(random_mixed(d, seed=seed), uniform))
-    for q in q_grid:
+    for q in (0.3, 0.6, 0.9):
         state = DensityMatrix(np.diag(geometric_spectrum(d, q)).astype(complex))
         best = max(best, relative_varentropy(state, uniform))
     return best / d**2

@@ -92,13 +92,13 @@ class SigmaSpectrum:
         return len(self.values)
 
 
-def sigma_spectrum(sigma: DensityMatrix, min_eig: float = 1e-12) -> SigmaSpectrum:
-    """Diagonalize the reference state; rejects rank deficiency."""
+def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
+    """Diagonalize the reference state; rejects an eigenvalue at or below EXPECTATION_CUT."""
     vals, vecs = np.linalg.eigh(sigma.mat)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    if vals[-1] <= min_eig:
+    if vals[-1] <= EXPECTATION_CUT:
         raise ValueError(
             f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})"
         )
@@ -264,9 +264,9 @@ class SldData:
     dual_direction: np.ndarray  # X1 = (rho L + L rho) / (2 * inner)
 
 
-def _log_psd(mat: np.ndarray, cut: float = EXPECTATION_CUT) -> np.ndarray:
+def _log_psd(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= cut:
+    if vals[0] <= EXPECTATION_CUT:
         raise ValueError("operator log requires full rank here")
     return (vecs * np.log(vals)) @ vecs.conj().T
 

@@ -26,6 +26,10 @@ arithmetic with the Jacobi-Trudi engine:
   per smallest part, read from its lookup tables by fancy indexing (the
   library reads the same tables as strided views over a triangular grid).
 
+tail_bound_above and tail_bound_below are no independent route: each runs
+one of the library's two tail searches alone, the single-tail form that
+the tests hold the paired tail_bounds and scipy's Brent search against.
+
 The module is not collected as a test file; the tests import it from the
 test directory, which pytest puts on sys.path.
 """
@@ -43,6 +47,7 @@ from typing import Iterator, Sequence
 import mpmath
 import numpy as np
 
+from schurest import bounds
 from schurest.distribution import (
     OutcomeDistribution,
     _assemble,
@@ -745,6 +750,20 @@ def reference_sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: 
         vals = mpmath.eighe((core + core.H) / 2, eigvals_only=True)
         trace = mpmath.fsum(max(value, 0) ** order for value in vals)
         return float(mpmath.log(trace) / (order - 1))
+
+
+# ------------------------------------------------------------ single tails
+
+
+def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> bounds.TailBound:
+    """The above-tail bound of tail_bounds, searched alone: its grid in one
+    call to renyi, then one order per call."""
+    return bounds._run([bounds._above_search(n, schur_dim, rate)], renyi)[0]
+
+
+def tail_bound_below(n: int, schur_dim: int, rate: float, renyi) -> bounds.TailBound:
+    """The below-tail bound of tail_bounds, searched alone, as tail_bound_above."""
+    return bounds._run([bounds._below_search(n, schur_dim, rate)], renyi)[0]
 
 
 # ------------------------------------------------------------ copy-budget scan

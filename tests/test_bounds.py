@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_sandwiched_renyi
+from oracles import reference_sandwiched_renyi, tail_bound_above, tail_bound_below
 from scipy.optimize import minimize_scalar
 
 from schurest import bounds, states
@@ -14,8 +14,6 @@ from schurest.bounds import (
     mse_bound,
     mse_bound_counting,
     sample_complexity_bound,
-    tail_bound_above,
-    tail_bound_below,
     tail_bounds,
     tomography_baseline,
 )
@@ -197,10 +195,13 @@ def test_tail_bounds_dominate_exact_tails(n):
 
 
 def test_tail_bound_validation():
+    def unread(alphas):
+        raise AssertionError("the divergences were read before the check")
+
     with pytest.raises(ValueError):
-        tail_bound_below(0, 2, 0.1, lambda a: 1.0)
+        tail_bounds(0, 2, 0.1, 0.1, unread)
     with pytest.raises(ValueError):
-        tail_bound_above(2, 0, 0.1, lambda a: 1.0)
+        tail_bounds(2, 0, 0.1, 0.1, unread)
 
 
 # ----------------------------------------------- bounded Brent refinement
@@ -213,6 +214,17 @@ def scipy_bounded(fun, lo, hi, xatol):
 
 def same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def minimize(fun, steps):
+    """Run a Brent search generator, sending fun's value at each point it
+    yields; returns the search's result."""
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def logged(fun, log):
@@ -296,15 +308,6 @@ def test_paired_tail_refinement_is_bit_identical_to_scipy(d, brent_against_scipy
     assert_tail_refinements_match_scipy(d, brent_against_scipy, paired=True)
 
 
-def test_complexity_refinement_is_bit_identical_to_scipy(brent_against_scipy):
-    for c in (0.1, 1.0, 7.3, 100.0, 1e8):
-        for c0 in (0.0, 1.0, 10.0):
-            sample_complexity_bound(c, c0, 0.5)
-    assert len(brent_against_scipy) == 15
-    for (x, value), (ref_x, ref_value), same_points, _ in brent_against_scipy:
-        assert same_points and x == ref_x and value == ref_value
-
-
 def _hole(fill, lo, hi):
     return lambda x: fill if lo < x < hi else (x - 0.42) ** 2
 
@@ -330,7 +333,7 @@ def _hole(fill, lo, hi):
 @pytest.mark.parametrize("xatol", [1e-3, 1e-7, 1e-10])
 def test_bounded_brent_is_bit_identical_to_scipy(fun, lo, hi, xatol):
     log, ref_log = [], []
-    x, value = bounds._minimize(logged(fun, log), bounds._brent_steps(lo, hi, xatol))
+    x, value = minimize(logged(fun, log), bounds._brent_steps(lo, hi, xatol))
     with np.errstate(invalid="ignore"):
         ref_x, ref_value = scipy_bounded(logged(fun, ref_log), lo, hi, xatol)
     assert [t for t, _ in log] == [t for t, _ in ref_log]  # the same points, in order
@@ -352,6 +355,22 @@ def test_complexity_worked_example():
     assert report.simple == pytest.approx(16.0, abs=1e-12)
     assert report.exact == pytest.approx(16.0, abs=1e-9)
     assert report.s_opt == pytest.approx(0.5, abs=1e-4)
+
+
+def test_complexity_minimum_is_stationary():
+    # the inner term's log, (s - 1) log c - log s - log(1 - s), has the
+    # derivative log c - 1/s + 1/(1 - s); at s_opt it vanishes to rounding
+    # against the size of its terms, and no point of a fine grid beats it
+    for c in (1e-3, 0.5, 3.0, 1e3, 1e8, 1e100, 1e300):
+        s = sample_complexity_bound(c, 1.0, 1.0).s_opt
+
+        def log_inner(t):
+            return (t - 1) * math.log(c) - math.log(t) - math.log(1 - t)
+
+        assert 0 < s < 1
+        assert abs(math.log(c) - 1 / s + 1 / (1 - s)) / (1 / s + 1 / (1 - s)) <= 1e-12
+        for t in (i / 4096 for i in range(1, 4096)):
+            assert log_inner(s) <= log_inner(t) + 1e-12 * abs(log_inner(t))
 
 
 def test_complexity_vanishes_for_large_budget():

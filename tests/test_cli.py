@@ -544,6 +544,20 @@ class TestErrors:
         assert code == 2
         assert "different dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["divergence"], ["normality", "--n", "4"], ["estimate", "--n", "4"],
+        ["tail", "--n", "4", "--epsilon", "0.5"],
+    ], ids=["divergence", "normality", "estimate", "tail"])
+    def test_support_violation_is_one_validation_error(self, tmp_path, command):
+        # rho = |0><0| lies outside the support of sigma = |1><1|
+        pair = []
+        for role, spectrum in (("rho", "1,0"), ("sigma", "0,1")):
+            pair += [f"--{role}", str(tmp_path / f"{role}.json")]
+            assert main(["gen-state", "diagonal", "--spectrum", spectrum, "--out", pair[-1]]) == 0
+        code, out, err = run_main(command + pair)
+        assert (code, out) == (2, "")
+        assert err == "error: validation: relative entropy is infinite (support violation)\n"
+
     @pytest.mark.parametrize("command,flag,value", [
         ("tail", "--epsilon", "inf"),
         ("tail", "--epsilon", "nan"),

@@ -96,19 +96,29 @@ def test_only_the_table_writer_reads_the_output_format():
     assert readers == {"_emit_table"}
 
 
-def test_only_the_search_driver_calls_the_renyi_curve():
-    # the tail-bound searches are sent their divergences; a second caller of
-    # renyi would be a second path to the curve, and a reason to memoize it
+def bounds_callers(name):
+    """The functions in bounds.py that call `name` by its bare name."""
     tree = ast.parse((ROOT / "src" / "schurest" / "bounds.py").read_text())
-    callers = {
+    return {
         func.name
         for func in ast.walk(tree)
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name) and node.func.id == "renyi"
+        and isinstance(node.func, ast.Name) and node.func.id == name
     }
-    assert callers == {"_run"}
+
+
+def test_only_the_search_driver_calls_the_renyi_curve():
+    # the tail-bound searches are sent their divergences; a second caller of
+    # renyi would be a second path to the curve, and a reason to memoize it
+    assert bounds_callers("renyi") == {"_run"}
+
+
+def test_only_the_renyi_search_runs_brent():
+    # every refinement in bounds is a Renyi search; a second caller of the
+    # Brent port would be a second search stack beside it
+    assert bounds_callers("_brent_steps") == {"_renyi_search"}
 
 
 def test_only_state_file_loading_handles_overflow():
