@@ -48,6 +48,7 @@ from .states import (
     relative_entropy,
     relative_varentropy,
     save_state,
+    sigma_spectrum,
 )
 
 # every block dims prints has d parts, weyl_dim takes up to d^2 factors and
@@ -200,6 +201,14 @@ def _supported_pair(args) -> tuple[DensityMatrix, DensityMatrix, float]:
     return rho, sigma, div
 
 
+def _check_reference(sigma: DensityMatrix) -> None:
+    """Refuse a reference state that the estimation protocol cannot use."""
+    try:
+        sigma_spectrum(sigma)
+    except ValueError as exc:
+        raise CliError("validation", str(exc))
+
+
 # ----------------------------------------------------------------- subcommands
 
 
@@ -244,6 +253,7 @@ def cmd_divergence(args) -> int:
 
 def cmd_distribution(args) -> int:
     rho, sigma = _load_pair(args)
+    _check_reference(sigma)
     try:
         dist = distribution(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
@@ -260,6 +270,7 @@ def cmd_distribution(args) -> int:
 
 def cmd_estimate(args) -> int:
     rho, sigma, _ = _supported_pair(args)
+    _check_reference(sigma)
     try:
         report = estimate_report(rho, sigma, args.n)
     except (ValueError, ArithmeticError) as exc:
@@ -283,6 +294,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_tail(args) -> int:
     rho, sigma, _ = _supported_pair(args)
+    _check_reference(sigma)
     try:
         report = tail_report(rho, sigma, args.n, args.epsilon)
     except (ValueError, ArithmeticError) as exc:
@@ -293,6 +305,7 @@ def cmd_tail(args) -> int:
 
 def cmd_normality(args) -> int:
     rho, sigma, div = _supported_pair(args)
+    _check_reference(sigma)
     if (args.n is None) == (args.n_range is None):
         raise CliError("parse", "normality needs exactly one of --n / --n-range")
     n_values = [args.n] if args.n is not None else _parse_n_range(args.n_range)

@@ -139,7 +139,6 @@ def sample_outcomes(dist: OutcomeDistribution, m: int, seed: int = 0) -> np.ndar
 class NormalityReport:
     n: int
     ks: float
-    points: np.ndarray  # standardized values, one row (z, mass) per distinct z
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -161,5 +160,5 @@ def normality_report(dist: OutcomeDistribution, center: float, varentropy: float
     cdf = np.cumsum(masses)
     phi = _normal_cdf(values)
     ks = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(cdf - masses - phi))))
-    return NormalityReport(n=n, ks=ks, points=np.column_stack([values, masses]))
+    return NormalityReport(n=n, ks=ks)
 

@@ -3,9 +3,11 @@
 All logarithms are natural.  Supports are handled by eigenvalue cutoffs:
 a state eigenvalue above 1e-10 counts as support, and a reference-state
 expectation below 1e-12 on such an eigenvector signals a support violation
-(relative entropy +inf).  The reference state sigma must be full rank
-wherever the estimation protocol is involved; that is enforced by
-SigmaSpectrum, not by the divergences themselves.
+(relative entropy +inf).
+
+Each state is diagonalized once, on first use (DensityMatrix.spectrum), and
+every functional reads that.  sigma_spectrum is the one rule for a usable
+reference state, full rank with unit trace; D and V need only its support.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -33,13 +35,16 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending, clipped at 0) and eigenvectors as columns."""
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(mat), kept read-only: eigenvalues ascending, eigenvectors as columns."""
         vals, vecs = np.linalg.eigh(self.mat)
-        return np.clip(vals, 0.0, None), vecs
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectrum with its eigenvalues clipped at 0."""
+        return np.clip(self.spectrum[0], 0.0, None), self.spectrum[1]
 
 
 def validate_state(raw) -> DensityMatrix:
@@ -93,15 +98,12 @@ class SigmaSpectrum:
 
 
 def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
-    """Diagonalize the reference state; rejects an eigenvalue at or below EXPECTATION_CUT."""
-    vals, vecs = np.linalg.eigh(sigma.mat)
+    """The reference rule: sigma's spectrum, descending, if full rank with unit trace."""
+    vals, vecs = sigma.spectrum
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     if vals[-1] <= EXPECTATION_CUT:
-        raise ValueError(
-            f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})"
-        )
+        raise ValueError(f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})")
     trace = float(vals.sum())
     if not abs(trace - 1.0) < 1e-10:
         raise ValueError(f"reference state must have unit trace (trace {trace!r})")
@@ -168,13 +170,12 @@ class _RenyiPair:
 def _renyi_pair(rho: DensityMatrix, sigma: DensityMatrix) -> _RenyiPair:
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    s, sv = np.linalg.eigh(sigma.mat)
-    if s[0] <= EXPECTATION_CUT:
-        raise ValueError("second argument must be full rank")
+    sigma_spectrum(sigma)  # the reference rule
+    s, sv = sigma.spectrum  # as eigh returns them: a reordered copy rounds differently
     # forming sigma^t rho sigma^t and diagonalizing it each err by a few
     # rounding units of its scale, times the dimension
     slack = 8 * rho.dim * float(np.finfo(float).eps)
-    null = int(np.sum(np.linalg.eigvalsh(rho.mat) <= slack))
+    null = int(np.sum(rho.spectrum[0] <= slack))
     return _RenyiPair(rho=rho.mat, s=s, sv=sv, sv_h=sv.conj().T, null=null, slack=slack)
 
 
@@ -231,13 +232,13 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
     """Sandwiched Renyi divergence of order alpha (alpha > 0, alpha != 1).
 
     (1/(alpha-1)) log Tr (sigma^((1-alpha)/2alpha) rho sigma^((1-alpha)/2alpha))^alpha.
-    Requires a full-rank second argument.  Swapping the arguments evaluates
-    the same functional with the roles of the states exchanged; there is no
-    separate "reversed" variant.  The value is within RENYI_TOL of the exact
-    one, or NaN where double precision cannot certify that: at small orders
-    against a spread-out reference spectrum (see _renyi_orders).  Eigenvalues
-    of rho within rounding of zero count as exact zeros, so a pure state is
-    evaluated as pure at every order.
+    The second argument must pass sigma_spectrum.  Swapping the arguments
+    evaluates the same functional with the roles of the states exchanged;
+    there is no separate "reversed" variant.  The value is within RENYI_TOL
+    of the exact one, or NaN where double precision cannot certify that: at
+    small orders against a spread-out reference spectrum (see _renyi_orders).
+    Eigenvalues of rho within rounding of zero count as exact zeros, so a
+    pure state is evaluated as pure at every order.
     """
     return float(_renyi_orders(_renyi_pair(rho, sigma), np.array([float(alpha)]))[0])
 
@@ -245,9 +246,9 @@ def sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: float) -> 
 def renyi_curve(rho: DensityMatrix, sigma: DensityMatrix):
     """Return the map from a 1-D array of orders to sandwiched divergences for one pair.
 
-    The reference is diagonalized and checked for full rank once, here;
-    each call evaluates its orders in one batched eigensolve and returns an
-    array.  Uncertified orders come back as NaN, as from sandwiched_renyi.
+    The reference is checked by sigma_spectrum once, here; each call
+    evaluates its orders in one batched eigensolve and returns an array.
+    Uncertified orders come back as NaN, as from sandwiched_renyi.
     """
     return partial(_renyi_orders, _renyi_pair(rho, sigma))
 
@@ -264,24 +265,23 @@ class SldData:
     dual_direction: np.ndarray  # X1 = (rho L + L rho) / (2 * inner)
 
 
-def _log_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= EXPECTATION_CUT:
-        raise ValueError("operator log requires full rank here")
+def _log_psd(state: DensityMatrix) -> np.ndarray:
+    vals, vecs = state.spectrum
     return (vecs * np.log(vals)) @ vecs.conj().T
 
 
 def sld_quantities(rho: DensityMatrix, sigma: DensityMatrix) -> SldData:
     """The centered log-ratio operator and its quadratic form under rho.
 
-    Both states must be full rank.  The quadratic form equals the relative
-    varentropy; the dual direction X1 is traceless and pairs to 1 with the
-    operator under the trace inner product.
+    rho must be full rank and sigma must pass sigma_spectrum.  The quadratic
+    form equals the relative varentropy; the dual direction X1 is traceless
+    and pairs to 1 with the operator under the trace inner product.
     """
-    log_rho = _log_psd(rho.mat)
-    log_sigma = _log_psd(sigma.mat)
+    if rho.spectrum[0][0] <= EXPECTATION_CUT:
+        raise ValueError("operator log requires full rank here")
+    sigma_spectrum(sigma)  # the reference rule
     d_value = relative_entropy(rho, sigma)
-    op = log_rho - log_sigma - d_value * np.eye(rho.dim)
+    op = _log_psd(rho) - _log_psd(sigma) - d_value * np.eye(rho.dim)
     op = (op + op.conj().T) / 2
     inner = float(np.real(np.trace(rho.mat @ op @ op)))
     if inner <= 0:

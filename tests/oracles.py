@@ -670,7 +670,7 @@ def cramer_rao_check(
         norm = math.sqrt(max(np.real(np.trace(m @ m)), 0.0))
         if norm > 1e-9:
             directions.append(m / norm)
-    min_eig = rho.min_eig()
+    min_eig = np.linalg.eigvalsh(rho.mat)[0]
 
     def derivative(direction: np.ndarray, h: float) -> float:
         spectral = float(np.linalg.norm(direction, 2))
@@ -712,7 +712,7 @@ def varentropy_growth_check(rho: DensityMatrix, sigma: DensityMatrix, t: float) 
     """
     d = sigma.dim
     floor = math.exp(-t * d)
-    if sigma.min_eig() < floor * (1 - 1e-12):
+    if np.linalg.eigvalsh(sigma.mat)[0] < floor * (1 - 1e-12):
         raise ValueError("reference state violates the eigenvalue floor exp(-t d)")
     lhs = math.sqrt(max(relative_varentropy(rho, sigma), 0.0))
     rhs = math.log(d) + t * d

@@ -558,6 +558,25 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: validation: relative entropy is infinite (support violation)\n"
 
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--n", "3"], ["tail", "--n", "3", "--epsilon", "0.3"],
+        ["distribution", "--n", "3"], ["normality", "--n", "3"], ["divergence"],
+    ], ids=["estimate", "tail", "distribution", "normality", "divergence"])
+    def test_singular_reference_is_one_validation_error(self, tmp_path, command):
+        # rho lies inside the support of a rank-2 sigma: D is finite, but the
+        # measurement needs a full-rank reference state
+        pair = []
+        for role, spectrum in (("rho", "0.7,0.3,0"), ("sigma", "0.5,0.5,0")):
+            pair += [f"--{role}", str(tmp_path / f"{role}.json")]
+            assert main(["gen-state", "diagonal", "--spectrum", spectrum, "--out", pair[-1]]) == 0
+        code, out, err = run_main(command + pair)
+        if command == ["divergence"]:
+            assert (code, err) == (0, "")
+            return
+        assert (code, out) == (2, "")
+        assert err == ("error: validation: reference state must be full rank "
+                       "(min eigenvalue 0.000e+00)\n")
+
     @pytest.mark.parametrize("command,flag,value", [
         ("tail", "--epsilon", "inf"),
         ("tail", "--epsilon", "nan"),

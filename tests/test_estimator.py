@@ -322,15 +322,23 @@ def test_normality_trend_noncommuting():
     assert ks[24] < ks[6]
 
 
-def test_normality_points_form_distribution():
+def test_normality_ks_matches_the_sorted_atom_cdf():
     rho, sigma = random_pair(2, seed=59)
     dist = distribution(rho, sigma, 6)
     center = relative_entropy(rho, sigma)
     varentropy = relative_varentropy(rho, sigma)
     report = normality_report(dist, center, varentropy)
-    z, masses = report.points[:, 0], report.points[:, 1]
-    assert (np.diff(z) > 0).all()
-    assert math.fsum(masses.tolist()) == pytest.approx(1.0, abs=1e-11)
+    # the distance is attained at a jump of the outcome CDF, just before or
+    # at one of its distinct standardized values; walk them in order
+    z = (dist.x - center) * math.sqrt(dist.n / varentropy)
+    gaps, below = [], 0.0
+    for value in sorted(set(z.tolist())):
+        at = math.fsum(dist.p[z == value].tolist())
+        phi = 0.5 * math.erfc(-value / math.sqrt(2))
+        gaps += [abs(below - phi), abs(below + at - phi)]
+        below += at
+    assert below == pytest.approx(1.0, abs=1e-11)
+    assert report.ks == pytest.approx(max(gaps), abs=1e-12)
     assert 0 < report.ks <= 1
 
 

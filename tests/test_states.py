@@ -57,7 +57,7 @@ def test_validate_repairs_small_defects():
     base[0, 1] = 1e-9 * 1j  # tiny non-hermitian part
     st = validate_state(base * (1 + 1e-12))
     assert abs(np.trace(st.mat).real - 1.0) < 1e-14
-    assert st.min_eig() >= -1e-15
+    assert np.linalg.eigvalsh(st.mat)[0] >= -1e-15
 
 
 def test_validate_rejects_bad_inputs():

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schurest import estimator, partitions
+from schurest.states import random_mixed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,6 +121,55 @@ def test_only_the_renyi_search_runs_brent():
     # every refinement in bounds is a Renyi search; a second caller of the
     # Brent port would be a second search stack beside it
     assert bounds_callers("_brent_steps") == {"_renyi_search"}
+
+
+def eigensolve_owners(path):
+    """'file:Class.function' for each function or method in `path` that calls
+    eigh or eigvalsh, by attribute (np.linalg.eigh) or by bare name."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("eigh", "eigvalsh"):
+                    found.add(f"{path.name}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return found
+
+
+def test_only_the_spectrum_diagonalizes_a_state():
+    # a state is diagonalized once, by DensityMatrix.spectrum, and every
+    # functional reads that; validate_state diagonalizes the raw input before
+    # it is a state, and _renyi_orders the batched Renyi cores
+    found = set().union(*map(eigensolve_owners, sorted((ROOT / "src" / "schurest").glob("*.py"))))
+    assert found == {"states.py:DensityMatrix.spectrum", "states.py:validate_state",
+                     "states.py:_renyi_orders"}
+
+
+def test_a_report_pair_diagonalizes_each_state_once(monkeypatch):
+    # estimate_report and tail_report read D, V, the Renyi curve and sigma's
+    # spectrum from the same two decompositions; a repeat on the same states
+    # reads them again without solving anything
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, solve=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) == 2:
+                solves.append(solve.__name__)
+            return solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rho, sigma = random_mixed(3, seed=11), random_mixed(3, seed=12, floor=0.05)
+    for expected in (2, 0):
+        solves.clear()
+        estimator.estimate_report(rho, sigma, 4)
+        estimator.tail_report(rho, sigma, 4, 0.3)
+        assert len(solves) <= expected, solves
 
 
 def test_only_state_file_loading_handles_overflow():
