@@ -20,23 +20,23 @@ import argparse
 import math
 
 from schurest.bounds import tomography_baseline
-from schurest.scaling import calibrated_budget, complexity_row, varentropy_scale_proxy
+from schurest.scaling import (BUDGET_TARGET, calibrated_budget, complexity_row,
+                              varentropy_scale_proxy)
 
 EPSILON = 0.5
-TARGET = 0.25
 
 
 def scan_dimension(d: int) -> None:
     c0 = varentropy_scale_proxy(d)
-    c = calibrated_budget(c0, target=TARGET, epsilon=EPSILON)
+    c = calibrated_budget(c0, epsilon=EPSILON)
     row = complexity_row(d, c, c0, epsilon=EPSILON, q=0.9)
     baseline = tomography_baseline(d, math.log(d) / d, EPSILON)
 
     print(f"d = {d}")
     print(f"  varentropy scale c0 = max V / d^2 over the probe family: {c0:.4f}")
-    print(f"  calibrated budget c = (sqrt(c0)+4)^2 / ({TARGET} * {EPSILON}^2): {c:.1f}")
+    print(f"  calibrated budget c = (sqrt(c0)+4)^2 / ({BUDGET_TARGET} * {EPSILON}^2): {c:.1f}")
     print(f"  copies n = ceil(c * d^2) = {row.n}")
-    print(f"  closed-form failure bound at that n: {row.bound_simple:.4f} (target {TARGET})")
+    print(f"  closed-form failure bound at that n: {row.bound_simple:.4f} (target {BUDGET_TARGET})")
     lower = ("empty" if row.log_delta_minus == -math.inf
              else f"log P = {row.log_delta_minus:.1f}")
     print(f"  exact upper-tail mass from the full block scan: log P = {row.log_delta_plus:.1f}"

@@ -277,6 +277,8 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
     call, the above grid first; then at each Brent step the orders both
     searches read next go to renyi in one call.
     """
+    # numpy scalars would leak into the results and warn at 0 * inf in the Brent step
+    n, rate_above, rate_below = int(n), float(rate_above), float(rate_below)
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
     return _run([_above_search(n, schur_dim, rate_above),

@@ -17,9 +17,9 @@ come out sorted, and no timestamps or environment details are written,
 so re-running a command reproduces its report byte for byte.  The four
 table commands (dims, distribution, normality, complexity-scan) write the
 same columns as CSV or as JSON objects, one per row; JSON writes a
-non-finite cell as null.  Parse and validation problems exit with status 2
-and one structured line on stderr; verify exits with status 1 when an
-invariant fails.
+non-finite cell as null.  Parse, validation, compute and io failures exit
+with status 2 and one line on stderr, its category picked in main (a library
+InputError is validation); verify exits with status 1 when an invariant fails.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .scaling import (SCAN_MAX_D, ComplexityRow, calibrated_budget, complexity_r
                       varentropy_scale_proxy)
 from .states import (
     DensityMatrix,
+    InputError,
     diagonal_state,
     load_state,
     random_mixed,
@@ -192,23 +193,6 @@ def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
     return rho, sigma
 
 
-def _supported_pair(args) -> tuple[DensityMatrix, DensityMatrix, float]:
-    """The state pair and D(rho || sigma), refused when rho leaves sigma's support."""
-    rho, sigma = _load_pair(args)
-    div = relative_entropy(rho, sigma)
-    if not math.isfinite(div):
-        raise CliError("validation", "relative entropy is infinite (support violation)")
-    return rho, sigma, div
-
-
-def _check_reference(sigma: DensityMatrix) -> None:
-    """Refuse a reference state that the estimation protocol cannot use."""
-    try:
-        sigma_spectrum(sigma)
-    except ValueError as exc:
-        raise CliError("validation", str(exc))
-
-
 # ----------------------------------------------------------------- subcommands
 
 
@@ -241,10 +225,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    rho, sigma, div = _supported_pair(args)
+    rho, sigma = _load_pair(args)
     payload = {
         "d": rho.dim,
-        "relative_entropy": div,
+        "relative_entropy": relative_entropy(rho, sigma),
         "varentropy": relative_varentropy(rho, sigma),
     }
     _emit_json(payload, args.out)
@@ -252,12 +236,7 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    rho, sigma = _load_pair(args)
-    _check_reference(sigma)
-    try:
-        dist = distribution(rho, sigma, args.n)
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError("compute", str(exc))
+    dist = distribution(*_load_pair(args), args.n)
     columns = (dist.p, np.exp(dist.log_q), dist.mult, dist.x, dist.x_star)
     rows = list(zip(dist.youngs, dist.weights, *(c.tolist() for c in columns)))
     _emit_table(
@@ -269,12 +248,7 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    rho, sigma, _ = _supported_pair(args)
-    _check_reference(sigma)
-    try:
-        report = estimate_report(rho, sigma, args.n)
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError("compute", str(exc))
+    report = estimate_report(*_load_pair(args), args.n)
     payload = {
         "n": report.n,
         "d": report.d,
@@ -293,19 +267,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    rho, sigma, _ = _supported_pair(args)
-    _check_reference(sigma)
-    try:
-        report = tail_report(rho, sigma, args.n, args.epsilon)
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError("compute", str(exc))
+    rho, sigma = _load_pair(args)
+    report = tail_report(rho, sigma, args.n, args.epsilon)
     _emit_json({"n": args.n, "d": rho.dim, **asdict(report)}, args.out)
     return 0
 
 
 def cmd_normality(args) -> int:
-    rho, sigma, div = _supported_pair(args)
-    _check_reference(sigma)
+    rho, sigma = _load_pair(args)
+    div = relative_entropy(rho, sigma)
+    sigma_spectrum(sigma)  # a singular reference is reported before an oversized range
     if (args.n is None) == (args.n_range is None):
         raise CliError("parse", "normality needs exactly one of --n / --n-range")
     n_values = [args.n] if args.n is not None else _parse_n_range(args.n_range)
@@ -372,10 +343,7 @@ def cmd_gen_state(args) -> int:
         if args.spectrum is None:
             raise CliError("parse", "diagonal states need --spectrum")
         raw = np.array(_parse_spectrum(args.spectrum), dtype=float)
-        try:
-            diagonal_state(raw / raw.sum())
-        except ValueError as exc:
-            raise CliError("validation", str(exc))
+        diagonal_state(raw / raw.sum())
         payload = {"spectrum": [float(v) for v in raw / raw.sum()]}
         with open(args.out, "w", newline="") as fh:
             json.dump(payload, fh)
@@ -383,16 +351,13 @@ def cmd_gen_state(args) -> int:
         return 0
     if args.d is None:
         raise CliError("parse", f"{args.kind} needs --d")
-    try:
-        if args.kind == "random_mixed":
-            spectrum = _parse_spectrum(args.spectrum) if args.spectrum else None
-            state = random_mixed(args.d, args.seed, spectrum=spectrum)
-        else:
-            if args.p is None:
-                raise CliError("parse", "random_pure_depolarized needs --p")
-            state = random_pure_depolarized(args.d, args.seed, args.p)
-    except ValueError as exc:
-        raise CliError("validation", str(exc))
+    if args.kind == "random_mixed":
+        spectrum = _parse_spectrum(args.spectrum) if args.spectrum else None
+        state = random_mixed(args.d, args.seed, spectrum=spectrum)
+    else:
+        if args.p is None:
+            raise CliError("parse", "random_pure_depolarized needs --p")
+        state = random_pure_depolarized(args.d, args.seed, args.p)
     save_state(args.out, state)
     return 0
 
@@ -486,6 +451,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc.category}: {exc}\n")
+        return 2
+    except InputError as exc:
+        sys.stderr.write(f"error: validation: {exc}\n")
+        return 2
+    except (ValueError, ArithmeticError) as exc:
+        sys.stderr.write(f"error: compute: {exc}\n")
         return 2
     except BrokenPipeError:
         return 0

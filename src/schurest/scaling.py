@@ -38,6 +38,7 @@ SCAN_MAX_D = 4
 SCAN_MAX_YOUNG = 10**9
 # and more copies than this: its tables hold n + d entries whatever d is
 SCAN_MAX_N = 10**6
+BUDGET_TARGET = 0.25  # the failure probability calibrated_budget sets the simple bound to
 _BAND_CELLS = 1 << 14
 # exp arguments are clamped from below here: a clamped cell then adds under
 # 1e-304 to the total mass (about 1) or to a tail sum scaled to its peak (at
@@ -353,11 +354,11 @@ def varentropy_scale_proxy(d: int, seeds=range(8)) -> float:
     return best / d**2
 
 
-def calibrated_budget(c0: float, target: float = 0.25, epsilon: float = 0.5) -> float:
-    """Budget constant making the simplified complexity bound hit target."""
-    if not 0 < target or epsilon <= 0:
-        raise ValueError("need target > 0 and epsilon > 0")
-    return (math.sqrt(c0) + 4) ** 2 / (target * epsilon**2)
+def calibrated_budget(c0: float, epsilon: float = 0.5) -> float:
+    """Budget constant making the simplified complexity bound hit BUDGET_TARGET."""
+    if epsilon <= 0:
+        raise ValueError("need epsilon > 0")
+    return (math.sqrt(c0) + 4) ** 2 / (BUDGET_TARGET * epsilon**2)
 
 
 @dataclass(frozen=True)

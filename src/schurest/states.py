@@ -2,12 +2,12 @@
 
 All logarithms are natural.  Supports are handled by eigenvalue cutoffs:
 a state eigenvalue above 1e-10 counts as support, and a reference-state
-expectation below 1e-12 on such an eigenvector signals a support violation
-(relative entropy +inf).
+expectation below 1e-12 on such an eigenvector signals a support violation.
 
 Each state is diagonalized once, on first use (DensityMatrix.spectrum), and
-every functional reads that.  sigma_spectrum is the one rule for a usable
-reference state, full rank with unit trace; D and V need only its support.
+every functional reads that.  An input outside a rule raises InputError: no
+density matrix, a dimension above MAX_DIM, a reference state that is not full
+rank with unit trace (sigma_spectrum), rho outside sigma's support (relative_entropy).
 """
 
 from __future__ import annotations
@@ -20,9 +20,19 @@ from functools import cached_property, partial
 import numpy as np
 
 SUPPORT_CUT = 1e-10  # eigenvalues above this count as support of rho
-EXPECTATION_CUT = 1e-12  # sigma-expectation below this on a supported eigenvector -> +inf
+EXPECTATION_CUT = 1e-12  # sigma-expectation below this on a supported eigenvector: no support
 REPAIR_TOL = 1e-6  # validate_state rejects inputs needing more total correction
 RENYI_TOL = 1e-9  # sandwiched divergences not certified to this absolute error are NaN
+MAX_DIM = 1024  # a random pair with D and V: about 9 s and 190 MB on 2 vCPUs, growing as d^3
+
+
+class InputError(ValueError):
+    """An input outside a rule the library computes under."""
+
+
+def _check_dim(d: int) -> None:
+    if d > MAX_DIM:
+        raise InputError(f"state dimension {d} is above the limit of {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +66,12 @@ def validate_state(raw) -> DensityMatrix:
     """
     arr = np.asarray(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raise InputError(f"expected a square matrix, got shape {arr.shape}")
+    _check_dim(arr.shape[0])
     # a density matrix has no entry of modulus above 1; the bound also
     # rejects non-finite entries and keeps the arithmetic below from overflowing
     if not (np.abs(arr.real) <= 2).all() or not (np.abs(arr.imag) <= 2).all():
-        raise ValueError("matrix has non-finite entries or entries far above 1")
+        raise InputError("matrix has non-finite entries or entries far above 1")
     herm_defect = float(np.max(np.abs(arr - arr.conj().T))) / 2 if arr.size else 0.0
     herm = (arr + arr.conj().T) / 2
     vals, vecs = np.linalg.eigh(herm)
@@ -69,10 +80,10 @@ def validate_state(raw) -> DensityMatrix:
     trace = float(vals.sum())
     trace_defect = abs(trace - 1.0)
     if trace <= 0:
-        raise ValueError("matrix has no positive spectral mass")
+        raise InputError("matrix has no positive spectral mass")
     correction = herm_defect + neg_mass + trace_defect
     if correction > REPAIR_TOL:
-        raise ValueError(
+        raise InputError(
             f"input is not close enough to a density matrix (correction {correction:.3e})"
         )
     vals = vals / trace
@@ -103,10 +114,10 @@ def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     if vals[-1] <= EXPECTATION_CUT:
-        raise ValueError(f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})")
+        raise InputError(f"reference state must be full rank (min eigenvalue {vals[-1]:.3e})")
     trace = float(vals.sum())
     if not abs(trace - 1.0) < 1e-10:
-        raise ValueError(f"reference state must have unit trace (trace {trace!r})")
+        raise InputError(f"reference state must have unit trace (trace {trace!r})")
     return SigmaSpectrum(values=vals, basis=vecs)
 
 
@@ -114,7 +125,7 @@ def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho||sigma) = Tr rho (log rho - log sigma); +inf outside sigma's support."""
+    """D(rho||sigma) = Tr rho (log rho - log sigma); InputError outside sigma's support."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     r, rv = rho.eig()
@@ -122,12 +133,10 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     overlap = np.abs(rv.conj().T @ sv) ** 2  # overlap[i, k] = |<r_i|s_k>|^2
     sigma_support = s > EXPECTATION_CUT
     for i in np.nonzero(r > SUPPORT_CUT)[0]:
-        expectation = float(overlap[i] @ s)
-        if expectation < EXPECTATION_CUT:
-            return math.inf
-        # mass escaping sigma's numerical support also signals a violation
-        if float(overlap[i][~sigma_support].sum()) > EXPECTATION_CUT:
-            return math.inf
+        # no sigma weight on a supported eigenvector, or weight outside sigma's support
+        if (float(overlap[i] @ s) < EXPECTATION_CUT
+                or float(overlap[i][~sigma_support].sum()) > EXPECTATION_CUT):
+            raise InputError("relative entropy is infinite (support violation)")
     log_s = np.where(sigma_support, np.log(np.where(sigma_support, s, 1.0)), 0.0)
     entropy_term = float(sum(x * math.log(x) for x in r if x > 0))
     cross_term = float((r[:, None] * overlap[:, sigma_support] * log_s[None, sigma_support]).sum())
@@ -137,8 +146,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def relative_varentropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Second central moment of log rho - log sigma under rho (nats squared)."""
     d_value = relative_entropy(rho, sigma)
-    if not math.isfinite(d_value):
-        raise ValueError("support violation: varentropy undefined")
     r, rv = rho.eig()
     s, sv = sigma.eig()
     support = s > EXPECTATION_CUT
@@ -324,7 +331,7 @@ def load_state(path) -> DensityMatrix:
             raise ValueError("a state file holds either a spectrum or re/im, not both")
         if not isinstance(payload["spectrum"], list):
             raise ValueError("spectrum must be a JSON list")
-        state = validate_state(np.diag([float(x) for x in payload["spectrum"]]))
+        state = diagonal_state([float(x) for x in payload["spectrum"]])
     else:
         re = np.array(payload["re"], dtype=float)
         im = np.array(payload.get("im", np.zeros_like(re)), dtype=float)
@@ -358,13 +365,14 @@ def random_mixed(d: int, seed: int, spectrum=None, floor: float = 0.0) -> Densit
 
     floor mixes in floor * I/d to keep eigenvalues away from zero.
     """
+    _check_dim(d)
     rng = np.random.default_rng(seed)
     if spectrum is None:
         spectrum = rng.dirichlet(np.ones(d))
     spectrum = np.asarray(spectrum, dtype=float)
     if (spectrum.shape != (d,) or not np.isfinite(spectrum).all() or np.any(spectrum < 0)
             or not spectrum.sum() > 0):
-        raise ValueError("spectrum must be d finite non-negative numbers with a positive sum")
+        raise InputError("spectrum must be d finite non-negative numbers with a positive sum")
     spectrum = spectrum / spectrum.sum()
     u = haar_unitary(d, rng)
     mat = (u * spectrum) @ u.conj().T
@@ -375,8 +383,9 @@ def random_mixed(d: int, seed: int, spectrum=None, floor: float = 0.0) -> Densit
 
 def random_pure_depolarized(d: int, seed: int, p: float) -> DensityMatrix:
     """(1-p) |psi><psi| + p I/d for a Haar-random pure state."""
+    _check_dim(d)
     if not 0 <= p <= 1:
-        raise ValueError("need 0 <= p <= 1")
+        raise InputError("need 0 <= p <= 1")
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec = vec / np.linalg.norm(vec)
@@ -386,4 +395,5 @@ def random_pure_depolarized(d: int, seed: int, p: float) -> DensityMatrix:
 
 def diagonal_state(spectrum) -> DensityMatrix:
     """Diagonal state from an explicit spectrum."""
+    _check_dim(len(spectrum))
     return validate_state(np.diag(np.asarray(spectrum, dtype=float)))

@@ -303,7 +303,7 @@ def test_criterion_12_sample_complexity():
     summaries = []
     for d in (2, 3, 4):
         c0 = varentropy_scale_proxy(d, seeds=range(8))
-        c = calibrated_budget(c0, target=0.25, epsilon=0.5)
+        c = calibrated_budget(c0, epsilon=0.5)
         row = complexity_row(d, c, c0, epsilon=0.5, q=0.9)
         assert row.n == math.ceil(c * d * d)
         assert abs(row.bound_simple - 0.25) <= 1e-12

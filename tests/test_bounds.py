@@ -501,6 +501,20 @@ def test_paired_tail_bounds_are_bit_identical_to_single_tail_bounds(d):
                 assert tail_bounds(n, schur_dim, div + eps, div - eps, renyi) == (above, below)
 
 
+def test_numpy_scalar_thresholds_give_the_float_results():
+    # numpy-scalar rates once rode through the searches into the results
+    # and warned at the Brent step (0 * inf) where Python floats give NaN
+    rho, sigma = random_mixed(4, 201), random_mixed(4, 301, floor=0.05)
+    div = relative_entropy(rho, sigma)
+    renyi = renyi_curve(rho, sigma)
+    for n in (20, 40):
+        schur_dim = total_schur_dim(n, 4).total
+        for eps in np.linspace(0.1, 1.5, 15):
+            got = tail_bounds(np.int64(n), schur_dim, div + eps, div - eps, renyi)
+            want = tail_bounds(n, schur_dim, div + float(eps), div - float(eps), renyi)
+            assert repr(got) == repr(want)
+
+
 class _ReferenceCurve:
     """renyi_curve's contract (a 1-D array of orders) over the mpmath reference."""
 

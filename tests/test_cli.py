@@ -26,7 +26,7 @@ from schurest.cli import main
 from schurest.distribution import distribution
 from schurest.estimator import estimate_report, tail_report
 from schurest.partitions import total_schur_dim
-from schurest.states import load_state, relative_entropy, relative_varentropy
+from schurest.states import MAX_DIM, load_state, relative_entropy, relative_varentropy
 from schurest.verification import run_verification
 
 
@@ -576,6 +576,22 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == ("error: validation: reference state must be full rank "
                        "(min eigenvalue 0.000e+00)\n")
+
+    @pytest.mark.parametrize("entry", ["divergence", "diagonal", "random_mixed"])
+    def test_oversized_state_is_one_validation_error(self, tmp_path, entry):
+        # one entry past MAX_DIM is refused before any d x d array is built
+        d, path = MAX_DIM + 1, str(tmp_path / "state.json")
+        if entry == "divergence":
+            Path(path).write_text(json.dumps({"spectrum": [1 / d] * d}))
+            argv = ["divergence", "--rho", path, "--sigma", path]
+        elif entry == "diagonal":
+            argv = ["gen-state", "diagonal", "--spectrum", ",".join(["1"] * d), "--out", path]
+        else:
+            argv = ["gen-state", "random_mixed", "--d", str(d), "--out", path]
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: validation: ") and len(err.splitlines()) == 1
+        assert f"state dimension {d} is above the limit of {MAX_DIM}" in err
 
     @pytest.mark.parametrize("command,flag,value", [
         ("tail", "--epsilon", "inf"),

@@ -19,6 +19,7 @@ from schurest.distribution import distribution
 from schurest.estimator import tail_probabilities
 from schurest.partitions import sn_dim, young_count
 from schurest.scaling import (
+    BUDGET_TARGET,
     SCAN_MAX_N,
     SCAN_MAX_YOUNG,
     ComplexityRow,
@@ -286,17 +287,16 @@ class TestScan:
 
 class TestBudget:
     def test_calibration_hits_target(self):
+        assert BUDGET_TARGET == 0.25
         for c0 in (0.0, 0.2, 1.5):
-            c = calibrated_budget(c0, target=0.25, epsilon=0.5)
+            c = calibrated_budget(c0, epsilon=0.5)
             report = sample_complexity_bound(c, c0, 0.5)
             assert report.simple == pytest.approx(0.25, abs=1e-12)
 
     def test_zero_variance_budget(self):
-        assert calibrated_budget(0.0, target=0.25, epsilon=0.5) == pytest.approx(256.0)
+        assert calibrated_budget(0.0, epsilon=0.5) == pytest.approx(256.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            calibrated_budget(1.0, target=0.0)
         with pytest.raises(ValueError):
             calibrated_budget(1.0, epsilon=-1.0)
 

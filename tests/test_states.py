@@ -1,6 +1,7 @@
 """Tests for state validation, divergences, and the local-estimation checks."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from oracles import (
     varentropy_growth_check,
 )
 
+from schurest.estimator import estimate_report, tail_report
 from schurest.states import (
+    MAX_DIM,
     DensityMatrix,
+    InputError,
     diagonal_state,
     haar_unitary,
     load_state,
@@ -110,11 +114,31 @@ def test_relative_entropy_plus_state():
 
 
 def test_relative_entropy_support_violation():
+    # relative_entropy is the one support rule: every functional and report
+    # that needs a finite D refuses the pair through it
     rho = diagonal_state([1.0, 0.0])
     sigma_bad = diagonal_state([0.0, 1.0])
-    assert relative_entropy(rho, sigma_bad) == math.inf
+    message = r"^relative entropy is infinite \(support violation\)$"
+    for refused in (relative_entropy, relative_varentropy, partial(estimate_report, n=3),
+                    partial(tail_report, n=3, epsilon=0.3)):
+        with pytest.raises(InputError, match=message):
+            refused(rho, sigma_bad)
     sigma_ok = diagonal_state([1.0, 0.0])
     assert relative_entropy(rho, sigma_ok) == pytest.approx(0.0, abs=1e-12)
+    # a singular reference is refused by the reference rule
+    with pytest.raises(InputError, match="reference state must be full rank"):
+        sigma_spectrum(sigma_ok)
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: validate_state(np.zeros((d, d))),
+    lambda d: diagonal_state(np.full(d, 1 / d)),
+    lambda d: random_mixed(d, 0),
+    lambda d: random_pure_depolarized(d, 0, 0.5),
+], ids=["validate_state", "diagonal_state", "random_mixed", "random_pure_depolarized"])
+def test_state_dimension_cap(build):
+    with pytest.raises(InputError, match=f"^state dimension {MAX_DIM + 1} is above the limit"):
+        build(MAX_DIM + 1)
 
 
 def test_relative_entropy_nonnegative_random():

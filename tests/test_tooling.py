@@ -191,6 +191,27 @@ def test_only_state_file_loading_handles_overflow():
     assert found == ["cli.py:_load_density"]
 
 
+def cli_handlers(name):
+    """The functions in cli.py with an except clause naming `name`."""
+    tree = ast.parse((ROOT / "src" / "schurest" / "cli.py").read_text())
+    return {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.type))
+    }
+
+
+def test_cli_maps_library_errors_in_main():
+    # main maps InputError to validation and any other ValueError to compute;
+    # a command catches ValueError only to prefix the size it failed at
+    assert cli_handlers("InputError") == {"main"}
+    commands = {name for name in cli_handlers("ValueError") if name.startswith("cmd_")}
+    assert commands == {"cmd_normality", "cmd_complexity_scan"}
+
+
 def loaded_by_cli_import(module):
     """Whether a fresh `import schurest.cli` loads `module`."""
     done = subprocess.run(
