@@ -29,7 +29,7 @@ EPSILON = 0.5
 def scan_dimension(d: int) -> None:
     c0 = varentropy_scale_proxy(d)
     c = calibrated_budget(c0, epsilon=EPSILON)
-    row = complexity_row(d, c, c0, epsilon=EPSILON, q=0.9)
+    row = complexity_row(d, c, c0, epsilon=EPSILON)
     baseline = tomography_baseline(d, math.log(d) / d, EPSILON)
 
     print(f"d = {d}")

@@ -173,6 +173,8 @@ def _parse_spectrum(text: str) -> list[float]:
         raise CliError("parse", f"bad spectrum {text!r}, entries must be finite")
     if not sum(values) > 0:
         raise CliError("validation", "spectrum must have a positive sum")
+    if sum(values) == math.inf:
+        raise CliError("validation", "spectrum sum overflows a double")
     return values
 
 
@@ -186,11 +188,7 @@ def _load_density(path: str, label: str) -> DensityMatrix:
 
 
 def _load_pair(args) -> tuple[DensityMatrix, DensityMatrix]:
-    rho = _load_density(args.rho, "rho")
-    sigma = _load_density(args.sigma, "sigma")
-    if rho.dim != sigma.dim:
-        raise CliError("validation", "rho and sigma have different dimensions")
-    return rho, sigma
+    return _load_density(args.rho, "rho"), _load_density(args.sigma, "sigma")
 
 
 # ----------------------------------------------------------------- subcommands

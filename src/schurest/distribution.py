@@ -54,7 +54,7 @@ from .partitions import (
     type_entropy_bounds,
     young_count,
 )
-from .states import DensityMatrix, SigmaSpectrum, sigma_spectrum
+from .states import DensityMatrix, SigmaSpectrum, check_pair, sigma_spectrum
 
 # JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
 # near-pure states at d >= 3: a (3, 30) marginal is already off by 7.5e-9
@@ -178,8 +178,6 @@ def _atom_table(n: int, d: int) -> _AtomTable:
 
 
 def _rho_in_reference_basis(rho: DensityMatrix, spec: SigmaSpectrum) -> np.ndarray:
-    if rho.dim != spec.dim:
-        raise ValueError("state and reference dimensions differ")
     return spec.basis.conj().T @ rho.mat @ spec.basis
 
 
@@ -320,6 +318,7 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     reads every coefficient off one Jacobi-Trudi determinant per Young index.
     Sizes that check_size refuses raise ValueError before any table is built.
     """
+    check_pair(rho, sigma)
     spec = sigma_spectrum(sigma)
     d = rho.dim
     check_size(n, d)

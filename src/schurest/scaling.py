@@ -39,6 +39,7 @@ SCAN_MAX_YOUNG = 10**9
 # and more copies than this: its tables hold n + d entries whatever d is
 SCAN_MAX_N = 10**6
 BUDGET_TARGET = 0.25  # the failure probability calibrated_budget sets the simple bound to
+COMPLEXITY_Q = 0.9  # the ratio of the geometric state complexity_row scans against I/d
 _BAND_CELLS = 1 << 14
 # exp arguments are clamped from below here: a clamped cell then adds under
 # 1e-304 to the total mass (about 1) or to a tail sum scaled to its peak (at
@@ -379,11 +380,11 @@ class ComplexityRow:
     tomography_ratio: float
 
 
-def complexity_row(d: int, c: float, c0: float, epsilon: float, q: float = 0.9) -> ComplexityRow:
+def complexity_row(d: int, c: float, c0: float, epsilon: float) -> ComplexityRow:
     """One sample-complexity check: run n = ceil(c d^2) and compare the
     exact tail mass against the closed-form failure bound."""
     n = math.ceil(c * d * d)
-    scan = uniform_reference_scan(d, n, q, epsilon)
+    scan = uniform_reference_scan(d, n, COMPLEXITY_Q, epsilon)
     report = sample_complexity_bound(c, c0, epsilon)
     baseline = tomography_baseline(d, math.log(d) / d, epsilon)
     return ComplexityRow(
@@ -392,7 +393,7 @@ def complexity_row(d: int, c: float, c0: float, epsilon: float, q: float = 0.9) 
         c=c,
         c0=c0,
         epsilon=epsilon,
-        q=q,
+        q=COMPLEXITY_Q,
         tail_mass=scan.tail_mass,
         log_delta_plus=scan.log_delta_plus,
         log_delta_minus=scan.log_delta_minus,

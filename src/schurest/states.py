@@ -6,8 +6,9 @@ expectation below 1e-12 on such an eigenvector signals a support violation.
 
 Each state is diagonalized once, on first use (DensityMatrix.spectrum), and
 every functional reads that.  An input outside a rule raises InputError: no
-density matrix, a dimension above MAX_DIM, a reference state that is not full
-rank with unit trace (sigma_spectrum), rho outside sigma's support (relative_entropy).
+density matrix, a dimension above MAX_DIM or unequal within a pair (check_pair),
+a reference state that is not full rank with unit trace (sigma_spectrum), rho
+outside sigma's support (relative_entropy).  D and V are one law's mean and variance.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class DensityMatrix:
         vals, vecs = np.linalg.eigh(self.mat)
         vals.flags.writeable = vecs.flags.writeable = False
         return vals, vecs
-
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """The spectrum with its eigenvalues clipped at 0."""
-        return np.clip(self.spectrum[0], 0.0, None), self.spectrum[1]
 
 
 def validate_state(raw) -> DensityMatrix:
@@ -103,10 +100,6 @@ class SigmaSpectrum:
     values: np.ndarray
     basis: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
 
 def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
     """The reference rule: sigma's spectrum, descending, if full rank with unit trace."""
@@ -124,42 +117,49 @@ def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
 # ------------------------------------------------------------- divergences
 
 
+def check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    """The pair rule: rho and sigma act on one space."""
+    if rho.dim != sigma.dim:
+        raise InputError("rho and sigma have different dimensions")
+
+
+def _log_ratio_law(rho: DensityMatrix, sigma: DensityMatrix):
+    """The Nussbaum-Szkola law of log rho - log sigma under rho, and its mean D.
+
+    Returns (mass, log_r, log_s, D): mass[i, k] = r_i |<r_i|s_k>|^2 sits at
+    log_r[i] - log_s[k], over rho's positive eigenvalues and sigma's support.
+    The pair rule comes first, then the support rule."""
+    check_pair(rho, sigma)
+    (r, rv), (s, sv) = rho.spectrum, sigma.spectrum
+    r, s = np.maximum(r, 0.0), np.maximum(s, 0.0)
+    overlap = np.abs(rv.conj().T @ sv) ** 2  # overlap[i, k] = |<r_i|s_k>|^2
+    support = s > EXPECTATION_CUT
+    supported = overlap[r > SUPPORT_CUT]
+    # no sigma weight on a supported eigenvector, or weight outside sigma's support
+    if ((supported @ s < EXPECTATION_CUT).any()
+            or (supported[:, ~support].sum(axis=1) > EXPECTATION_CUT).any()):
+        raise InputError("relative entropy is infinite (support violation)")
+    on_support, log_s = overlap[:, support], np.log(s[support])
+    entropy_term = float(sum(x * math.log(x) for x in r if x > 0))
+    cross_term = float((r[:, None] * on_support * log_s).sum())
+    positive = r > 0
+    mass = r[positive, None] * on_support[positive]
+    return mass, np.log(r[positive]), log_s, entropy_term - cross_term
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """D(rho||sigma) = Tr rho (log rho - log sigma); InputError outside sigma's support."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    r, rv = rho.eig()
-    s, sv = sigma.eig()
-    overlap = np.abs(rv.conj().T @ sv) ** 2  # overlap[i, k] = |<r_i|s_k>|^2
-    sigma_support = s > EXPECTATION_CUT
-    for i in np.nonzero(r > SUPPORT_CUT)[0]:
-        # no sigma weight on a supported eigenvector, or weight outside sigma's support
-        if (float(overlap[i] @ s) < EXPECTATION_CUT
-                or float(overlap[i][~sigma_support].sum()) > EXPECTATION_CUT):
-            raise InputError("relative entropy is infinite (support violation)")
-    log_s = np.where(sigma_support, np.log(np.where(sigma_support, s, 1.0)), 0.0)
-    entropy_term = float(sum(x * math.log(x) for x in r if x > 0))
-    cross_term = float((r[:, None] * overlap[:, sigma_support] * log_s[None, sigma_support]).sum())
-    return entropy_term - cross_term
+    return _log_ratio_law(rho, sigma)[3]
 
 
 def relative_varentropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Second central moment of log rho - log sigma under rho (nats squared)."""
-    d_value = relative_entropy(rho, sigma)
-    r, rv = rho.eig()
-    s, sv = sigma.eig()
-    support = s > EXPECTATION_CUT
-    log_sigma = (sv[:, support] * np.log(s[support])) @ sv[:, support].conj().T
-    log_sigma_sq = log_sigma @ log_sigma
-    acc = 0.0
-    for i in np.nonzero(r > 0)[0]:
-        vec = rv[:, i]
-        lr = math.log(r[i]) if r[i] > 0 else 0.0
-        a = float(np.real(vec.conj() @ log_sigma @ vec))
-        b = float(np.real(vec.conj() @ log_sigma_sq @ vec))
-        acc += r[i] * (lr * lr - 2 * lr * a + b)
-    value = acc - d_value * d_value
-    return max(value, 0.0) if value > -1e-12 else value
+    """V = Tr rho (log rho - log sigma - D)^2, the log-ratio law's centred variance.
+
+    It reads 0.0 below (8 d eps max|log|)^2, the rounding of its atoms and of D."""
+    mass, log_r, log_s, d_value = _log_ratio_law(rho, sigma)
+    variance = math.fsum((mass * (log_r[:, None] - log_s - d_value) ** 2).ravel().tolist())
+    scale = max(np.abs(log_r).max(), np.abs(log_s).max())
+    return variance if variance > (8 * rho.dim * np.finfo(float).eps * scale) ** 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,7 @@ class _RenyiPair:
 
 
 def _renyi_pair(rho: DensityMatrix, sigma: DensityMatrix) -> _RenyiPair:
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
+    check_pair(rho, sigma)
     sigma_spectrum(sigma)  # the reference rule
     s, sv = sigma.spectrum  # as eigh returns them: a reordered copy rounds differently
     # forming sigma^t rho sigma^t and diagonalizing it each err by a few
@@ -285,7 +284,7 @@ def sld_quantities(rho: DensityMatrix, sigma: DensityMatrix) -> SldData:
     and pairs to 1 with the operator under the trace inner product.
     """
     if rho.spectrum[0][0] <= EXPECTATION_CUT:
-        raise ValueError("operator log requires full rank here")
+        raise InputError("operator log requires full rank here")
     sigma_spectrum(sigma)  # the reference rule
     d_value = relative_entropy(rho, sigma)
     op = _log_psd(rho) - _log_psd(sigma) - d_value * np.eye(rho.dim)
@@ -371,8 +370,10 @@ def random_mixed(d: int, seed: int, spectrum=None, floor: float = 0.0) -> Densit
         spectrum = rng.dirichlet(np.ones(d))
     spectrum = np.asarray(spectrum, dtype=float)
     if (spectrum.shape != (d,) or not np.isfinite(spectrum).all() or np.any(spectrum < 0)
-            or not spectrum.sum() > 0):
+            or not np.any(spectrum > 0)):
         raise InputError("spectrum must be d finite non-negative numbers with a positive sum")
+    if sum(spectrum.tolist()) == math.inf:  # before numpy's sum warns of the overflow
+        raise InputError("spectrum sum overflows a double")
     spectrum = spectrum / spectrum.sum()
     u = haar_unitary(d, rng)
     mat = (u * spectrum) @ u.conj().T

@@ -21,7 +21,8 @@ arithmetic with the Jacobi-Trudi engine:
   varentropy_growth_check compares the relative varentropy with its
   floor-based bound;
 - reference_sandwiched_renyi evaluates the sandwiched divergence in mpmath
-  at a precision chosen from the reference state's spectral spread;
+  at a precision chosen from the reference state's spectral spread, and
+  reference_varentropy the relative varentropy from mpmath operator logs;
 - gather_scan is the copy-budget scan as one batch of Young-index columns
   per smallest part, read from its lookup tables by fancy indexing (the
   library reads the same tables as strided views over a triangular grid).
@@ -750,6 +751,25 @@ def reference_sandwiched_renyi(rho: DensityMatrix, sigma: DensityMatrix, alpha: 
         vals = mpmath.eighe((core + core.H) / 2, eigvals_only=True)
         trace = mpmath.fsum(max(value, 0) ** order for value in vals)
         return float(mpmath.log(trace) / (order - 1))
+
+
+def reference_varentropy(rho: DensityMatrix, sigma: DensityMatrix, digits: int = 60) -> float:
+    """Tr rho (log rho - log sigma - D)^2 of the stored matrices, in mpmath.
+
+    Both states must be full rank.  The operator logarithms come from
+    mpmath's eighe at the given working digits, so the relative varentropy
+    is resolved even where it cancels to 1e-20 of its terms.
+    """
+    with mpmath.workdps(digits):
+        def log_op(state):
+            vals, basis = mpmath.eighe(mpmath.matrix(state.mat.tolist()))
+            return basis * mpmath.diag([mpmath.log(mpmath.re(v)) for v in vals]) * basis.H
+
+        mat = mpmath.matrix(rho.mat.tolist())
+        gap = log_op(rho) - log_op(sigma)
+        d_value = mpmath.re(sum((mat * gap)[i, i] for i in range(rho.dim)))
+        centred = gap - d_value * mpmath.eye(rho.dim)
+        return float(mpmath.re(sum((mat * centred * centred)[i, i] for i in range(rho.dim))))
 
 
 # ------------------------------------------------------------ single tails

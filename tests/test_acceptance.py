@@ -304,7 +304,7 @@ def test_criterion_12_sample_complexity():
     for d in (2, 3, 4):
         c0 = varentropy_scale_proxy(d, seeds=range(8))
         c = calibrated_budget(c0, epsilon=0.5)
-        row = complexity_row(d, c, c0, epsilon=0.5, q=0.9)
+        row = complexity_row(d, c, c0, epsilon=0.5)
         assert row.n == math.ceil(c * d * d)
         assert abs(row.bound_simple - 0.25) <= 1e-12
         assert row.bound_exact <= row.bound_simple + 1e-12

@@ -102,6 +102,22 @@ class TestGenState:
         assert capsys.readouterr().err.startswith("error: parse:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diagonal", "--spectrum", "1e308,1e308"],
+        ["random_mixed", "--d", "2", "--spectrum", "1e308,1e308"],
+    ])
+    def test_refuses_spectrum_whose_sum_overflows(self, tmp_path, argv):
+        out = tmp_path / "x.json"
+        code, _, err = run_main(["gen-state", *argv, "--out", str(out)])
+        assert code == 2
+        assert err == "error: validation: spectrum sum overflows a double\n"
+        assert not out.exists()
+
+    def test_diagonal_spectrum_bytes(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["gen-state", "diagonal", "--spectrum", "0.7,0.3", "--out", str(out)]) == 0
+        assert out.read_bytes() == b'{"spectrum": [0.7, 0.3]}\n'
+
     def test_diagonal_needs_spectrum(self, tmp_path, capsys):
         code = main(["gen-state", "diagonal", "--out", str(tmp_path / "x.json")])
         assert code == 2

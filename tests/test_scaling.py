@@ -320,7 +320,7 @@ class TestComplexityRow:
     def test_calibrated_qubit_row(self):
         c0 = varentropy_scale_proxy(2, seeds=range(4))
         c = calibrated_budget(c0)
-        row = complexity_row(2, c, c0, epsilon=0.5, q=0.9)
+        row = complexity_row(2, c, c0, epsilon=0.5)
         assert isinstance(row, ComplexityRow)
         assert row.n == math.ceil(c * 4)
         assert row.bound_simple == pytest.approx(0.25, abs=1e-12)
@@ -329,6 +329,6 @@ class TestComplexityRow:
         assert row.tomography_ratio > 0
 
     def test_row_fields_coherent(self):
-        row = complexity_row(2, c=30.0, c0=0.0, epsilon=0.5, q=0.8)
+        row = complexity_row(2, c=30.0, c0=0.0, epsilon=0.5)
         assert row.n == 120
         assert 0 <= row.tail_mass < row.bound_simple

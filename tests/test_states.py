@@ -8,11 +8,14 @@ import pytest
 from oracles import (
     cramer_rao_check,
     reference_sandwiched_renyi,
+    reference_varentropy,
     spectrum_matrix,
     varentropy_growth_check,
 )
 
+from schurest.distribution import distribution
 from schurest.estimator import estimate_report, tail_report
+from schurest.scaling import geometric_spectrum
 from schurest.states import (
     MAX_DIM,
     DensityMatrix,
@@ -196,6 +199,55 @@ def _matrix_log(mat):
     return (vecs * np.log(vals)) @ vecs.conj().T
 
 
+def _mixture(sigma, tau, t):
+    return validate_state((1 - t) * sigma.mat + t * tau.mat)
+
+
+def test_varentropy_matches_high_precision_reference():
+    # rho -> sigma is the local regime of the Cramer-Rao claim: V ~ t^2 there,
+    # while the terms of the raw second moment stay O(1) and cancel
+    for d in (2, 3, 4):
+        for seed in range(3):
+            sigma = random_mixed(d, seed, floor=0.05)
+            tau = random_mixed(d, seed + 100, floor=0.05)
+            for t in (1e-2, 1e-4, 1e-6, 1e-8):
+                rho = _mixture(sigma, tau, t)
+                reference = reference_varentropy(rho, sigma)
+                assert relative_varentropy(rho, sigma) == pytest.approx(reference, rel=1e-6, abs=0)
+    # nearly flat spectra against I/d: every log-ratio is small
+    for q in (0.99, 0.999, 0.9999):
+        for d in (2, 3, 4, 8):
+            rho = diagonal_state(geometric_spectrum(d, q))
+            sigma = diagonal_state(np.full(d, 1 / d))
+            reference = reference_varentropy(rho, sigma)
+            assert relative_varentropy(rho, sigma) == pytest.approx(reference, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_varentropy_of_a_state_against_itself_is_zero(d):
+    for seed in range(20):
+        sigma = random_mixed(d, seed, floor=0.05)
+        assert relative_varentropy(sigma, sigma) == 0.0
+        assert estimate_report(sigma, sigma, 4).ks is None
+    # the rounding floor leaves a nearby pair's V of about 1e-20 standing
+    for seed in range(3):
+        sigma = random_mixed(d, seed, floor=0.05)
+        rho = _mixture(sigma, random_mixed(d, seed + 100, floor=0.05), 1e-10)
+        reference = reference_varentropy(rho, sigma)
+        assert relative_varentropy(rho, sigma) == pytest.approx(reference, rel=1e-4, abs=0)
+
+
+def test_pair_rule_refuses_different_dimensions():
+    rho, sigma = random_mixed(2, 1), random_mixed(3, 1)
+    message = r"^rho and sigma have different dimensions$"
+    for refused in (relative_entropy, relative_varentropy, sld_quantities,
+                    partial(sandwiched_renyi, alpha=1.5), renyi_curve,
+                    partial(distribution, n=3), partial(estimate_report, n=3),
+                    partial(tail_report, n=3, epsilon=0.3)):
+        with pytest.raises(InputError, match=message):
+            refused(rho, sigma)
+
+
 # -------------------------------------------------------- sandwiched Renyi
 
 
@@ -339,6 +391,11 @@ def test_sld_identities():
         )
 
 
+def test_sld_refuses_a_singular_state():
+    with pytest.raises(InputError, match="^operator log requires full rank here$"):
+        sld_quantities(diagonal_state([1.0, 0.0]), diagonal_state([0.5, 0.5]))
+
+
 def test_sld_trivial_pair():
     rho = diagonal_state([0.6, 0.4])
     sld = sld_quantities(rho, rho)
@@ -442,3 +499,8 @@ def test_generators_reproducible_and_valid():
     assert top == pytest.approx(0.7 + 0.3 / 4, abs=1e-12)
     d2 = random_mixed(2, 5, spectrum=[0.9, 0.1])
     assert np.allclose(np.sort(np.linalg.eigvalsh(d2.mat)), [0.1, 0.9], atol=1e-12)
+
+
+def test_random_mixed_refuses_a_spectrum_whose_sum_overflows():
+    with pytest.raises(InputError, match="^spectrum sum overflows a double$"):
+        random_mixed(2, 0, spectrum=[1e308, 1e308])

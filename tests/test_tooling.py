@@ -191,6 +191,24 @@ def test_only_state_file_loading_handles_overflow():
     assert found == ["cli.py:_load_density"]
 
 
+def test_only_the_pair_rule_compares_dimensions():
+    # rho and sigma must act on one space; states.check_pair says so once,
+    # and every functional, report and command asks it
+    found = []
+    for path in sorted((ROOT / "src" / "schurest").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and all(
+                isinstance(side, ast.Attribute) and side.attr == "dim"
+                for side in [node.left, *node.comparators]
+            ):
+                owner = min((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno, default=None)
+                found.append(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert found == ["states.py:check_pair"]
+
+
 def cli_handlers(name):
     """The functions in cli.py with an except clause naming `name`."""
     tree = ast.parse((ROOT / "src" / "schurest" / "cli.py").read_text())
