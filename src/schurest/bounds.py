@@ -10,9 +10,10 @@ Each tail is a Renyi search, _renyi_search: a generator that yields the
 orders it needs, first its whole grid as one array and then one order
 per step of a bounded Brent refinement (_brent_steps), and is sent the
 divergences there.  One driver, _run, is the only caller of the
-divergence map: it passes each grid in a call of its own, then at each
-Brent step both searches' next orders in one call, so the refinements
-advance in lockstep.  An order the curve could not certify (NaN, at small
+divergence map: it passes each array (the above tail's one-order probe,
+then each grid) in a call of its own, then at each Brent step both
+searches' next orders in one call, so the refinements advance in
+lockstep.  An order the curve could not certify (NaN, at small
 orders) is left out; every order gives a valid bound, so the minimum over
 the rest is still one.
 
@@ -21,6 +22,24 @@ one- or two-order call gives the kernel's same bits for an order, while
 a long batch may not (numpy's power takes another path for long arrays,
 up to 4.4e-16 apart at order 0.5).  So the lockstep calls hold at most
 the two pending orders, and the grids keep their own calls.
+
+A search whose bound is provably vacuous (>= 1 at every order of its
+domain) returns before it refines; _vacuous is that test.  It rests on
+one fact: the sandwiched divergence never decreases in its order
+(Mueller-Lennert, Dupuis, Szehr, Fehr and Tomamichel, "On quantum Renyi
+entropies: a new generalization and some properties", J. Math. Phys. 54,
+122203, 2013).  Above, with a0 the smallest a of the domain and
+c = rate - D_(1+a) <= rate - D_(1+a0): if log schur_dim >= n (rate -
+D_(1+a0)), then for r >= c the first term exp(-n a (c - r)) is >= 1, and
+for r < c the second, schur_dim exp(-n r), is > 1.  So the above search
+reads D at 1 + a0 in a one-order call of its own, before its grid, and
+on a vacuous bound returns value 1 with no grid.  Below, the exponent is
+a (log schur_dim - n (D_(1-a) - rate)), and D_(1-a) <= D_0.99 for
+a >= 0.01: if log schur_dim >= n (D_0.99 - rate) the bracket is >= 0 and
+never decreases in a, so the first grid point, order 0.99, is the
+minimum, and the below search returns it after its grid with no Brent.
+In a report, whose rates are D -+ eps, both tails are vacuous while
+n eps <= log schur_dim, and it makes 2 calls to the curve in place of 27.
 """
 
 from __future__ import annotations
@@ -144,21 +163,25 @@ def _brent_steps(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _renyi_search(grid, lo, hi, order, objective):
+def _renyi_search(grid, lo, hi, order, objective, settled=lambda div: False):
     """Minimize objective(x, div) over x in [lo, hi], div the divergence at order(x).
 
     A generator: it yields the orders of the ascending grid as one array
-    and is sent the array of their divergences.  From the best grid point
-    a bounded Brent search (_brent_steps, tolerance 1e-7) refines over the
-    bracket of its grid neighbours, or lo and hi at the ends; it yields the
-    order of each point it reads and is sent the divergence there.  A point
-    read twice (a Brent point on the grid) keeps the first value it was
+    and is sent the array of their divergences.  When settled(divergence
+    at grid[0]) holds, the objective does not decrease along the grid's
+    direction, and the search returns grid[0] with no refinement.  Else,
+    from the best grid point a bounded Brent search (_brent_steps,
+    tolerance 1e-7) refines over the bracket of its grid neighbours, or lo
+    and hi at the ends; it yields the order of each point it reads and is
+    sent the divergence there.  A point read twice (a Brent point on the grid) keeps the first value it was
     sent.  Points whose value is NaN or +inf are skipped, and the grid
     point is kept unless Brent beats it.  Returns (argmin, min, the
     divergence at the argmin); when no grid value is finite that is (the
     first grid point, +inf, its divergence) and nothing more is yielded.
     """
     divs = dict(zip(grid, (yield np.array([order(x) for x in grid])).tolist()))
+    if settled(divs[grid[0]]):
+        return grid[0], objective(grid[0], divs[grid[0]]), divs[grid[0]]
     best_x, best = grid[0], math.inf
     for x in grid:
         value = objective(x, divs[x])
@@ -189,6 +212,15 @@ class TailBound:
     split: float | None = None  # auxiliary parameter of the above-tail bound
 
 
+def _vacuous(n: int, log_dim: float, gap: float) -> bool:
+    """Whether log_dim >= n gap, which proves a tail's bound >= 1 at every order.
+
+    gap is rate - D above and D - rate below, with D read at the order of
+    the tail's domain nearest 1 (see the module docstring).  A NaN gap
+    proves nothing."""
+    return log_dim >= n * gap
+
+
 def _admissible(value: float) -> float:
     """An exponent from an order the curve could not certify (NaN) rules it out."""
     return math.inf if math.isnan(value) else value
@@ -199,7 +231,8 @@ def _below_search(n: int, schur_dim: int, rate: float):
 
     min over a in (0, 1) of schur_dim**a * exp(-n a (D_(1-a) - rate)), D_b
     the sandwiched divergence of order b, over the 99 grid orders
-    1 - i/100 and then Brent's.
+    1 - i/100 and then Brent's.  A vacuous bound (_vacuous at order 0.99)
+    is its first grid point, with no Brent.
     """
     log_dim = math.log(schur_dim)
 
@@ -207,7 +240,9 @@ def _below_search(n: int, schur_dim: int, rate: float):
         return _admissible(a * log_dim - n * a * (div - rate))
 
     grid = [i / 100 for i in range(1, 100)]
-    alpha, best, _ = yield from _renyi_search(grid, 0.01, 0.99, lambda a: 1 - a, exponent)
+    alpha, best, _ = yield from _renyi_search(
+        grid, 0.01, 0.99, lambda a: 1 - a, exponent,
+        settled=lambda div: _vacuous(n, log_dim, div - rate))
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
 
@@ -236,12 +271,18 @@ def _above_search(n: int, schur_dim: int, rate: float):
     remaining scalar search runs over u = a/(1+a) in (0, 1), which
     compactifies the unbounded a-domain (the objective has a finite
     a -> infinity limit), over the 255 grid orders 1 + u/(1-u), u = i/256,
-    and then Brent's.
+    and then Brent's.  First it reads D at its smallest order, u = 1e-4, in
+    a call of its own; a vacuous bound (_vacuous there) is returned at once.
     """
     log_dim = math.log(schur_dim)
+    lo, hi = 1e-4, 1 - 1e-4
 
     def alpha_of(u: float) -> float:
         return u / (1 - u)
+
+    probe = float((yield np.array([1 + alpha_of(lo)]))[0])
+    if _vacuous(n, log_dim, rate - probe):
+        return TailBound(value=1.0, exponent=0.0, alpha=alpha_of(lo))
 
     def split_term(u: float, div: float) -> tuple[float, float, float]:
         a = alpha_of(u)
@@ -252,7 +293,7 @@ def _above_search(n: int, schur_dim: int, rate: float):
 
     grid = [i / 256 for i in range(1, 256)]
     u_opt, best_log, div = yield from _renyi_search(
-        grid, 1e-4, 1 - 1e-4, lambda u: 1 + alpha_of(u), best_at)
+        grid, lo, hi, lambda u: 1 + alpha_of(u), best_at)
     alpha = alpha_of(u_opt)
     if best_log == math.inf:  # no order gives a finite bound
         return TailBound(value=1.0, exponent=0.0, alpha=alpha)
@@ -273,9 +314,19 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
 
     D_b is the sandwiched divergence of order b, read from renyi, a map
     from a 1-D array of orders to the array of divergences
-    (states.renyi_curve).  Each search's grid goes to renyi in its own
-    call, the above grid first; then at each Brent step the orders both
-    searches read next go to renyi in one call.
+    (states.renyi_curve).  The above search's probe of its smallest order
+    and its grid, then the below grid, each go to renyi in a call of their
+    own; then at each Brent step the orders both searches read next go to
+    renyi in one call.
+
+    D_b never decreases in b (Mueller-Lennert et al., J. Math. Phys. 54,
+    122203, 2013), so one divergence per tail can prove its bound >= 1 at
+    every order: above when log schur_dim >= n (rate_above - D_(1+a0)), a0
+    the smallest a searched, below when log schur_dim >= n (D_0.99 -
+    rate_below).  Such a tail is returned without its refinement, the above
+    one also without its grid; the module docstring has the proof.  At
+    rates D -+ eps both tails are vacuous while n eps <= log schur_dim, and
+    tail_bounds makes 2 calls to renyi in place of 27.
     """
     # numpy scalars would leak into the results and warn at 0 * inf in the Brent step
     n, rate_above, rate_below = int(n), float(rate_above), float(rate_below)
@@ -288,13 +339,14 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
 def _run(searches, renyi) -> tuple:
     """Run Renyi searches (see _renyi_search) to their ends; returns their results.
 
-    The one caller of renyi.  Each search's grid goes to renyi in a call
-    of its own, in the order given; after that each call holds the next
-    order of every search still running, and each search is sent its
-    value.
+    The one caller of renyi.  A search first yields arrays of orders (a
+    probe, a grid), each sent to renyi in a call of its own, the searches
+    in the order given; after that it yields single orders, and each call
+    holds the next order of every search still running, and each search is
+    sent its value.
     """
     results = [None] * len(searches)
-    pending: dict[int, float] = {}  # search index -> the order it reads next
+    pending: dict[int, float | np.ndarray] = {}  # search index -> what it reads next
 
     def advance(i: int, sent) -> None:
         try:
@@ -303,8 +355,10 @@ def _run(searches, renyi) -> tuple:
             pending.pop(i, None)
             results[i] = stop.value
 
-    for i, search in enumerate(searches):
-        advance(i, renyi(next(search)))
+    for i in range(len(searches)):
+        advance(i, None)
+        while isinstance(pending.get(i), np.ndarray):
+            advance(i, renyi(pending[i]))
     while pending:
         for i, div in zip(list(pending), renyi(np.array(list(pending.values()))).tolist()):
             advance(i, div)

@@ -43,11 +43,10 @@ from .states import (
     DensityMatrix,
     InputError,
     diagonal_state,
+    divergence_moments,
     load_state,
     random_mixed,
     random_pure_depolarized,
-    relative_entropy,
-    relative_varentropy,
     save_state,
     sigma_spectrum,
 )
@@ -224,11 +223,8 @@ def cmd_dims(args) -> int:
 
 def cmd_divergence(args) -> int:
     rho, sigma = _load_pair(args)
-    payload = {
-        "d": rho.dim,
-        "relative_entropy": relative_entropy(rho, sigma),
-        "varentropy": relative_varentropy(rho, sigma),
-    }
+    div, varentropy = divergence_moments(rho, sigma)
+    payload = {"d": rho.dim, "relative_entropy": div, "varentropy": varentropy}
     _emit_json(payload, args.out)
     return 0
 
@@ -273,12 +269,11 @@ def cmd_tail(args) -> int:
 
 def cmd_normality(args) -> int:
     rho, sigma = _load_pair(args)
-    div = relative_entropy(rho, sigma)
+    div, varentropy = divergence_moments(rho, sigma)
     sigma_spectrum(sigma)  # a singular reference is reported before an oversized range
     if (args.n is None) == (args.n_range is None):
         raise CliError("parse", "normality needs exactly one of --n / --n-range")
     n_values = [args.n] if args.n is not None else _parse_n_range(args.n_range)
-    varentropy = relative_varentropy(rho, sigma)
     if varentropy <= 0:
         raise CliError("validation", "varentropy is zero; no normal limit to compare to")
     for n in n_values:  # refuse an oversized range before computing any of it

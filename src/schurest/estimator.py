@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import mse_bound, tail_bounds
 from .distribution import OutcomeDistribution, distribution
 from .partitions import total_schur_dim
-from .states import relative_entropy, relative_varentropy, renyi_curve
+from .states import divergence_moments, relative_entropy, renyi_curve
 
 BOUNDARY_TOL = 1e-12
 
@@ -45,8 +45,7 @@ def exact_mse(dist: OutcomeDistribution, center: float) -> float:
 
 def estimate_report(rho, sigma, n: int) -> EstimatorReport:
     """Exact estimator statistics for one instance, with the MSE bound."""
-    div = relative_entropy(rho, sigma)
-    varentropy = relative_varentropy(rho, sigma)
+    div, varentropy = divergence_moments(rho, sigma)  # the support rule, before the reference rule
     dist = distribution(rho, sigma, n)
     mean_x = dist.mean_x()
     mse = exact_mse(dist, div)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -185,8 +186,11 @@ class SchurDimSummary:
     count: int  # number of Young indices
 
 
+@lru_cache(maxsize=None)
 def total_schur_dim(n: int, d: int) -> SchurDimSummary:
-    """Exact total dimension of the direct sum of unitary blocks, and the block count."""
+    """Exact total dimension of the direct sum of unitary blocks, and the block count.
+
+    Cached: it depends on (n, d) alone, and each exact report reads it."""
     dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
     return SchurDimSummary(n=n, d=d, total=sum(dims), count=len(dims))
 

@@ -8,7 +8,9 @@ Each state is diagonalized once, on first use (DensityMatrix.spectrum), and
 every functional reads that.  An input outside a rule raises InputError: no
 density matrix, a dimension above MAX_DIM or unequal within a pair (check_pair),
 a reference state that is not full rank with unit trace (sigma_spectrum), rho
-outside sigma's support (relative_entropy).  D and V are one law's mean and variance.
+outside sigma's support (relative_entropy).  D and V are one law's mean and
+variance (divergence_moments).  An eigenvalue of rho within rounding of zero
+is an exact zero in every functional (_exact_spectrum).
 """
 
 from __future__ import annotations
@@ -117,6 +119,18 @@ def sigma_spectrum(sigma: DensityMatrix) -> SigmaSpectrum:
 # ------------------------------------------------------------- divergences
 
 
+def _eig_slack(d: int) -> float:
+    """Eigenvalue error of forming and diagonalizing a d x d matrix, per unit of its scale."""
+    return 8 * d * float(np.finfo(float).eps)
+
+
+def _exact_spectrum(state: DensityMatrix) -> np.ndarray:
+    """The state's eigenvalues, ascending, with those within _eig_slack of zero
+    taken as exact zeros: the one rule for what a pure or rank-deficient state is."""
+    vals = state.spectrum[0]
+    return np.where(vals > _eig_slack(state.dim), vals, 0.0)
+
+
 def check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
     """The pair rule: rho and sigma act on one space."""
     if rho.dim != sigma.dim:
@@ -127,11 +141,11 @@ def _log_ratio_law(rho: DensityMatrix, sigma: DensityMatrix):
     """The Nussbaum-Szkola law of log rho - log sigma under rho, and its mean D.
 
     Returns (mass, log_r, log_s, D): mass[i, k] = r_i |<r_i|s_k>|^2 sits at
-    log_r[i] - log_s[k], over rho's positive eigenvalues and sigma's support.
-    The pair rule comes first, then the support rule."""
+    log_r[i] - log_s[k], over rho's positive eigenvalues (_exact_spectrum)
+    and sigma's support.  The pair rule comes first, then the support rule."""
     check_pair(rho, sigma)
-    (r, rv), (s, sv) = rho.spectrum, sigma.spectrum
-    r, s = np.maximum(r, 0.0), np.maximum(s, 0.0)
+    (_, rv), (s, sv) = rho.spectrum, sigma.spectrum
+    r, s = _exact_spectrum(rho), np.maximum(s, 0.0)
     overlap = np.abs(rv.conj().T @ sv) ** 2  # overlap[i, k] = |<r_i|s_k>|^2
     support = s > EXPECTATION_CUT
     supported = overlap[r > SUPPORT_CUT]
@@ -152,14 +166,20 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _log_ratio_law(rho, sigma)[3]
 
 
-def relative_varentropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """V = Tr rho (log rho - log sigma - D)^2, the log-ratio law's centred variance.
+def divergence_moments(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:
+    """(D, V) from one log-ratio law: its mean and its centred variance.
 
-    It reads 0.0 below (8 d eps max|log|)^2, the rounding of its atoms and of D."""
+    V = Tr rho (log rho - log sigma - D)^2 reads 0.0 below (8 d eps max|log|)^2,
+    the rounding of its atoms and of D."""
     mass, log_r, log_s, d_value = _log_ratio_law(rho, sigma)
     variance = math.fsum((mass * (log_r[:, None] - log_s - d_value) ** 2).ravel().tolist())
     scale = max(np.abs(log_r).max(), np.abs(log_s).max())
-    return variance if variance > (8 * rho.dim * np.finfo(float).eps * scale) ** 2 else 0.0
+    return d_value, variance if variance > (_eig_slack(rho.dim) * scale) ** 2 else 0.0
+
+
+def relative_varentropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """V = Tr rho (log rho - log sigma - D)^2, the log-ratio law's centred variance."""
+    return divergence_moments(rho, sigma)[1]
 
 
 @dataclass(frozen=True)
@@ -170,7 +190,7 @@ class _RenyiPair:
     s: np.ndarray  # reference eigenvalues, ascending, all above EXPECTATION_CUT
     sv: np.ndarray  # matching eigenvectors as columns
     sv_h: np.ndarray  # their conjugate transpose
-    null: int  # eigenvalues of rho within rounding of zero, taken as exact zeros
+    null: int  # eigenvalues of rho taken as exact zeros (_exact_spectrum)
     slack: float  # eigenvalue error bound per unit of the core's scale
 
 
@@ -178,11 +198,9 @@ def _renyi_pair(rho: DensityMatrix, sigma: DensityMatrix) -> _RenyiPair:
     check_pair(rho, sigma)
     sigma_spectrum(sigma)  # the reference rule
     s, sv = sigma.spectrum  # as eigh returns them: a reordered copy rounds differently
-    # forming sigma^t rho sigma^t and diagonalizing it each err by a few
-    # rounding units of its scale, times the dimension
-    slack = 8 * rho.dim * float(np.finfo(float).eps)
-    null = int(np.sum(rho.spectrum[0] <= slack))
-    return _RenyiPair(rho=rho.mat, s=s, sv=sv, sv_h=sv.conj().T, null=null, slack=slack)
+    null = int(np.sum(_exact_spectrum(rho) == 0))
+    return _RenyiPair(rho=rho.mat, s=s, sv=sv, sv_h=sv.conj().T, null=null,
+                      slack=_eig_slack(rho.dim))
 
 
 def _renyi_orders(pair: _RenyiPair, alphas: np.ndarray) -> np.ndarray:

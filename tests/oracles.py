@@ -772,6 +772,31 @@ def reference_varentropy(rho: DensityMatrix, sigma: DensityMatrix, digits: int =
         return float(mpmath.re(sum((mat * centred * centred)[i, i] for i in range(rho.dim))))
 
 
+def reference_law_varentropy(rho: DensityMatrix, sigma: DensityMatrix, cut: float = 1e-10,
+                             digits: int = 60) -> float:
+    """V as the variance of the Nussbaum-Szkola log-ratio law, in mpmath.
+
+    The law puts mass r_i |<r_i|s_k>|^2 at log r_i - log s_k over the
+    eigenvalues r_i of the stored rho above cut, so a state whose other
+    eigenvalues are rounding noise is taken as exactly rank-deficient (a
+    pure state as pure).  sigma must be full rank.
+    """
+    d = rho.dim
+    with mpmath.workdps(digits):
+        r, rv = mpmath.eighe(mpmath.matrix(rho.mat.tolist()))
+        s, sv = mpmath.eighe(mpmath.matrix(sigma.mat.tolist()))
+        atoms = []
+        for i in range(d):
+            ri = mpmath.re(r[i])
+            if ri <= cut:
+                continue
+            for k in range(d):
+                overlap = abs(mpmath.fsum(mpmath.conj(rv[j, i]) * sv[j, k] for j in range(d))) ** 2
+                atoms.append((ri * overlap, mpmath.log(ri) - mpmath.log(mpmath.re(s[k]))))
+        mean = mpmath.fsum(mass * value for mass, value in atoms)
+        return float(mpmath.fsum(mass * (value - mean) ** 2 for mass, value in atoms))
+
+
 # ------------------------------------------------------------ single tails
 
 

@@ -277,21 +277,26 @@ def brent_against_scipy(monkeypatch):
     return results
 
 
+# searches that refine on the inputs below; a vacuous bound returns unrefined,
+# so n = 16 and eps = 2 are there to keep at least 24 refinements per d
+REFINEMENTS = {2: 36, 3: 30, 4: 30}
+
+
 def assert_tail_refinements_match_scipy(d, results, paired):
     for seed in (0, 7, 12):
         rho = random_mixed(d, seed, floor=0.05)
         sigma = random_mixed(d, 500 + seed, floor=0.05)
         div = relative_entropy(rho, sigma)
         renyi = renyi_curve(rho, sigma)
-        for n in (2, 8):
+        for n in (2, 8, 16):
             schur_dim = total_schur_dim(n, d).total
-            for eps in (0.1, 1.0):
+            for eps in (0.1, 1.0, 2.0):
                 if paired:
                     tail_bounds(n, schur_dim, div + eps, div - eps, renyi)
                 else:
                     tail_bound_below(n, schur_dim, div - eps, renyi)
                     tail_bound_above(n, schur_dim, div + eps, renyi)
-    assert len(results) == 3 * 2 * 2 * 2
+    assert len(results) == REFINEMENTS[d]
     for (x, value), (ref_x, ref_value), same_points, _ in results:
         assert same_points and x == ref_x and same_float(value, ref_value)
     if d == 2:  # seeds 0 and 7 at eps = 1 skip uncertified orders inside the bracket
@@ -450,7 +455,9 @@ def test_sandwiched_renyi_feeds_bounds_consistently():
     assert 0 < bound.value <= 1
 
 
-def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of orders in each call of the Renyi kernel, in order."""
     calls = []
     kernel = states._renyi_orders
 
@@ -459,11 +466,76 @@ def test_tail_report_evaluates_each_grid_in_one_batch(monkeypatch):
         return kernel(pair, alphas)
 
     monkeypatch.setattr(states, "_renyi_orders", counting)
+    return calls
+
+
+def test_tail_report_evaluates_each_grid_in_one_batch(kernel_calls):
     rho, sigma = random_pair(3, seed=5)
-    tail_report(rho, sigma, 5, 0.3)
-    assert calls[:2] == [255, 99]  # the above grid, then the below grid
+    report = tail_report(rho, sigma, 16, 1.0)
+    assert report.bound_plus < 1 and report.bound_minus < 1
+    # the above probe, the above grid, then the below grid
+    assert kernel_calls[:3] == [1, 255, 99]
     # then one call per lockstep Brent step, holding both searches' orders
-    assert len(calls) - 2 <= 25 and all(1 <= size <= 2 for size in calls[2:])
+    assert len(kernel_calls) - 3 <= 25 and all(1 <= size <= 2 for size in kernel_calls[3:])
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 5), (3, 6)])
+def test_vacuous_tail_report_makes_two_kernel_calls(kernel_calls, d, n):
+    # n eps <= log schur_dim: the above probe proves that bound vacuous, the
+    # below grid proves the other, and neither search refines
+    rho, sigma = random_pair(d, seed=5)
+    report = tail_report(rho, sigma, n, 0.3)
+    assert kernel_calls == [1, 99]
+    assert report.bound_plus == report.bound_minus == 1.0
+
+
+def vacuous_sides(n, schur_dim, rate_above, rate_below, renyi):
+    """Which of the two searches return without refining, from their kernel calls."""
+    def calls(search):
+        sizes = []
+
+        def recorded(alphas):
+            sizes.append(len(alphas))
+            return renyi(alphas)
+
+        bounds._run([search], recorded)
+        return sizes
+
+    return (calls(bounds._above_search(n, schur_dim, rate_above)) == [1],
+            calls(bounds._below_search(n, schur_dim, rate_below)) == [99])
+
+
+def test_vacuity_rule_is_sound_on_every_input_it_certifies():
+    # on each certified tail, a dense scan of the bound's own family, from
+    # sandwiched_renyi alone, finds no parameter choice giving a value below 1
+    a_above = np.geomspace(1e-3, 2000, 400)
+    r_above = np.geomspace(1e-6, 5, 400)
+    a_below = np.linspace(0.0025, 0.9975, 399)
+    certified = [0, 0]
+    for d in (2, 3, 4):
+        for seed in (0, 3, 8, 13):
+            rho, sigma = random_pair(d, seed)
+            div = relative_entropy(rho, sigma)
+            renyi = renyi_curve(rho, sigma)
+            above_divs = np.array([sandwiched_renyi(rho, sigma, 1 + a) for a in a_above])
+            below_divs = np.array([sandwiched_renyi(rho, sigma, 1 - a) for a in a_below])
+            for n in (2, 4, 6, 8, 12, 16):
+                schur_dim = total_schur_dim(n, d).total
+                for eps in (0.1, 0.3):
+                    above, below = vacuous_sides(n, schur_dim, div + eps, div - eps, renyi)
+                    if above:
+                        certified[0] += 1
+                        first = -n * a_above[:, None] * (div + eps - r_above - above_divs[:, None])
+                        with np.errstate(over="ignore"):
+                            values = np.exp(first) + schur_dim * np.exp(-n * r_above)
+                        assert values.min() >= 1 - 1e-12
+                    if below:
+                        certified[1] += 1
+                        known = ~np.isnan(below_divs)
+                        exponents = a_below * (math.log(schur_dim) - n * (below_divs - div + eps))
+                        assert known.sum() > 300
+                        assert np.exp(exponents[known]).min() >= 1 - 1e-12
+    assert min(certified) >= 60
 
 
 def test_tail_bounds_ask_a_plain_batched_map_for_each_order_once():
@@ -481,7 +553,7 @@ def test_tail_bounds_ask_a_plain_batched_map_for_each_order_once():
     div = relative_entropy(rho, sigma)
     args = (5, total_schur_dim(5, 3).total, div + 0.3, div - 0.3)
     assert tail_bounds(*args, renyi) == tail_bounds(*args, renyi_curve(rho, sigma))
-    assert len(orders) == len(set(orders)) <= 255 + 99 + 2 * 25
+    assert len(orders) == len(set(orders)) <= 1 + 255 + 99 + 2 * 25
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

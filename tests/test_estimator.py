@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import block_spectrum, operator_identity_mse
+from schurest import states
 from schurest.bounds import mse_bound
 from schurest.distribution import distribution
 from schurest.estimator import (
@@ -377,3 +378,22 @@ def test_report_bound_uses_exact_dimension():
     rep = estimate_report(rho, sigma, 5)
     expected = mse_bound(5, rep.varentropy, total_schur_dim(5, 2).total)
     assert rep.mse_bound == pytest.approx(expected, abs=1e-15)
+
+
+def test_report_reads_d_and_v_from_one_law(monkeypatch):
+    laws = []
+    law = states._log_ratio_law
+
+    def counted(rho, sigma):
+        laws.append(1)
+        return law(rho, sigma)
+
+    monkeypatch.setattr(states, "_log_ratio_law", counted)
+    for d in (2, 3, 4):
+        rho, sigma = random_pair(d, seed=11)
+        laws.clear()
+        rep = estimate_report(rho, sigma, 4)
+        assert len(laws) == 1
+        # the same bits as the two functionals
+        assert rep.relative_entropy == relative_entropy(rho, sigma)
+        assert rep.varentropy == relative_varentropy(rho, sigma)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import (
     cramer_rao_check,
+    reference_law_varentropy,
     reference_sandwiched_renyi,
     reference_varentropy,
     spectrum_matrix,
@@ -235,6 +236,18 @@ def test_varentropy_of_a_state_against_itself_is_zero(d):
         rho = _mixture(sigma, random_mixed(d, seed + 100, floor=0.05), 1e-10)
         reference = reference_varentropy(rho, sigma)
         assert relative_varentropy(rho, sigma) == pytest.approx(reference, rel=1e-4, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_varentropy_takes_a_pure_state_as_pure(d):
+    # the rounding-noise eigenvalues of a stored pure state (2.2e-16 for
+    # seed 15 at d = 2) once sat in the law at log r = -36 and moved V by
+    # 3.8e-10 relative; they are exact zeros here, as in the Renyi kernel
+    for seed in (15, 3, 8):
+        rho = random_pure_depolarized(d, seed, 0.0)
+        sigma = random_mixed(d, seed + 7, floor=0.05)
+        reference = reference_law_varentropy(rho, sigma)
+        assert relative_varentropy(rho, sigma) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_pair_rule_refuses_different_dimensions():

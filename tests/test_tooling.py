@@ -123,6 +123,23 @@ def test_only_the_renyi_search_runs_brent():
     assert bounds_callers("_brent_steps") == {"_renyi_search"}
 
 
+def test_one_helper_proves_a_tail_bound_vacuous():
+    # both searches ask _vacuous whether one divergence proves their bound
+    # >= 1 at every order; a second copy of the test could drift from the
+    # proof it rests on
+    assert bounds_callers("_vacuous") == {"_above_search", "_below_search"}
+    tree = ast.parse((ROOT / "src" / "schurest" / "bounds.py").read_text())
+    comparers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(name, ast.Name) and name.id == "log_dim" for name in ast.walk(node))
+    }
+    assert comparers == {"_vacuous"}
+
+
 def eigensolve_owners(path):
     """'file:Class.function' for each function or method in `path` that calls
     eigh or eigvalsh, by attribute (np.linalg.eigh) or by bare name."""
@@ -254,11 +271,12 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_partitions_all_names_exactly_its_public_definitions():
-    # a stale name in __all__ breaks `from schurest.partitions import *`
+    # a stale name in __all__ breaks `from schurest.partitions import *`; a
+    # cached function counts as the function it wraps
     defined = {
         name for name, value in vars(partitions).items()
         if not name.startswith("_")
-        and (inspect.isfunction(value) or inspect.isclass(value))
+        and (inspect.isfunction(inspect.unwrap(value)) or inspect.isclass(value))
         and value.__module__ == partitions.__name__
     }
     assert sorted(partitions.__all__) == sorted(defined)
