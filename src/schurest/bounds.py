@@ -6,25 +6,27 @@ function; it bounds the mass of estimates above a rate (Renyi orders
 above 1, with an auxiliary split parameter) and below another (orders
 below 1), each nontrivial on its side of the true divergence.
 
-Each tail is a Renyi search, _renyi_search: a generator that yields the
-orders it needs, first its whole grid as one array and then one order
-per step of a bounded Brent refinement (_brent_steps), and is sent the
-divergences there.  One driver, _run, is the only caller of the
-divergence map: it passes each array (the above tail's one-order probe,
-then each grid) in a call of its own, then at each Brent step both
-searches' next orders in one call, so the refinements advance in
-lockstep.  An order the curve could not certify (NaN, at small
-orders) is left out; every order gives a valid bound, so the minimum over
-the rest is still one.
+Each tail is a Renyi search: a generator that yields the orders it
+needs, first one order (its probe), then its whole grid as one array
+(_renyi_search), then one order per step of a bounded Brent refinement
+(_brent_steps), and is sent the divergences there.  One driver, _run, is
+the only caller of the divergence map: it passes both searches' probes
+in one call, each grid in a call of its own, then at each Brent step
+both searches' next orders in one call, so the refinements advance in
+lockstep.  An order the curve could not certify (NaN, at small orders)
+is left out; every order gives a valid bound, so the minimum over the
+rest is still one.
 
 A tail's floats do not depend on the other tail beside it, because a
 one- or two-order call gives the kernel's same bits for an order, while
 a long batch may not (numpy's power takes another path for long arrays,
-up to 4.4e-16 apart at order 0.5).  So the lockstep calls hold at most
-the two pending orders, and the grids keep their own calls.
+up to 4.4e-16 apart at order 0.5).  So the probe and lockstep calls hold
+at most two orders, and the grids keep their own calls.  A below search
+that refines reads order 0.99 twice, in its probe and in its grid, and
+takes the grid's value, so its bits are those of a grid read alone.
 
 A search whose bound is provably vacuous (>= 1 at every order of its
-domain) returns before it refines; _vacuous is that test.  It rests on
+domain) returns after its probe; _vacuous is that test.  It rests on
 one fact: the sandwiched divergence never decreases in its order
 (Mueller-Lennert, Dupuis, Szehr, Fehr and Tomamichel, "On quantum Renyi
 entropies: a new generalization and some properties", J. Math. Phys. 54,
@@ -32,14 +34,16 @@ entropies: a new generalization and some properties", J. Math. Phys. 54,
 c = rate - D_(1+a) <= rate - D_(1+a0): if log schur_dim >= n (rate -
 D_(1+a0)), then for r >= c the first term exp(-n a (c - r)) is >= 1, and
 for r < c the second, schur_dim exp(-n r), is > 1.  So the above search
-reads D at 1 + a0 in a one-order call of its own, before its grid, and
-on a vacuous bound returns value 1 with no grid.  Below, the exponent is
-a (log schur_dim - n (D_(1-a) - rate)), and D_(1-a) <= D_0.99 for
-a >= 0.01: if log schur_dim >= n (D_0.99 - rate) the bracket is >= 0 and
-never decreases in a, so the first grid point, order 0.99, is the
-minimum, and the below search returns it after its grid with no Brent.
-In a report, whose rates are D -+ eps, both tails are vacuous while
-n eps <= log schur_dim, and it makes 2 calls to the curve in place of 27.
+probes D at 1 + a0 and on a vacuous bound returns value 1.  Below, the
+exponent is a (log schur_dim - n (D_(1-a) - rate)), and D_(1-a) <= D_0.99
+for a >= 0.01: if log schur_dim >= n (D_0.99 - rate) the bracket is >= 0
+and never decreases in a, so a = 0.01 is the minimum; the below search
+probes D at 0.99 and on a vacuous bound returns its value there.  In a
+report, whose rates are D -+ eps, both tails are vacuous while
+n eps <= log schur_dim, and it makes one call to the curve, of two
+orders.  A report that refines both tails makes its probe call, two
+grid calls and one call per lockstep Brent step, 28 in all when each
+refinement takes 25 steps.
 """
 
 from __future__ import annotations
@@ -163,25 +167,21 @@ def _brent_steps(lo: float, hi: float, xatol: float):
     return xf, fx
 
 
-def _renyi_search(grid, lo, hi, order, objective, settled=lambda div: False):
+def _renyi_search(grid, lo, hi, order, objective):
     """Minimize objective(x, div) over x in [lo, hi], div the divergence at order(x).
 
     A generator: it yields the orders of the ascending grid as one array
-    and is sent the array of their divergences.  When settled(divergence
-    at grid[0]) holds, the objective does not decrease along the grid's
-    direction, and the search returns grid[0] with no refinement.  Else,
-    from the best grid point a bounded Brent search (_brent_steps,
-    tolerance 1e-7) refines over the bracket of its grid neighbours, or lo
-    and hi at the ends; it yields the order of each point it reads and is
-    sent the divergence there.  A point read twice (a Brent point on the grid) keeps the first value it was
-    sent.  Points whose value is NaN or +inf are skipped, and the grid
+    and is sent the array of their divergences.  From the best grid point
+    a bounded Brent search (_brent_steps, tolerance 1e-7) refines over the
+    bracket of its grid neighbours, or lo and hi at the ends; it yields the
+    order of each point it reads and is sent the divergence there.  A
+    point read twice (a Brent point on the grid) keeps the first value it
+    was sent.  Points whose value is NaN or +inf are skipped, and the grid
     point is kept unless Brent beats it.  Returns (argmin, min, the
     divergence at the argmin); when no grid value is finite that is (the
     first grid point, +inf, its divergence) and nothing more is yielded.
     """
     divs = dict(zip(grid, (yield np.array([order(x) for x in grid])).tolist()))
-    if settled(divs[grid[0]]):
-        return grid[0], objective(grid[0], divs[grid[0]]), divs[grid[0]]
     best_x, best = grid[0], math.inf
     for x in grid:
         value = objective(x, divs[x])
@@ -231,18 +231,21 @@ def _below_search(n: int, schur_dim: int, rate: float):
 
     min over a in (0, 1) of schur_dim**a * exp(-n a (D_(1-a) - rate)), D_b
     the sandwiched divergence of order b, over the 99 grid orders
-    1 - i/100 and then Brent's.  A vacuous bound (_vacuous at order 0.99)
-    is its first grid point, with no Brent.
+    1 - i/100 and then Brent's.  First it reads D at its largest order,
+    0.99, as one order; a vacuous bound (_vacuous there) is returned at
+    once, at a = 0.01.
     """
     log_dim = math.log(schur_dim)
 
     def exponent(a: float, div: float) -> float:
         return _admissible(a * log_dim - n * a * (div - rate))
 
+    probe = yield 0.99
+    if _vacuous(n, log_dim, probe - rate):
+        best = exponent(0.01, probe)
+        return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=0.01)
     grid = [i / 100 for i in range(1, 100)]
-    alpha, best, _ = yield from _renyi_search(
-        grid, 0.01, 0.99, lambda a: 1 - a, exponent,
-        settled=lambda div: _vacuous(n, log_dim, div - rate))
+    alpha, best, _ = yield from _renyi_search(grid, 0.01, 0.99, lambda a: 1 - a, exponent)
     return TailBound(value=min(1.0, math.exp(best)), exponent=best, alpha=alpha)
 
 
@@ -271,8 +274,8 @@ def _above_search(n: int, schur_dim: int, rate: float):
     remaining scalar search runs over u = a/(1+a) in (0, 1), which
     compactifies the unbounded a-domain (the objective has a finite
     a -> infinity limit), over the 255 grid orders 1 + u/(1-u), u = i/256,
-    and then Brent's.  First it reads D at its smallest order, u = 1e-4, in
-    a call of its own; a vacuous bound (_vacuous there) is returned at once.
+    and then Brent's.  First it reads D at its smallest order, u = 1e-4, as
+    one order; a vacuous bound (_vacuous there) is returned at once.
     """
     log_dim = math.log(schur_dim)
     lo, hi = 1e-4, 1 - 1e-4
@@ -280,7 +283,7 @@ def _above_search(n: int, schur_dim: int, rate: float):
     def alpha_of(u: float) -> float:
         return u / (1 - u)
 
-    probe = float((yield np.array([1 + alpha_of(lo)]))[0])
+    probe = yield 1 + alpha_of(lo)
     if _vacuous(n, log_dim, rate - probe):
         return TailBound(value=1.0, exponent=0.0, alpha=alpha_of(lo))
 
@@ -314,19 +317,19 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
 
     D_b is the sandwiched divergence of order b, read from renyi, a map
     from a 1-D array of orders to the array of divergences
-    (states.renyi_curve).  The above search's probe of its smallest order
-    and its grid, then the below grid, each go to renyi in a call of their
-    own; then at each Brent step the orders both searches read next go to
-    renyi in one call.
+    (states.renyi_curve).  Both searches' probes, the orders of their
+    domains nearest 1, go to renyi in one call; then the above grid and
+    the below grid each go in a call of their own; then at each Brent step
+    the orders both searches read next go to renyi in one call.
 
     D_b never decreases in b (Mueller-Lennert et al., J. Math. Phys. 54,
     122203, 2013), so one divergence per tail can prove its bound >= 1 at
     every order: above when log schur_dim >= n (rate_above - D_(1+a0)), a0
     the smallest a searched, below when log schur_dim >= n (D_0.99 -
-    rate_below).  Such a tail is returned without its refinement, the above
-    one also without its grid; the module docstring has the proof.  At
-    rates D -+ eps both tails are vacuous while n eps <= log schur_dim, and
-    tail_bounds makes 2 calls to renyi in place of 27.
+    rate_below).  Such a tail is returned after its probe, with no grid;
+    the module docstring has the proof.  At rates D -+ eps both tails are
+    vacuous while n eps <= log schur_dim, and tail_bounds makes one call to
+    renyi, of two orders.
     """
     # numpy scalars would leak into the results and warn at 0 * inf in the Brent step
     n, rate_above, rate_below = int(n), float(rate_above), float(rate_below)
@@ -339,11 +342,12 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
 def _run(searches, renyi) -> tuple:
     """Run Renyi searches (see _renyi_search) to their ends; returns their results.
 
-    The one caller of renyi.  A search first yields arrays of orders (a
-    probe, a grid), each sent to renyi in a call of its own, the searches
-    in the order given; after that it yields single orders, and each call
-    holds the next order of every search still running, and each search is
-    sent its value.
+    The one caller of renyi.  A search yields either one order or an
+    array of orders (a grid).  Each array is sent to renyi in a call of its
+    own, the searches in the order given; while no search waits on an
+    array, one call holds the next order of every search still running,
+    and each search is sent its value.  So the searches' first orders, the
+    probes, share one call.
     """
     results = [None] * len(searches)
     pending: dict[int, float | np.ndarray] = {}  # search index -> what it reads next
@@ -357,11 +361,13 @@ def _run(searches, renyi) -> tuple:
 
     for i in range(len(searches)):
         advance(i, None)
-        while isinstance(pending.get(i), np.ndarray):
-            advance(i, renyi(pending[i]))
     while pending:
-        for i, div in zip(list(pending), renyi(np.array(list(pending.values()))).tolist()):
-            advance(i, div)
+        grid = next((i for i, orders in pending.items() if isinstance(orders, np.ndarray)), None)
+        if grid is not None:
+            advance(grid, renyi(pending[grid]))
+        else:
+            for i, div in zip(list(pending), renyi(np.array(list(pending.values()))).tolist()):
+                advance(i, div)
     return tuple(results)
 
 

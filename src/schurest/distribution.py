@@ -22,7 +22,15 @@ P_lam P_mu] at every d.  Since (rho_tilde Z)^(x)n commutes with P_lam for
 diagonal markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
 The Schur polynomial is a Jacobi-Trudi determinant in the complete
 symmetric functions h_k(rho_tilde Z), evaluated on a grid of roots of
-unity; one FFT per Young index reads off every coefficient.  The same
+unity; an FFT over the grid reads off every coefficient.  What the engine
+needs from (n, d) alone (the grid, the subset index arrays, each Young
+index's Jacobi-Trudi index block, the weights' grid positions) is built
+once per (n, d) in a cached plan.  The engine takes the Young indices in
+chunks of at most _CHUNK_CELLS grid cells, each with one stacked
+determinant and one FFT, so small grids pay little per-call overhead; a
+grid of at least _CHUNK_CELLS points takes one Young index per chunk, with
+the memory of a one-index loop.  Batching leaves every float as a
+one-index loop gives it (tests/test_distribution.py).  The same
 routine at rho_tilde = I gives the multiplicities, since the Kostka number
 is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
 coefficients to integers and raises ArithmeticError if any lies more than
@@ -43,7 +51,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -121,7 +129,6 @@ class _AtomTable:
     """
 
     columns: tuple[tuple[int, ...], ...]  # every weight; the per-Young row columns
-    blocks: tuple[tuple[int, ...], ...]  # every Young index, enumerate_young order
     v_dim: np.ndarray  # per Young index: dimV as a float
     log_v: np.ndarray  # per Young index: log dimV
     log_ratio: np.ndarray  # per Young index: log of the sn_dim size ratio
@@ -140,17 +147,16 @@ class _AtomTable:
 
 @lru_cache(maxsize=None)
 def _atom_table(n: int, d: int) -> _AtomTable:
-    columns = tuple(compositions(n, d))
-    young_list = enumerate_young(n, d)
+    plan = _plan(n, d)
     v_dims, log_v, log_ratio, entropy = [], [], [], []
-    for young in young_list:
+    for young in plan.blocks:
         v_dim, ratio = sn_dim(young)
         v_dims.append(float(v_dim))
         log_v.append(math.log(v_dim))
         log_ratio.append(math.log(ratio))
         entropy.append(type_entropy_bounds(young)[0])
     # K_lam,mu = [z^mu] s_lam(Z): the engine's coefficients at rho_tilde = I
-    rows = _schur_coefficients(np.eye(d), n, young_list, columns)
+    rows = _schur_coefficients(np.eye(d), n)
     mult_matrix = np.maximum(np.rint(rows.real), 0)
     gap = max(float(np.abs(rows.real - mult_matrix).max()), float(np.abs(rows.imag).max()))
     if gap > KOSTKA_TOL:
@@ -163,8 +169,7 @@ def _atom_table(n: int, d: int) -> _AtomTable:
     young_idx, weight_pos = np.nonzero(mult_matrix)
     mult = mult_matrix[young_idx, weight_pos]
     return _AtomTable(
-        columns=columns,
-        blocks=tuple(young_list),
+        columns=plan.columns,
         v_dim=np.array(v_dims),
         log_v=np.array(log_v),
         log_ratio=np.array(log_ratio),
@@ -172,8 +177,8 @@ def _atom_table(n: int, d: int) -> _AtomTable:
         young_idx=young_idx,
         weight_pos=weight_pos,
         mult=mult,
-        youngs=tuple(young_list[i] for i in young_idx),
-        weights=tuple(columns[pos] for pos in weight_pos),
+        youngs=tuple(plan.blocks[i] for i in young_idx),
+        weights=tuple(plan.columns[pos] for pos in weight_pos),
     )
 
 
@@ -223,25 +228,76 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
 
 # ------------------------------------------------------------ the engine
 
+# Young indices go through the engine in chunks of at most this many grid
+# cells (Young indices x grid points), so a grid of at least this many points
+# takes one Young index per chunk.  The plan keeps its phase rows only when
+# all of them fit in as many cells.
+_CHUNK_CELLS = 2**12
 
-def _elementary_on_torus(rt: np.ndarray, n: int) -> np.ndarray:
-    """e_j(rho_tilde Z) for j = 0..d at every grid point, as a (d+1, G) array.
 
-    z_k runs over the (n+1)-th roots of unity for k < d-1 and z_(d-1) = 1;
-    grid points are in C order over (j_0, ..., j_(d-2)).  e_j is the sum over
-    j-subsets S of det(rho_tilde[S, S]) * prod_(k in S) z_k.
+def _phase_row(grid: np.ndarray, roots: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """prod_(k in subset) z_k at every grid point; z_(d-1) = 1 is not on the grid."""
+    return roots[grid[subset[subset < len(grid)]].sum(axis=0) % len(roots)]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The engine's index arrays for one (n, d), built once (see _schur_coefficients).
+
+    The grid is the torus z_k = exp(2 pi i j_k / (n+1)) for k < d-1 and
+    z_(d-1) = 1, its G = (n+1)^(d-1) points in C order over (j_0, ...,
+    j_(d-2)).  A chunk (start, stop, runs) holds the Young indices
+    start..stop-1, and each run (k, lo, hi) the chunk's indices lo..hi-1,
+    whose last part lam_d is k.
     """
-    d = rt.shape[0]
+
+    blocks: tuple[tuple[int, ...], ...]  # every Young index, enumerate_young order
+    columns: tuple[tuple[int, ...], ...]  # every weight, compositions order
+    grid: np.ndarray  # (d-1, G): each grid point's exponents j_k
+    roots: np.ndarray  # the (n+1)-th roots of unity
+    subsets: tuple[np.ndarray, ...]  # per size j = 1..d: the j-subsets as rows, combinations order
+    phases: tuple[np.ndarray, ...] | None  # per size j: each subset's phase row; None past the cap
+    idx: np.ndarray  # per Young index: its (d-1) x (d-1) Jacobi-Trudi block of h indices
+    chunks: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]
+    flat: np.ndarray  # per weight: grid position of its coefficient
+
+    def phase_rows(self, j: int):
+        """The phase rows of the j-subsets, in combinations order."""
+        if self.phases is not None:
+            return self.phases[j - 1]
+        return (_phase_row(self.grid, self.roots, subset) for subset in self.subsets[j - 1])
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, d: int) -> _Plan:
     size = n + 1
+    blocks = tuple(enumerate_young(n, d))
+    columns = tuple(compositions(n, d))
     grid = np.indices((size,) * (d - 1)).reshape(d - 1, size ** (d - 1))
     roots = np.exp(2j * np.pi * np.arange(size) / size)
-    e = np.zeros((d + 1, grid.shape[1]), dtype=complex)
-    e[0] = 1.0
-    for j in range(1, d + 1):
-        for subset in combinations(range(d), j):
-            exponent = grid[[k for k in subset if k < d - 1]].sum(axis=0) % size
-            e[j] += np.linalg.det(rt[np.ix_(subset, subset)]) * roots[exponent]
-    return e
+    subsets = tuple(np.array(list(combinations(range(d), j)), dtype=np.int64).reshape(-1, j)
+                    for j in range(1, d + 1))
+    phases = None
+    if (2**d - 1) * grid.shape[1] <= _CHUNK_CELLS:
+        phases = tuple(np.array([_phase_row(grid, roots, subset) for subset in rows])
+                       for rows in subsets)
+    # lam = young[::-1] has descending parts, so lam_d is young[0]
+    idx = np.array([[[max(young[d - 1 - i] - young[0] - i + j, -1) for j in range(d - 1)]
+                     for i in range(d - 1)] for young in blocks], dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // grid.shape[1])
+    chunks = []
+    for start in range(0, len(blocks), step):
+        stop = min(start + step, len(blocks))
+        runs, lo = [], 0
+        for k, run in groupby(young[0] for young in blocks[start:stop]):
+            hi = lo + len(list(run))
+            runs.append((k, lo, hi))
+            lo = hi
+        chunks.append((start, stop, tuple(runs)))
+    flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], (size,) * (d - 1))
+    return _Plan(blocks=blocks, columns=columns, grid=grid, roots=roots, subsets=subsets,
+                 phases=phases, idx=idx.reshape(len(blocks), d - 1, d - 1),
+                 chunks=tuple(chunks), flat=flat)
 
 
 def _work(n: int, d: int) -> int:
@@ -277,20 +333,32 @@ def check_size(n: int, d: int) -> None:
         )
 
 
-def _schur_coefficients(rt: np.ndarray, n: int, blocks, columns) -> np.ndarray:
-    """[z^mu] s_lam(rho_tilde Z) for every lam in blocks and mu in columns, as a complex array.
+def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
+    """[z^mu] s_lam(rho_tilde Z) for every Young index lam and weight mu of (n, d), as a complex array.
 
-    On the grid, h_k = sum_j (-1)^(j-1) e_j h_(k-j), and with descending parts
-    lam_1 >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
-    The last row of that d x d matrix is (0, ..., 0, 1), so the leading
-    (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
-    the determinant the cancellation it suffers on near-pure states.  s_lam
-    has degree n, so its values on the (n+1)^(d-1) grid fix every
-    coefficient, and one FFT per Young index returns them all.  Row y,
-    column c holds the coefficient of blocks[y] at the weight columns[c].
+    First e_j(rho_tilde Z) for j = 0..d on the grid of the (n, d) plan:
+    the sum over j-subsets S of det(rho_tilde[S, S]) times S's phase row,
+    with each size's minors in one stacked det.  Then h_k = sum_j
+    (-1)^(j-1) e_j h_(k-j), and with descending parts lam_1 >= ... >=
+    lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].  The last
+    row of that d x d matrix is (0, ..., 0, 1), so the leading (d-1) x
+    (d-1) minor is the determinant.  Factoring out e_d^lam_d spares the
+    determinant the cancellation it suffers on near-pure states.  s_lam has
+    degree n, so its values on the (n+1)^(d-1) grid fix every coefficient,
+    and an FFT over the grid axes returns them all.  Each chunk of Young
+    indices takes one gather of its blocks from h, one stacked det, one
+    power of e_d per run of equal last parts (Young indices come sorted by
+    lam_d, so per distinct part) and one FFT.  Row y, column c holds
+    the coefficient of the plan's y-th Young index at its c-th weight.
     """
     d = rt.shape[0]
-    e = _elementary_on_torus(rt, n)
+    plan = _plan(n, d)
+    e = np.zeros((d + 1, plan.grid.shape[1]), dtype=complex)
+    e[0] = 1.0
+    for j, subsets in enumerate(plan.subsets, start=1):
+        minors = np.linalg.det(rt[subsets[:, :, None], subsets[:, None, :]])
+        for minor, phase in zip(minors, plan.phase_rows(j)):
+            e[j] += minor * phase
     # h_(-1) is the zero row at the end, so negative indices read zero
     h = np.zeros((n + d, e.shape[1]), dtype=complex)
     h[0] = 1.0
@@ -298,16 +366,15 @@ def _schur_coefficients(rt: np.ndarray, n: int, blocks, columns) -> np.ndarray:
         for j in range(1, min(k, d) + 1):
             h[k] += (-1) ** (j - 1) * e[j] * h[k - j]
     shape = (n + 1,) * (d - 1)
-    # grid index of each weight's coefficient: its first d-1 exponents
-    flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], shape)
-    rows = np.empty((len(blocks), len(columns)), dtype=complex)
-    for yi, young in enumerate(blocks):
-        lam = young[::-1]
-        idx = np.array([[max(lam[i] - lam[-1] - i + j, -1) for j in range(d - 1)]
-                        for i in range(d - 1)], dtype=np.int64).reshape(d - 1, d - 1)
-        minor = np.linalg.det(np.moveaxis(h[idx], -1, 0))
-        values = (e[d] ** lam[-1] * minor).reshape(shape)
-        rows[yi] = np.fft.fftn(values, norm="forward").ravel()[flat]
+    rows = np.empty((len(plan.blocks), len(plan.columns)), dtype=complex)
+    for start, stop, runs in plan.chunks:
+        values = np.linalg.det(np.moveaxis(h[plan.idx[start:stop]], -1, 1))
+        for k, lo, hi in runs:
+            # the power stays the left factor: numpy's complex product is not
+            # bitwise symmetric, and this order gives a one-index loop's bits
+            np.multiply(e[d] ** k, values[lo:hi], out=values[lo:hi])
+        coeffs = np.fft.fftn(values.reshape(-1, *shape), axes=range(1, d), norm="forward")
+        rows[start:stop] = coeffs.reshape(stop - start, -1)[:, plan.flat]
     return rows
 
 
@@ -323,7 +390,7 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     d = rho.dim
     check_size(n, d)
     table = _atom_table(n, d)
-    rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n, table.blocks, table.columns)
+    rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n)
     coeffs = table.v_dim[:, None] * rows
     max_imag = float(np.abs(coeffs.imag).max())
     return _assemble(n, d, "jacobi_trudi", spec, coeffs.real, max_imag)

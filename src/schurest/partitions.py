@@ -190,9 +190,20 @@ class SchurDimSummary:
 def total_schur_dim(n: int, d: int) -> SchurDimSummary:
     """Exact total dimension of the direct sum of unitary blocks, and the block count.
 
-    Cached: it depends on (n, d) alone, and each exact report reads it."""
-    dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
-    return SchurDimSummary(n=n, d=d, total=sum(dims), count=len(dims))
+    In closed form, by the Schur-Littlewood identity sum_lam s_lam(x) =
+    prod_i (1 - x_i)^-1 prod_(i<j) (1 - x_i x_j)^-1 at x = (t, ..., t):
+    the weight-n blocks add up to [t^n] (1 - t)^-d (1 - t^2)^-m, m = d(d-1)/2,
+    which is sum_k C(d-1 + n-2k, d-1) C(m-1 + k, m-1); at m = 0 only k = 0
+    counts.  Cached: it depends on (n, d) alone, and each exact report
+    reads it."""
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    pairs = d * (d - 1) // 2
+    total = sum(math.comb(d - 1 + n - 2 * k, d - 1) * math.comb(pairs - 1 + k, pairs - 1)
+                for k in range(n // 2 + 1)) if pairs else 1
+    # the weights, C(n + d - 1, d - 1) of them, bound the count from above
+    count = young_count(n, d, math.comb(n + d - 1, d - 1))
+    return SchurDimSummary(n=n, d=d, total=total, count=count)
 
 
 def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:

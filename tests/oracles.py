@@ -253,6 +253,13 @@ def schur_eval(lam: Sequence[int], values: Sequence[float]) -> float:
     return math.fsum(terms)
 
 
+def total_schur_dim_by_enumeration(n: int, d: int) -> tuple[int, int]:
+    """(total unitary block dimension, block count) of (n, d): one exact
+    weyl_dim per Young index, summed."""
+    dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
+    return sum(dims), len(dims)
+
+
 # ------------------------------------------------------------ brute backend
 
 
@@ -801,8 +808,8 @@ def reference_law_varentropy(rho: DensityMatrix, sigma: DensityMatrix, cut: floa
 
 
 def tail_bound_above(n: int, schur_dim: int, rate: float, renyi) -> bounds.TailBound:
-    """The above-tail bound of tail_bounds, searched alone: its grid in one
-    call to renyi, then one order per call."""
+    """The above-tail bound of tail_bounds, searched alone: its probe, then
+    its grid in one call to renyi, then one order per call."""
     return bounds._run([bounds._above_search(n, schur_dim, rate)], renyi)[0]
 
 

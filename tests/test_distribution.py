@@ -318,6 +318,55 @@ def test_work_guard_refuses_quickly(d, n):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_engine_chunks_give_the_bytes_of_one_young_index_at_a_time(monkeypatch, d):
+    # a one-cell cap makes every chunk one Young index, as the engine once
+    # looped, and keeps no phase row in the plan
+    from schurest import distribution as module
+
+    spec = sigma_spectrum(random_mixed(d, 40 + d, floor=0.05))
+    matrices = [np.eye(d)] + [module._rho_in_reference_basis(rho, spec)
+                              for rho in (random_mixed(d, 3, floor=0.05), random_mixed(d, 3))]
+    for n in range(1, 8):
+        module.check_size(n, d)
+        batched = [module._schur_coefficients(rt, n) for rt in matrices]
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_CHUNK_CELLS", 1)
+            patch.setattr(module, "_plan", module._plan.__wrapped__)
+            plan = module._plan(n, d)
+            assert plan.phases is None
+            assert all(stop - start == 1 for start, stop, *_ in plan.chunks)
+            single = [module._schur_coefficients(rt, n) for rt in matrices]
+        for a, b in zip(batched, single):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(15, 4), (16, 4), (7, 5)])
+def test_engine_grid_past_the_cap_runs_one_young_index_per_chunk(n, d):
+    from schurest import distribution as module
+
+    plan = module._plan(n, d)
+    assert plan.grid.shape[1] >= module._CHUNK_CELLS
+    assert [chunk[:2] for chunk in plan.chunks] == [(y, y + 1) for y in range(len(plan.blocks))]
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (30, 2), (6, 3), (20, 3), (5, 4)])
+def test_engine_chunks_cover_the_young_indices_within_the_cap(n, d):
+    from schurest import distribution as module
+
+    plan = module._plan(n, d)
+    size = plan.grid.shape[1]
+    starts = [start for start, _, _ in plan.chunks] + [len(plan.blocks)]
+    assert starts == [0] + [stop for _, stop, _ in plan.chunks]
+    for start, stop, runs in plan.chunks:
+        assert 0 < (stop - start) * size <= module._CHUNK_CELLS
+        bounds = [lo for _, lo, _ in runs] + [stop - start]
+        assert bounds == [0] + [hi for _, _, hi in runs]
+        assert [k for k, lo, hi in runs for _ in range(lo, hi)] == [
+            young[0] for young in plan.blocks[start:stop]]
+        assert len({k for k, _, _ in runs}) == len(runs)
+
+
 def test_large_n_stability():
     rho, sigma = random_pair(2, seed=88)
     dist = distribution(rho, sigma, 30)

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CycleType, character, cycle_types, kostka, schur_eval
+from oracles import (
+    CycleType,
+    character,
+    cycle_types,
+    kostka,
+    schur_eval,
+    total_schur_dim_by_enumeration,
+)
 from schurest.bounds import log_schur_dim_counting
 from schurest.partitions import (
     compositions,
@@ -335,6 +342,13 @@ def test_total_schur_dim_examples_and_bounds():
             assert rec.count <= (n + 1) ** (d - 1)
             for lam in enumerate_young(n, d):
                 assert weyl_dim(lam) <= (n + 1) ** (d * (d - 1) // 2)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_total_schur_dim_closed_form_matches_enumeration(d):
+    for n in range(0, 41):
+        rec = total_schur_dim(n, d)
+        assert (rec.total, rec.count) == total_schur_dim_by_enumeration(n, d)
 
 
 @pytest.mark.parametrize("n, d, count", [(3, 40, 3), (20, 30, 627)])

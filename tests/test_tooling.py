@@ -98,6 +98,20 @@ def test_only_the_table_writer_reads_the_output_format():
     assert readers == {"_emit_table"}
 
 
+def test_only_the_engine_plan_builds_the_grid_and_the_subsets():
+    # the torus grid and the subset index arrays are built once per (n, d),
+    # in the cached plan; another builder would rebuild them on every call
+    tree = ast.parse((ROOT / "src" / "schurest" / "distribution.py").read_text())
+    builders = {
+        (func.name, ast.unparse(node.func))
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.indices", "combinations")
+    }
+    assert builders == {("_plan", "np.indices"), ("_plan", "combinations")}
+
+
 def bounds_callers(name):
     """The functions in bounds.py that call `name` by its bare name."""
     tree = ast.parse((ROOT / "src" / "schurest" / "bounds.py").read_text())
