@@ -26,10 +26,13 @@ unity; an FFT over the grid reads off every coefficient.  What the engine
 needs from (n, d) alone (the grid, the subset index arrays, each Young
 index's Jacobi-Trudi index block, the weights' grid positions) is built
 once per (n, d) in a cached plan.  The engine takes the Young indices in
-chunks of at most _CHUNK_CELLS grid cells, each with one stacked
-determinant and one FFT, so small grids pay little per-call overhead; a
-grid of at least _CHUNK_CELLS points takes one Young index per chunk, with
-the memory of a one-index loop.  Batching leaves every float as a
+chunks of at most _CHUNK_CELLS grid cells, each with one FFT, so small
+grids pay little per-call overhead; a grid of at least _CHUNK_CELLS points
+takes one Young index per chunk, with the memory of a one-index loop.  A
+chunk's Jacobi-Trudi minors have order d-1: at d = 2 and 3 their
+determinants are closed forms evaluated elementwise over the chunk, and at
+d >= 4 one stacked LU (np.linalg.det), the pivoted path on which the
+near-pure accuracy there was measured.  Batching leaves every float as a
 one-index loop gives it (tests/test_distribution.py).  The same
 routine at rho_tilde = I gives the multiplicities, since the Kostka number
 is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
@@ -65,7 +68,7 @@ from .partitions import (
 from .states import DensityMatrix, SigmaSpectrum, check_pair, sigma_spectrum
 
 # JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
-# near-pure states at d >= 3: a (3, 30) marginal is already off by 7.5e-9
+# near-pure states at d >= 3: a (3, 30) marginal is already off by 8.1e-9
 # and a (4, 24) one by 4.0e-9 (tests/test_distribution.py), and past it a
 # d = 3 pair aborts on mass below NEG_ABORT near n = 60.  The work guard
 # bounds the cost.
@@ -333,42 +336,87 @@ def check_size(n: int, d: int) -> None:
         )
 
 
-def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
-    """[z^mu] s_lam(rho_tilde Z) for every Young index lam and weight mu of (n, d), as a complex array.
+def _elementary(rt: np.ndarray, plan: _Plan) -> np.ndarray:
+    """e_j(rho_tilde Z) for j = 0..d on the plan's grid, as (d+1, G) rows.
 
-    First e_j(rho_tilde Z) for j = 0..d on the grid of the (n, d) plan:
-    the sum over j-subsets S of det(rho_tilde[S, S]) times S's phase row,
-    with each size's minors in one stacked det.  Then h_k = sum_j
-    (-1)^(j-1) e_j h_(k-j), and with descending parts lam_1 >= ... >=
-    lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].  The last
-    row of that d x d matrix is (0, ..., 0, 1), so the leading (d-1) x
-    (d-1) minor is the determinant.  Factoring out e_d^lam_d spares the
-    determinant the cancellation it suffers on near-pure states.  s_lam has
-    degree n, so its values on the (n+1)^(d-1) grid fix every coefficient,
-    and an FFT over the grid axes returns them all.  Each chunk of Young
-    indices takes one gather of its blocks from h, one stacked det, one
-    power of e_d per run of equal last parts (Young indices come sorted by
-    lam_d, so per distinct part) and one FFT.  Row y, column c holds
-    the coefficient of the plan's y-th Young index at its c-th weight.
+    e_j is the sum over j-subsets S of det(rho_tilde[S, S]) times S's
+    phase row, with each size's minors in one stacked det.
     """
     d = rt.shape[0]
-    plan = _plan(n, d)
     e = np.zeros((d + 1, plan.grid.shape[1]), dtype=complex)
     e[0] = 1.0
     for j, subsets in enumerate(plan.subsets, start=1):
         minors = np.linalg.det(rt[subsets[:, :, None], subsets[:, None, :]])
         for minor, phase in zip(minors, plan.phase_rows(j)):
             e[j] += minor * phase
-    # h_(-1) is the zero row at the end, so negative indices read zero
+    return e
+
+
+def _complete(e: np.ndarray, n: int) -> np.ndarray:
+    """h_k(rho_tilde Z) for k = 0..n+d-2 from the rows e_0..e_d, by
+    h_k = sum_j (-1)^(j-1) e_j h_(k-j); row n+d-1 is zero, so index -1
+    reads zero.
+
+    The signed rows are formed once, and each h_k is one product-sum over
+    j = 1..min(k, d), reduced from zero in the order of j, which gives the
+    bits of adding the terms one at a time.
+    """
+    d = len(e) - 1
+    signed = np.array([(-1) ** (j - 1) * e[j] for j in range(1, d + 1)])
     h = np.zeros((n + d, e.shape[1]), dtype=complex)
     h[0] = 1.0
     for k in range(1, n + d - 1):
-        for j in range(1, min(k, d) + 1):
-            h[k] += (-1) ** (j - 1) * e[j] * h[k - j]
+        m = min(k, d)
+        np.add.reduce(signed[:m] * h[k - m:k][::-1], axis=0, out=h[k], initial=0)
+    return h
+
+
+def _block_dets(blocks: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of Jacobi-Trudi blocks, one per grid point.
+
+    blocks[y, i, j, g] is entry (i, j) of block y at grid point g; the
+    result is the (Y, G) array of determinants.  Orders 1 and 2 (d = 2
+    and 3) are in closed form, the entry and a*d - b*c, elementwise over
+    the stack: np.linalg.det would send each tiny matrix through LAPACK's
+    LU, slogdet and exp, which at (3, 20) took 4-5 ms of a 5 ms engine
+    call on a 2-vCPU Xeon VM.  Order 0 and orders >= 3 stay on np.linalg.det's pivoted LU: a
+    cofactor expansion's accuracy on the near-pure cancellations at d = 4
+    (tests/test_distribution.py) is unmeasured.
+    """
+    order = blocks.shape[1]
+    if order == 1:
+        return blocks[:, 0, 0]
+    if order == 2:
+        return blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    return np.linalg.det(np.moveaxis(blocks, -1, 1))
+
+
+def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
+    """[z^mu] s_lam(rho_tilde Z) for every Young index lam and weight mu of (n, d), as a complex array.
+
+    First e_j(rho_tilde Z) for j = 0..d on the grid of the (n, d) plan
+    (_elementary), then h_k (_complete), and with descending parts lam_1
+    >= ... >= lam_d, s_lam = e_d^lam_d * det[h_(lam_i - lam_d - i + j)].
+    The last row of that d x d matrix is (0, ..., 0, 1), so the leading
+    (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
+    the determinant the cancellation it suffers on near-pure states.  s_lam
+    has degree n, so its values on the (n+1)^(d-1) grid fix every
+    coefficient, and an FFT over the grid axes returns them all.  Each
+    chunk of Young indices takes one gather of its blocks from h, their
+    determinants through _block_dets (closed form at orders 1 and 2, one
+    stacked LU at order >= 3), one power of e_d per run of equal last parts
+    (Young indices come sorted by lam_d, so per distinct part) and one FFT.
+    Row y, column c holds the coefficient of the plan's y-th Young index at
+    its c-th weight.
+    """
+    d = rt.shape[0]
+    plan = _plan(n, d)
+    e = _elementary(rt, plan)
+    h = _complete(e, n)
     shape = (n + 1,) * (d - 1)
     rows = np.empty((len(plan.blocks), len(plan.columns)), dtype=complex)
     for start, stop, runs in plan.chunks:
-        values = np.linalg.det(np.moveaxis(h[plan.idx[start:stop]], -1, 1))
+        values = _block_dets(h[plan.idx[start:stop]])
         for k, lo, hi in runs:
             # the power stays the left factor: numpy's complex product is not
             # bitwise symmetric, and this order gives a one-index loop's bits

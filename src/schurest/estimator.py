@@ -89,7 +89,7 @@ def tail_probabilities(dist: OutcomeDistribution, center: float, epsilon: float,
     are excluded from both tails and counted in boundary_atoms (tie mass
     is zero for generic spectra).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # also refuses NaN, for which every comparison is False
         raise ValueError("need epsilon > 0")
     hi, lo = center + epsilon, center - epsilon
     above = math.fsum(dist.p[dist.x > hi].tolist())

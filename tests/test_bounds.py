@@ -540,20 +540,26 @@ def test_vacuity_rule_is_sound_on_every_input_it_certifies():
 
 def test_tail_bounds_ask_a_plain_batched_map_for_each_order_once():
     # the searches keep the divergences they are sent, so a map with no
-    # memo gives renyi_curve's floats and sees no order twice: the grids,
-    # then one order per Brent point of each search
+    # memo gives renyi_curve's floats and sees no order twice, but for the
+    # below probe's order 0.99, which its grid reads again (see bounds):
+    # the probes, the grids, then one order per Brent point of each search.
+    # At n = 16, eps = 1 neither tail is vacuous, so both refine.
     rho, sigma = random_pair(3, seed=5)
     pair = states._renyi_pair(rho, sigma)
-    orders = []
+    orders, sizes = [], []
 
     def renyi(alphas):
         orders.extend(alphas.tolist())
+        sizes.append(len(alphas))
         return states._renyi_orders(pair, alphas)
 
     div = relative_entropy(rho, sigma)
-    args = (5, total_schur_dim(5, 3).total, div + 0.3, div - 0.3)
+    args = (16, total_schur_dim(16, 3).total, div + 1.0, div - 1.0)
     assert tail_bounds(*args, renyi) == tail_bounds(*args, renyi_curve(rho, sigma))
-    assert len(orders) == len(set(orders)) <= 1 + 255 + 99 + 2 * 25
+    assert sizes[:4] == [2, 255, 99, 2]
+    repeated = {order for order in orders if orders.count(order) > 1}
+    assert repeated == {0.99} and orders.count(0.99) == 2
+    assert len(orders) <= 2 + 255 + 99 + 2 * 25
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -367,6 +367,65 @@ def test_engine_chunks_cover_the_young_indices_within_the_cap(n, d):
         assert len({k for k, _, _ in runs}) == len(runs)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_h_recurrence_gives_the_bits_of_a_term_by_term_loop(d):
+    # _complete sums each h_k as one reduction; the loop adds its terms one
+    # at a time, from zero, in the order of j
+    from schurest import distribution as module
+
+    spec = sigma_spectrum(random_mixed(d, 60 + d, floor=0.05))
+    for rt in (np.eye(d), module._rho_in_reference_basis(random_mixed(d, 5), spec)):
+        for n in (1, 4, 9):
+            e = module._elementary(rt, module._plan(n, d))
+            h = np.zeros((n + d, e.shape[1]), dtype=complex)
+            h[0] = 1.0
+            for k in range(1, n + d - 1):
+                for j in range(1, min(k, d) + 1):
+                    h[k] += (-1) ** (j - 1) * e[j] * h[k - j]
+            assert module._complete(e, n).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_small_jacobi_trudi_blocks_match_lapack_det(order):
+    # the closed forms agree with LU to a few ulps of the product scale;
+    # np.linalg.det returns exp(log|det|), whose relative error grows with
+    # |log|det||, hence the log term
+    from schurest import distribution as module
+
+    rng = np.random.default_rng(order)
+    for scale in (1.0, 1e-8, 1e6):
+        blocks = scale * (rng.standard_normal((40, order, order, 17))
+                          + 1j * rng.standard_normal((40, order, order, 17)))
+        closed = module._block_dets(blocks)
+        lapack = np.linalg.det(np.moveaxis(blocks, -1, 1))
+        size = np.abs(blocks)
+        product = size[:, 0, 0] if order == 1 else (size[:, 0, 0] * size[:, 1, 1]
+                                                     + size[:, 0, 1] * size[:, 1, 0])
+        assert closed.shape == lapack.shape == (40, 17)
+        ulps = np.abs(closed - lapack) / (np.finfo(float).eps * product)
+        assert np.all(ulps <= 4 * (1 + np.abs(np.log(product))))
+
+
+@pytest.mark.parametrize("d, n", [(3, 20), (4, 6)])
+def test_engine_sends_only_blocks_of_order_three_up_to_lapack(monkeypatch, d, n):
+    # at d = 3 only the d sizes of principal minor of rho_tilde reach
+    # np.linalg.det; at d = 4 every chunk's 3 x 3 blocks do as well
+    from schurest import distribution as module
+
+    plan = module._plan(n, d)
+    shapes = []
+
+    def counted(a, det=np.linalg.det):
+        shapes.append(np.shape(a)[-2:])
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    module._schur_coefficients(np.eye(d), n)
+    minors = [(j, j) for j in range(1, d + 1)]
+    blocks = [(d - 1, d - 1)] * len(plan.chunks) if d >= 4 else []
+    assert shapes == minors + blocks
+
+
 def test_large_n_stability():
     rho, sigma = random_pair(2, seed=88)
     dist = distribution(rho, sigma, 30)
@@ -473,7 +532,7 @@ def lam_marginal_error(rho, sigma, n):
 
 # Near-pure states lose precision to cancellation in the Jacobi-Trudi
 # determinant at d >= 3, inside the size limits: measured errors were
-# 9.6e-12 at (3, 20), 2.3e-10 at (3, 25) and 7.5e-9 at (3, 30) for the
+# 8.2e-12 at (3, 20), 2.3e-10 at (3, 25) and 8.1e-9 at (3, 30) for the
 # first pair, and 8.8e-12 at (4, 16), 1.8e-10 at (4, 20) and 4.0e-9 at
 # (4, 24) for the last.  Well-conditioned pairs stay near 1e-15.
 NEAR_PURE_PAIRS = {

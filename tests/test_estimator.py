@@ -23,6 +23,7 @@ from schurest.estimator import (
     normality_report,
     sample_outcomes,
     tail_probabilities,
+    tail_report,
 )
 from schurest.partitions import enumerate_young, sn_dim, total_schur_dim
 from schurest.states import (
@@ -217,6 +218,11 @@ def test_tail_validation():
     dist = distribution(rho, sigma, 3)
     with pytest.raises(ValueError):
         tail_probabilities(dist, 0.5, 0.0)
+    # a NaN epsilon once passed the check and gave empty tails with bounds 1
+    with pytest.raises(ValueError, match="epsilon"):
+        tail_probabilities(dist, 0.5, math.nan)
+    with pytest.raises(ValueError, match="epsilon"):
+        tail_report(rho, sigma, 6, math.nan)
 
 
 # --------------------------------------------------------------- sampling

@@ -57,10 +57,12 @@ def test_failing_property_does_not_abort_the_session(tmp_path):
 
 
 def test_library_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle.
+    # The timing tools hold to the same, so a runtime-only install runs them
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted((ROOT / "src" / "schurest").glob("*.py"))
+        for folder in (ROOT / "src" / "schurest", ROOT / "tools")
+        for path in sorted(folder.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
@@ -110,6 +112,33 @@ def test_only_the_engine_plan_builds_the_grid_and_the_subsets():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.indices", "combinations")
     }
     assert builders == {("_plan", "np.indices"), ("_plan", "combinations")}
+
+
+def test_the_engine_takes_its_jacobi_trudi_blocks_only_through_the_helper():
+    # _block_dets picks the closed form or LU by the blocks' order; a det
+    # of the gathered blocks beside it would bypass that choice, and only
+    # the e_j minors of rho_tilde go to np.linalg.det directly
+    tree = ast.parse((ROOT / "src" / "schurest" / "distribution.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    engine = functions["_schur_coefficients"]
+    gathers = [node for node in ast.walk(engine)
+               if isinstance(node, ast.Subscript) and "plan.idx" in ast.unparse(node.slice)]
+    takers = {ast.unparse(call.func) for call in ast.walk(engine) if isinstance(call, ast.Call)
+              if any(arg is gather for arg in call.args for gather in gathers)}
+    assert len(gathers) == 1 and takers == {"_block_dets"}
+    dets = {name for name, func in functions.items() for node in ast.walk(func)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.det"}
+    assert dets == {"_elementary", "_block_dets"}
+
+
+def test_the_stage_timer_wraps_functions_that_exist():
+    # tools/op_times.py reads a stage it cannot find as null, so a renamed
+    # engine function would blank that column of every BENCH file it writes
+    spec = importlib.util.spec_from_file_location("op_times", ROOT / "tools" / "op_times.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for owner, attr in module.STAGES.values():
+        assert callable(getattr(importlib.import_module(owner), attr, None)), (owner, attr)
 
 
 def bounds_callers(name):
