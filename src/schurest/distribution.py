@@ -357,17 +357,16 @@ def _complete(e: np.ndarray, n: int) -> np.ndarray:
     h_k = sum_j (-1)^(j-1) e_j h_(k-j); row n+d-1 is zero, so index -1
     reads zero.
 
-    The signed rows are formed once, and each h_k is one product-sum over
-    j = 1..min(k, d), reduced from zero in the order of j, which gives the
-    bits of adding the terms one at a time.
+    The signed rows (-1)^(j-1) e_j are formed once per call, not once per
+    term; each term is the same product as before, added in the same order.
     """
     d = len(e) - 1
-    signed = np.array([(-1) ** (j - 1) * e[j] for j in range(1, d + 1)])
+    signed = [(-1) ** (j - 1) * e[j] for j in range(1, d + 1)]
     h = np.zeros((n + d, e.shape[1]), dtype=complex)
     h[0] = 1.0
     for k in range(1, n + d - 1):
-        m = min(k, d)
-        np.add.reduce(signed[:m] * h[k - m:k][::-1], axis=0, out=h[k], initial=0)
+        for j in range(1, min(k, d) + 1):
+            h[k] += signed[j - 1] * h[k - j]
     return h
 
 

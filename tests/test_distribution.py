@@ -369,8 +369,7 @@ def test_engine_chunks_cover_the_young_indices_within_the_cap(n, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_h_recurrence_gives_the_bits_of_a_term_by_term_loop(d):
-    # _complete sums each h_k as one reduction; the loop adds its terms one
-    # at a time, from zero, in the order of j
+    # _complete forms the signed rows once; the loop signs e_j in every term
     from schurest import distribution as module
 
     spec = sigma_spectrum(random_mixed(d, 60 + d, floor=0.05))

@@ -1,34 +1,39 @@
 #!/usr/bin/env python3
-"""Warm report times per (d, n) and engine stage times, written to BENCH_<label>.json.
+"""Per-size op times, engine stage times and benchmark runs, written to BENCH_<label>.json.
 
     python3 tools/op_times.py LABEL --what "one line on the change" [--baseline CHECKOUT]
 
-Run it from a source checkout.  Each measurement is a fresh child process
-that imports the library from one checkout's ``src`` and the benchmark's
-workloads from this checkout's ``perfbench``, so both trees run the same
-inputs.  In a child:
+Run it from a source checkout.  With ``--baseline``, every measurement is
+taken PAIRS times on each checkout, alternating, the side that runs first
+swapping every pair; without it, PAIRS times on this checkout alone.  There
+are two kinds of measurement, each in fresh processes:
 
-- set-up: ``exact-small`` and ``exact-large`` build their seeded pairs and
-  warm every cache (their ``setup``), timed cold;
-- op times: whole rounds of each workload's operation (``estimate_report``
-  then ``tail_report``) until ``--seconds`` have passed, each operation
-  timed alone and filed under its (d, n);
-- stage times: ``distribution`` on each size's first pair, three calls or
-  ``--seconds``/8 of them, whichever is more, with the engine stages
-  wrapped in timers: ``e`` (distribution._elementary), ``h``
+- op times, one child of this script per side and pair.  It imports the
+  library from its checkout's ``src`` and the workloads from this
+  checkout's ``perfbench``, so both trees run the same inputs.  The child
+  times ``exact-small`` and ``exact-large`` set-up cold (their ``setup``,
+  which builds the seeded pairs and warms every cache), then runs whole
+  rounds of each workload's operation (``estimate_report`` then
+  ``tail_report``) for OP_SECONDS[workload], each operation timed alone and
+  filed under its (d, n).  Last it calls ``distribution`` on each size's
+  first pair for STAGE_SECONDS (three calls at least), with the engine
+  stages wrapped in timers: ``e`` (distribution._elementary), ``h``
   (_complete), ``minors`` (_block_dets), ``fft`` (np.fft.fftn) and
   ``assembly`` (_assemble).  A stage that the tree does not define reads
   null; ``other`` is the rest of the call.
+- benchmark runs: the command of ``BENCHMARK.json`` in each checkout, on
+  every workload listed there, for its ``run_seconds``, with ``--trace 0``
+  and seed BENCH_SEED + pair.
 
-``--pairs`` children run; with ``--baseline``, that many of each
-checkout, alternating, the side that runs first swapping every pair.
-Times come from ``time.perf_counter``, CPU time and peak RSS from
-``resource.getrusage``.
-BLAS runs on one thread, as in the benchmark.  The file gets each side's
-median and quartiles per (d, n) over all its operations, the median of the
-children's medians, the stage medians, and the machine's facts; with a
-baseline, also the number of pairs in which the change's child median per
-(d, n) was the lower.
+The file gets, per side, each (d, n)'s op-time quartiles over all its
+operations, the median of the children's medians and the stage medians;
+each end-to-end benchmark metric's quartiles over the runs, with every
+run's latency sample count and the percentile ``op_ms.tail`` read; and the
+machine's facts.  With a baseline it also gets, per (d, n) and per metric,
+the number of pairs in which the change was the better side.  Times come
+from ``time.perf_counter``, CPU time and peak RSS from
+``resource.getrusage``.  BLAS runs on one thread and no process writes
+bytecode, so neither tree gains a ``__pycache__`` the other lacks.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("exact-small", "exact-large")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10
+SEED = 7  # the op-time children's inputs
+# a (4, 16) operation takes 0.2-0.5 s, so exact-large gets 30-75 of them per child
+OP_SECONDS = {"exact-small": 3.0, "exact-large": 15.0}
+STAGE_SECONDS = 0.4  # per size and child
+BENCH_SEED = 3100
 # each engine stage: the (module, function) a timer wraps while distribution runs
 STAGES = {
     "e": ("schurest.distribution", "_elementary"),
@@ -63,14 +74,15 @@ def parse_args(argv):
     p.add_argument("label", nargs="?")
     p.add_argument("--what", default="")
     p.add_argument("--baseline", help="root of a second checkout to alternate with")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=3.0, help="op-time loop per workload and child")
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--child", help=argparse.SUPPRESS)  # the src directory a child imports
     args = p.parse_args(argv)
     if args.child is None and not args.label:
         p.error("LABEL is required")
     return args
+
+
+def quiet_env():
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **dict.fromkeys(BLAS_VARS, "1"))
 
 
 def timed(table, name, func):
@@ -84,7 +96,7 @@ def timed(table, name, func):
     return wrapper
 
 
-def stage_times(workload, budget):
+def stage_times(workload):
     """ms per distribution call on each size's first pair, per stage."""
     module = importlib.import_module("schurest.distribution")
     targets = {name: (importlib.import_module(owner), attr)
@@ -100,7 +112,7 @@ def stage_times(workload, budget):
                 setattr(owner, attr, timed(spent, name, saved[name]))
         calls, total = 0, 0.0
         try:
-            while calls < 3 or total < budget:
+            while calls < 3 or total < STAGE_SECONDS:
                 start = time.perf_counter()
                 module.distribution(rho, sigma, n)
                 total += time.perf_counter() - start
@@ -116,9 +128,9 @@ def stage_times(workload, budget):
     return out
 
 
-def child(args):
-    """One measurement on the library in args.child; prints one JSON object."""
-    sys.path[:0] = [args.child, os.path.join(ROOT, "perfbench")]
+def child(src):
+    """One op-time measurement on the library in src; prints one JSON object."""
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import workloads
 
     result = {"setup_s": {}, "op_ms": {}, "stage_ms": {}}
@@ -126,11 +138,11 @@ def child(args):
         for name in WORKLOADS:
             wl = workloads.make(name)
             start = time.perf_counter()
-            wl.setup(args.seed, workdir)
+            wl.setup(SEED, workdir)
             result["setup_s"][name] = time.perf_counter() - start
             samples = {f"{d},{n}": [] for d, n in wl.sizes}
             index, start = 0, time.perf_counter()
-            while index == 0 or time.perf_counter() - start < args.seconds:
+            while index == 0 or time.perf_counter() - start < OP_SECONDS[name]:
                 for op in wl.round(index):
                     begin = time.perf_counter()
                     wl.run(op)
@@ -138,21 +150,36 @@ def child(args):
                     wl.capture.seen.clear()
                 index += 1
             result["op_ms"][name] = samples
-            result["stage_ms"].update(stage_times(wl, args.seconds / 8))
+            result["stage_ms"].update(stage_times(wl))
     usage = resource.getrusage(resource.RUSAGE_SELF)
     result["cpu_s"] = usage.ru_utime + usage.ru_stime
     result["peak_rss_mb"] = usage.ru_maxrss / 1024
     print(json.dumps(result))
 
 
-def run_child(checkout, args):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **dict.fromkeys(BLAS_VARS, "1"))
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.join(checkout, "src"),
-           "--seconds", str(args.seconds), "--seed", str(args.seed)]
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=900)
+def run_child(checkout):
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.join(checkout, "src")]
+    done = subprocess.run(cmd, env=quiet_env(), capture_output=True, text=True, timeout=900)
     if done.returncode != 0:
         raise RuntimeError(f"child on {checkout} failed: {done.stderr.strip()[-800:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_benchmark(checkout, command, workload, seed, seconds):
+    """One benchmark run: its JSON line, with the latency facts of its result file."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, env=quiet_env(), capture_output=True, text=True,
+                          timeout=1800)
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"benchmark on {checkout} failed: {done.stderr.strip()[-800:]}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    path = os.path.join(checkout, "perfbench", "out", f"result-{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        latency = json.load(fh)["extra"]["latency"]
+    return {"failed": result["failed"], "attempted": result["attempted"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "samples": latency["samples"], "tail_percentile": latency["tail_percentile"]}
 
 
 def quartiles(values):
@@ -190,6 +217,29 @@ def faster_pairs(change, baseline):
             for name in WORKLOADS for size in change[0]["op_ms"][name]}
 
 
+def summarize_benchmark(runs, metrics):
+    """Per workload: each metric's quartiles per side, pair wins, and every run's latency facts."""
+    out = {}
+    for workload, sides in runs.items():
+        row = {"failed": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
+               "samples": {side: [r["samples"] for r in rs] for side, rs in sides.items()},
+               "tail_percentile": {side: [r["tail_percentile"] for r in rs]
+                                   for side, rs in sides.items()},
+               "metrics": {}}
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            entry = {side: quartiles([r["metrics"][name] for r in rs])
+                     for side, rs in sides.items()}
+            if "baseline" in sides:
+                entry["change_better_pairs"] = sum(
+                    (c["metrics"][name] < b["metrics"][name]) == lower
+                    and c["metrics"][name] != b["metrics"][name]
+                    for c, b in zip(sides["change"], sides["baseline"]))
+            row["metrics"][name] = entry
+        out[workload] = row
+    return out
+
+
 def describe(checkout):
     done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
                           capture_output=True, text=True, timeout=30)
@@ -213,30 +263,43 @@ def machine():
 def main(argv=None):
     args = parse_args(argv)
     if args.child is not None:
-        child(args)
+        child(args.child)
         return 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
     sides = {"change": ROOT}
     if args.baseline:
         sides["baseline"] = os.path.abspath(args.baseline)
-    runs = {side: [] for side in sides}
+    trees = {side: describe(path) for side, path in sides.items()}
     order = list(sides)
-    for index in range(args.pairs):
-        for side in order if index % 2 == 0 else order[::-1]:
-            runs[side].append(run_child(sides[side], args))
+    ops = {side: [] for side in sides}
+    bench = {w["name"]: {side: [] for side in sides} for w in spec["workloads"]}
+    for pair in range(PAIRS):
+        turn = order if pair % 2 == 0 else order[::-1]
+        for side in turn:
+            ops[side].append(run_child(sides[side]))
+        for workload, runs in bench.items():
+            for side in turn:
+                runs[side].append(run_benchmark(sides[side], spec["command"], workload,
+                                                BENCH_SEED + pair, spec["run_seconds"]))
+        print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr)
     report = {
         "label": args.label,
         "what": args.what,
         "machine": machine(),
         "timer": "time.perf_counter per operation and per stage call; resource.getrusage "
-                 "for CPU time and peak RSS; one fresh child process per measurement, sides "
-                 "alternating",
-        "settings": {"pairs": len(runs["change"]), "seconds_per_workload": args.seconds,
-                     "seed": args.seed},
-        "trees": {side: describe(path) for side, path in sides.items()},
-        **{side: summarize(side_runs) for side, side_runs in runs.items()},
+                 "for CPU time and peak RSS; fresh processes, sides alternating",
+        "settings": {"pairs": PAIRS, "op_seconds": OP_SECONDS, "stage_seconds": STAGE_SECONDS,
+                     "seed": SEED, "benchmark": {
+                         "command": [*spec["command"], "--workload", "W", "--seed",
+                                     f"{BENCH_SEED}+pair", "--seconds",
+                                     str(spec["run_seconds"]), "--trace", "0"]}},
+        "trees": trees,
+        **{side: summarize(side_runs) for side, side_runs in ops.items()},
     }
     if args.baseline:
-        report["change_faster_pairs"] = faster_pairs(runs["change"], runs["baseline"])
+        report["change_faster_pairs"] = faster_pairs(ops["change"], ops["baseline"])
+    report["benchmark"] = summarize_benchmark(bench, spec["end_to_end"])
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)
