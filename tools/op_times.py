@@ -24,13 +24,21 @@ are two kinds of measurement, each in fresh processes:
 - benchmark runs: the command of ``BENCHMARK.json`` in each checkout, on
   every workload listed there, for its ``run_seconds``, with ``--trace 0``
   and seed BENCH_SEED + pair.
+- with a baseline, one more child that loads both trees' packages (the
+  baseline's as ``schurest_baseline``) and runs AB_ROUNDS[workload] rounds
+  of both exact workloads, each operation once on each tree, the tree that
+  runs first swapping every round.  Child processes differ by more than the
+  change at (4, 16): the host's speed drifts between them, and alternating
+  inside one process cancels that drift.
 
 The file gets, per side, each (d, n)'s op-time quartiles over all its
 operations, the median of the children's medians and the stage medians;
 each end-to-end benchmark metric's quartiles over the runs, with every
 run's latency sample count and the percentile ``op_ms.tail`` read; and the
 machine's facts.  With a baseline it also gets, per (d, n) and per metric,
-the number of pairs in which the change was the better side.  Times come
+the number of pairs in which the change was the better side, and per (d, n)
+each tree's median over the alternating rounds and the rounds in which the
+change was faster.  Times come
 from ``time.perf_counter``, CPU time and peak RSS from
 ``resource.getrusage``.  BLAS runs on one thread and no process writes
 bytecode, so neither tree gains a ``__pycache__`` the other lacks.
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -58,6 +67,7 @@ SEED = 7  # the op-time children's inputs
 # a (4, 16) operation takes 0.2-0.5 s, so exact-large gets 30-75 of them per child
 OP_SECONDS = {"exact-small": 3.0, "exact-large": 15.0}
 STAGE_SECONDS = 0.4  # per size and child
+AB_ROUNDS = {"exact-small": 400, "exact-large": 30}
 BENCH_SEED = 3100
 # each engine stage: the (module, function) a timer wraps while distribution runs
 STAGES = {
@@ -74,7 +84,8 @@ def parse_args(argv):
     p.add_argument("label", nargs="?")
     p.add_argument("--what", default="")
     p.add_argument("--baseline", help="root of a second checkout to alternate with")
-    p.add_argument("--child", help=argparse.SUPPRESS)  # the src directory a child imports
+    # the src directory a child imports; two of them, change first, alternate
+    p.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child is None and not args.label:
         p.error("LABEL is required")
@@ -157,8 +168,70 @@ def child(src):
     print(json.dumps(result))
 
 
-def run_child(checkout):
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", os.path.join(checkout, "src")]
+def load_package(name, src):
+    """The schurest package in src, imported as `name`, with the modules workloads uses."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(src, "schurest", "__init__.py"),
+        submodule_search_locations=[os.path.join(src, "schurest")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for sub in ("estimator", "scaling", "states"):
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+def load_workloads(package):
+    """A copy of perfbench's workloads module that imports package as schurest."""
+    sys.modules["schurest"] = package
+    spec = importlib.util.spec_from_file_location(
+        f"workloads_{package.__name__}", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def alternate(change_src, baseline_src):
+    """Both trees in one process, each operation once on each, alternating; prints JSON.
+
+    The workloads' outcome-table capture imports schurest at call time, so
+    each side's package is bound to that name while its side runs.
+    """
+    packages = {"change": load_package("schurest", change_src),
+                "baseline": load_package("schurest_baseline", baseline_src)}
+    modules = {side: load_workloads(package) for side, package in packages.items()}
+    out = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in WORKLOADS:
+            wls = {}
+            for side, module in modules.items():
+                sys.modules["schurest"] = packages[side]
+                wls[side] = module.make(name)
+                wls[side].setup(SEED, workdir)
+            ms = {side: {f"{d},{n}": [] for d, n in wls["change"].sizes} for side in wls}
+            for index in range(AB_ROUNDS[name]):
+                turn = ("change", "baseline") if index % 2 == 0 else ("baseline", "change")
+                for k, (d, n) in enumerate(wls["change"].sizes):
+                    for side in turn:
+                        sys.modules["schurest"] = packages[side]
+                        op = wls[side].round(index)[k]
+                        begin = time.perf_counter()
+                        wls[side].run(op)
+                        ms[side][f"{d},{n}"].append(1e3 * (time.perf_counter() - begin))
+                        wls[side].capture.seen.clear()
+            for size, change in ms["change"].items():
+                baseline = ms["baseline"][size]
+                out[size] = {"change": round(statistics.median(change), 4),
+                             "baseline": round(statistics.median(baseline), 4),
+                             "change_faster_rounds": sum(map(float.__lt__, change, baseline)),
+                             "rounds": len(change)}
+    print(json.dumps(out))
+
+
+def run_child(*checkouts):
+    cmd = [sys.executable, os.path.abspath(__file__), "--child",
+           *(os.path.join(checkout, "src") for checkout in checkouts)]
     done = subprocess.run(cmd, env=quiet_env(), capture_output=True, text=True, timeout=900)
     if done.returncode != 0:
         raise RuntimeError(f"child on {checkout} failed: {done.stderr.strip()[-800:]}")
@@ -263,7 +336,10 @@ def machine():
 def main(argv=None):
     args = parse_args(argv)
     if args.child is not None:
-        child(args.child)
+        if len(args.child) == 1:
+            child(args.child[0])
+        else:
+            alternate(*args.child)
         return 0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -283,6 +359,7 @@ def main(argv=None):
                 runs[side].append(run_benchmark(sides[side], spec["command"], workload,
                                                 BENCH_SEED + pair, spec["run_seconds"]))
         print(f"pair {pair + 1}/{PAIRS} done", file=sys.stderr)
+    in_process = run_child(ROOT, sides["baseline"]) if args.baseline else None
     report = {
         "label": args.label,
         "what": args.what,
@@ -299,6 +376,7 @@ def main(argv=None):
     }
     if args.baseline:
         report["change_faster_pairs"] = faster_pairs(ops["change"], ops["baseline"])
+        report["in_process"] = {"rounds": AB_ROUNDS, "op_ms": in_process}
     report["benchmark"] = summarize_benchmark(bench, spec["end_to_end"])
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
