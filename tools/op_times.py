@@ -5,8 +5,8 @@
 
 Run it from a source checkout.  With ``--baseline``, every measurement is
 taken PAIRS times on each checkout, alternating, the side that runs first
-swapping every pair; without it, PAIRS times on this checkout alone.  There
-are two kinds of measurement, each in fresh processes:
+swapping every pair; without it, PAIRS times on this checkout alone.  Every
+measurement runs in fresh processes:
 
 - op times, one child of this script per side and pair.  It imports the
   library from its checkout's ``src`` and the workloads from this
@@ -27,9 +27,9 @@ are two kinds of measurement, each in fresh processes:
 - with a baseline, one more child that loads both trees' packages (the
   baseline's as ``schurest_baseline``) and runs AB_ROUNDS[workload] rounds
   of both exact workloads, each operation once on each tree, the tree that
-  runs first swapping every round.  Child processes differ by more than the
-  change at (4, 16): the host's speed drifts between them, and alternating
-  inside one process cancels that drift.
+  runs first swapping every round.  Child processes can differ by more than
+  a small per-size change, since the host's speed drifts between them;
+  alternating inside one process cancels that drift.
 
 The file gets, per side, each (d, n)'s op-time quartiles over all its
 operations, the median of the children's medians and the stage medians;
@@ -38,9 +38,8 @@ run's latency sample count and the percentile ``op_ms.tail`` read; and the
 machine's facts.  With a baseline it also gets, per (d, n) and per metric,
 the number of pairs in which the change was the better side, and per (d, n)
 each tree's median over the alternating rounds and the rounds in which the
-change was faster.  Times come
-from ``time.perf_counter``, CPU time and peak RSS from
-``resource.getrusage``.  BLAS runs on one thread and no process writes
+change was faster.  Times come from ``time.perf_counter``, CPU time and
+peak RSS from ``resource.getrusage``.  BLAS runs on one thread and no process writes
 bytecode, so neither tree gains a ``__pycache__`` the other lacks.
 """
 
