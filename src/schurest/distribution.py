@@ -46,11 +46,21 @@ horizontal-strip Kostka recursion) live in the test tree.
 Roundoff can leave tiny negative raw probabilities: values in (-1e-6, 0)
 are clamped to zero (and the worst one recorded); anything at or below
 -1e-6 aborts.
+
+distribution keeps the last table it returned, keyed on n and the dtype,
+shape, layout and bytes of rho's and sigma's matrices, and returns that
+object when the next call has the same key, after the same refusals have
+run.  A report pair (estimate_report, then tail_report on one instance)
+thus builds one table.  There is one slot and no size to set: a caller
+that moves on to another instance evicts it, so a benchmark that cycles
+through instances measures the engine, not the memo.  Every array of a
+returned table is read-only, as it may be handed to more than one caller.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -65,7 +75,7 @@ from .partitions import (
     type_entropy_bounds,
     young_count,
 )
-from .states import DensityMatrix, SigmaSpectrum, check_pair, sigma_spectrum
+from .states import DensityMatrix, InputError, SigmaSpectrum, check_pair, sigma_spectrum
 
 # JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
 # near-pure states at d >= 3: a (3, 30) marginal is already off by 8.1e-9
@@ -211,7 +221,7 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
     weight_log_s = table.weight_log_s(np.log(spec.values))
     log_q = table.log_v[table.young_idx] + weight_log_s
     gap_bound = (d * math.log(n + 1) - table.log_ratio) / n
-    return OutcomeDistribution(
+    dist = OutcomeDistribution(
         n=n,
         d=d,
         backend=backend,
@@ -220,13 +230,19 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
         weights=table.weights,
         p=p,
         log_q=log_q,
-        mult=table.mult.copy(),
+        mult=table.mult,
         x=-log_q / n,
         x_star=-table.entropy[table.young_idx] - weight_log_s / n,
         gap_bound=gap_bound[table.young_idx],
         max_imag=max_imag,
         neg_clip=neg_clip,
     )
+    # read-only, as the memo in distribution hands one table to every caller
+    # and mult is the cached atom table's own array
+    for array in (dist.sigma_values, dist.p, dist.log_q, dist.mult, dist.x, dist.x_star,
+                  dist.gap_bound):
+        array.flags.writeable = False
+    return dist
 
 
 # ------------------------------------------------------------ the engine
@@ -321,9 +337,13 @@ def _work(n: int, d: int) -> int:
 def check_size(n: int, d: int) -> None:
     """Raise ValueError when distribution would refuse (n, d) for its size.
 
-    Needs n >= 1, n <= JT_MAX_N and _work(n, d) <= JT_MAX_WORK; the check
-    builds no table, so callers can vet a whole range of n first.
+    Needs an integer n (InputError otherwise: a float or a bool is no copy
+    count, even when it equals one), n >= 1, n <= JT_MAX_N and _work(n, d)
+    <= JT_MAX_WORK; the check builds no table, so callers can vet a whole
+    range of n first.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise InputError(f"need an integer number of copies, got {n!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     if n > JT_MAX_N:
@@ -425,19 +445,46 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
+# distribution's memo: (key, table) of the last table it returned, or None.
+# It is read once and replaced in one assignment, so a thread sees an old or
+# a new entry whole; two threads that race only build a table twice.
+_last: tuple[tuple, OutcomeDistribution] | None = None
+
+
+def _state_key(state: DensityMatrix) -> tuple:
+    """What the engine reads of a state: its matrix's dtype, shape, layout and bytes."""
+    mat = state.mat
+    return mat.dtype.str, mat.shape, mat.strides, mat.tobytes()
+
+
 def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     """Exact distribution: p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
 
     rho_tilde is rho in sigma's descending eigenbasis, and _schur_coefficients
     reads every coefficient off one Jacobi-Trudi determinant per Young index.
-    Sizes that check_size refuses raise ValueError before any table is built.
+    Inputs that check_pair, sigma_spectrum or check_size refuse raise on
+    every call, before any table is built or looked up.
+
+    A call with the same n and the same bytes of rho's and sigma's matrices
+    as the one before returns the table that call built, the object itself;
+    its arrays are read-only.  So an estimate_report and a tail_report on
+    one pair build one table.  The memo keeps one table: a caller that
+    cycles through pairs, as the benchmark's workloads do, never reads a
+    table that an earlier operation built.
     """
+    global _last
     check_pair(rho, sigma)
     spec = sigma_spectrum(sigma)
     d = rho.dim
     check_size(n, d)
+    key = (n, _state_key(rho), _state_key(sigma))
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
     table = _atom_table(n, d)
     rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n)
     coeffs = table.v_dim[:, None] * rows
     max_imag = float(np.abs(coeffs.imag).max())
-    return _assemble(n, d, "jacobi_trudi", spec, coeffs.real, max_imag)
+    dist = _assemble(n, d, "jacobi_trudi", spec, coeffs.real, max_imag)
+    _last = key, dist
+    return dist

@@ -4,6 +4,10 @@ The outcome table from the distribution layer already carries each atom's
 estimate x and its approximation x_star.  All statistics here (mean, MSE,
 tails, the normality distance) are exact sums over that table; Monte Carlo
 sampling is provided only as plumbing on top of the exact distribution.
+
+estimate_statistics and tail_probabilities reduce one table; estimate_report
+and tail_report build it from (rho, sigma, n) and reduce it, and a report
+pair on one instance shares the table through distribution's memo.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ def exact_mse(dist: OutcomeDistribution, center: float) -> float:
     return math.fsum((dist.p * (dist.x - center) ** 2).tolist())
 
 
-def estimate_report(rho, sigma, n: int) -> EstimatorReport:
-    """Exact estimator statistics for one instance, with the MSE bound."""
-    div, varentropy = divergence_moments(rho, sigma)  # the support rule, before the reference rule
-    dist = distribution(rho, sigma, n)
+def estimate_statistics(dist: OutcomeDistribution, div: float, varentropy: float) -> EstimatorReport:
+    """The estimator statistics of one outcome table against the pair's D and V,
+    with the MSE bound."""
+    n = dist.n
     mean_x = dist.mean_x()
     mse = exact_mse(dist, div)
     mse_star = math.fsum((dist.p * (dist.x_star - div) ** 2).tolist())
@@ -68,6 +72,12 @@ def estimate_report(rho, sigma, n: int) -> EstimatorReport:
         mse_bound=bound,
         ks=ks,
     )
+
+
+def estimate_report(rho, sigma, n: int) -> EstimatorReport:
+    """Exact estimator statistics for one instance, with the MSE bound."""
+    div, varentropy = divergence_moments(rho, sigma)  # the support rule, before the reference rule
+    return estimate_statistics(distribution(rho, sigma, n), div, varentropy)
 
 
 @dataclass(frozen=True)

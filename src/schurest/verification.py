@@ -341,7 +341,9 @@ def _family_byte_identical_rerun(seed: int) -> None:
             main(["gen-state", "diagonal", "--spectrum", "0.7,0.3", "--out", sigma_path]) == 0,
             "gen-state (diagonal) failed",
         )
-        outputs = []
+        # the two commands alternate, so each rerun rebuilds its outcome table
+        # (distribution keeps only the last one) as a fresh process would
+        outputs, csvs = [], []
         for run in (1, 2):
             out = os.path.join(tmp, f"report{run}.json")
             code = main(
@@ -350,9 +352,6 @@ def _family_byte_identical_rerun(seed: int) -> None:
             _check(code == 0, f"estimate run {run} exited {code}")
             with open(out, "rb") as fh:
                 outputs.append(fh.read())
-        _check(outputs[0] == outputs[1], "estimate reruns differ byte-wise")
-        csvs = []
-        for run in (1, 2):
             out = os.path.join(tmp, f"table{run}.csv")
             code = main(
                 ["distribution", "--rho", rho_path, "--sigma", sigma_path, "--n", "3", "--out", out]
@@ -360,6 +359,7 @@ def _family_byte_identical_rerun(seed: int) -> None:
             _check(code == 0, f"distribution run {run} exited {code}")
             with open(out, "rb") as fh:
                 csvs.append(fh.read())
+        _check(outputs[0] == outputs[1], "estimate reruns differ byte-wise")
         _check(csvs[0] == csvs[1], "distribution reruns differ byte-wise")
         payload = json.loads(outputs[0].decode())
         _check(payload["n"] == 4 and payload["d"] == 2, "estimate report keys broken")

@@ -146,12 +146,16 @@ class TestEstimate:
         assert payload["ks"] == pytest.approx(report.ks, abs=1e-15)
 
     def test_rerun_is_byte_identical(self, states, tmp_path):
+        # a run at another n in between, so the rerun rebuilds its outcome
+        # table (distribution keeps only the last one) as a new process would
         outputs = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
             assert main(["estimate", "--rho", states["rho"], "--sigma", states["sigma"],
                          "--n", "5", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
+            assert main(["estimate", "--rho", states["rho"], "--sigma", states["sigma"],
+                         "--n", "4", "--out", str(tmp_path / "other.json")]) == 0
         assert outputs[0] == outputs[1]
 
     def test_five_levels(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ Oracles kept independent of the engine under test (most in oracles.py):
 - a 50-digit Jacobi-Trudi expansion in coefficient space (mpmath, no FFT).
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -46,6 +47,7 @@ from schurest.partitions import (
 )
 from schurest.states import (
     DensityMatrix,
+    InputError,
     diagonal_state,
     random_mixed,
     random_pure_depolarized,
@@ -316,6 +318,93 @@ def test_work_guard_refuses_quickly(d, n):
     with pytest.raises(ValueError, match=rf"\(n, d\) = \({n}, {d}\) needs at least"):
         distribution(rho, sigma, n)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [4.0, 2.5, math.nan, np.float64(3), True, False, None])
+def test_a_copy_count_that_is_no_integer_is_refused(n):
+    # a float n once reached the engine's plan and a bool came back as the
+    # table's n; the refusal runs before the memo's key is formed
+    from schurest.estimator import estimate_report
+
+    rho, sigma = random_pair(2, seed=5)
+    for call in (distribution, estimate_report):
+        with pytest.raises(InputError, match="integer number of copies"):
+            call(rho, sigma, n)
+
+
+def test_numpy_integer_copy_counts_pass():
+    rho, sigma = random_pair(2, seed=5)
+    first = distribution(rho, sigma, 3)
+    distribution(rho, sigma, 4)
+    assert distribution(rho, sigma, np.int64(3)).p.tobytes() == first.p.tobytes()
+
+
+@pytest.fixture
+def engine_passes(monkeypatch):
+    """A list that gains one entry per engine pass (_elementary call)."""
+    from schurest import distribution as module
+
+    calls = []
+    elementary = module._elementary
+    monkeypatch.setattr(module, "_elementary", lambda *args: calls.append(1) or elementary(*args))
+    return calls
+
+
+def test_the_memo_holds_one_table(engine_passes):
+    a, b = random_pair(3, seed=21), random_pair(3, seed=22)
+    distribution(*a, 4)  # warms the (4, 3) atom table
+    distribution(*b, 4)
+    engine_passes.clear()
+    first = distribution(*a, 4)
+    assert distribution(*b, 4) is not first
+    assert distribution(*a, 4) is not first
+    assert len(engine_passes) == 3
+
+
+def test_the_memo_hits_on_equal_bytes_in_fresh_states(engine_passes):
+    rho, sigma = random_pair(3, seed=23)
+    first = distribution(rho, sigma, 4)
+    engine_passes.clear()
+    again = distribution(DensityMatrix(rho.mat.copy()), DensityMatrix(sigma.mat.copy()), 4)
+    assert again is first and engine_passes == []
+
+
+def test_the_memo_misses_on_any_other_input(engine_passes):
+    rho, sigma = random_pair(3, seed=24)
+    distribution(rho, sigma, 5)  # warms the (5, 3) atom table
+    moved = rho.mat.copy()
+    moved[0, 1] = complex(np.nextafter(moved[0, 1].real, 1.0), moved[0, 1].imag)
+    others = [(DensityMatrix(moved), sigma, 4), (rho, sigma, 5), (sigma, rho, 4)]
+    for args in others:
+        first = distribution(rho, sigma, 4)
+        engine_passes.clear()
+        other = distribution(*args)
+        assert other is not first and len(engine_passes) == 1, args[2]
+
+
+def test_every_array_of_a_table_is_read_only():
+    dist = distribution(*random_pair(2, seed=25), 3)
+    arrays = [field.name for field in dataclasses.fields(dist)
+              if isinstance(getattr(dist, field.name), np.ndarray)]
+    assert len(arrays) == 7
+    for name in arrays:
+        array = getattr(dist, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_refusals_fire_right_after_a_call_that_shares_an_argument():
+    rho, sigma = random_pair(3, seed=26)
+    distribution(rho, sigma, 4)
+    with pytest.raises(InputError, match="different dimensions"):
+        distribution(rho, random_mixed(2, seed=26), 4)
+    distribution(rho, sigma, 4)
+    with pytest.raises(ValueError, match=f"n <= {JT_MAX_N}"):
+        distribution(rho, sigma, JT_MAX_N + 1)
+    distribution(rho, sigma, 4)
+    with pytest.raises(InputError, match="full rank"):
+        distribution(rho, diagonal_state([0.5, 0.5, 0.0]), 4)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

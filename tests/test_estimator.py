@@ -19,6 +19,7 @@ from schurest.distribution import distribution
 from schurest.estimator import (
     _normal_cdf,
     estimate_report,
+    estimate_statistics,
     exact_mse,
     normality_report,
     sample_outcomes,
@@ -384,6 +385,16 @@ def test_report_bound_uses_exact_dimension():
     rep = estimate_report(rho, sigma, 5)
     expected = mse_bound(5, rep.varentropy, total_schur_dim(5, 2).total)
     assert rep.mse_bound == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 5), (3, 4)])
+def test_report_is_the_reducer_over_its_table(d, n):
+    # estimate_report is divergence_moments, distribution and
+    # estimate_statistics, as tail_report is tail_probabilities over its table
+    rho, sigma = random_pair(d, seed=73)
+    moments = states.divergence_moments(rho, sigma)
+    assert estimate_statistics(distribution(rho, sigma, n), *moments) == estimate_report(
+        rho, sigma, n)
 
 
 def test_report_reads_d_and_v_from_one_law(monkeypatch):

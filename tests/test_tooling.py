@@ -131,13 +131,18 @@ def test_the_engine_takes_its_jacobi_trudi_blocks_only_through_the_helper():
     assert dets == {"_elementary", "_block_dets"}
 
 
-def test_the_stage_timer_wraps_functions_that_exist():
-    # tools/op_times.py reads a stage it cannot find as null, so a renamed
-    # engine function would blank that column of every BENCH file it writes
+def load_op_times():
+    """tools/op_times.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("op_times", ROOT / "tools" / "op_times.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for owner, attr in module.STAGES.values():
+    return module
+
+
+def test_the_stage_timer_wraps_functions_that_exist():
+    # tools/op_times.py reads a stage it cannot find as null, so a renamed
+    # engine function would blank that column of every BENCH file it writes
+    for owner, attr in load_op_times().STAGES.values():
         assert callable(getattr(importlib.import_module(owner), attr, None)), (owner, attr)
 
 
@@ -230,6 +235,22 @@ def test_a_report_pair_diagonalizes_each_state_once(monkeypatch):
         estimator.estimate_report(rho, sigma, 4)
         estimator.tail_report(rho, sigma, 4, 0.3)
         assert len(solves) <= expected, solves
+
+
+def test_a_warm_report_pair_runs_the_engine_once(monkeypatch):
+    # tail_report reads the outcome table that estimate_report built, from
+    # distribution's one-table memo
+    from schurest import distribution as module
+
+    passes = []
+    elementary = module._elementary
+    monkeypatch.setattr(module, "_elementary", lambda *args: passes.append(1) or elementary(*args))
+    pairs = [(random_mixed(3, seed=s), random_mixed(3, seed=s + 1, floor=0.05)) for s in (13, 15)]
+    for rho, sigma in pairs:  # the first pair warms the (4, 3) tables
+        passes.clear()
+        estimator.estimate_report(rho, sigma, 4)
+        estimator.tail_report(rho, sigma, 4, 0.3)
+    assert len(passes) == 1
 
 
 def test_only_state_file_loading_handles_overflow():
@@ -336,6 +357,24 @@ def bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_stage_timed_call_runs_the_engine(bench_workloads, tmp_path, monkeypatch):
+    # the stage timer alternates two pairs per size; one pair called again
+    # would read distribution's memo and time no engine stage at all
+    from schurest import distribution as module
+
+    op_times = load_op_times()
+    monkeypatch.setattr(op_times, "STAGE_SECONDS", 0.0)
+    workload = bench_workloads.make("exact-large", tiny=True)
+    workload.setup(seed=1, workdir=str(tmp_path))
+    passes = []
+    elementary = module._elementary
+    monkeypatch.setattr(module, "_elementary", lambda *args: passes.append(1) or elementary(*args))
+    rows = op_times.stage_times(workload)
+    assert [row["calls"] for row in rows.values()] == [3] * len(workload.sizes)
+    assert len(passes) == 3 * len(workload.sizes)
+    assert all(row["e"] > 0 for row in rows.values())
 
 
 @pytest.mark.parametrize("name", ["exact-small", "exact-large", "scan"])

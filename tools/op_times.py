@@ -15,8 +15,11 @@ measurement runs in fresh processes:
   which builds the seeded pairs and warms every cache), then runs whole
   rounds of each workload's operation (``estimate_report`` then
   ``tail_report``) for OP_SECONDS[workload], each operation timed alone and
-  filed under its (d, n).  Last it calls ``distribution`` on each size's
-  first pair for STAGE_SECONDS (three calls at least), with the engine
+  filed under its (d, n); each round cycles through the sizes, so no
+  operation finds the table of the one before in ``distribution``'s
+  one-table memo.  Last it calls ``distribution`` on each size's first two
+  pairs in turn, so that every call misses the memo and runs the engine,
+  for STAGE_SECONDS (three calls at least), with the engine
   stages wrapped in timers: ``e`` (distribution._elementary), ``h``
   (_complete), ``minors`` (_block_dets), ``fft`` (np.fft.fftn) and
   ``assembly`` (_assemble).  A stage that the tree does not define reads
@@ -29,7 +32,9 @@ measurement runs in fresh processes:
   of both exact workloads, each operation once on each tree, the tree that
   runs first swapping every round.  Child processes can differ by more than
   a small per-size change, since the host's speed drifts between them;
-  alternating inside one process cancels that drift.
+  alternating inside one process cancels that drift.  Each tree has its own
+  memo, and each tree's operations cycle through the sizes, so none of
+  them reads a table an earlier one built.
 
 The file gets, per side, each (d, n)'s op-time quartiles over all its
 operations, the median of the children's medians and the stage medians;
@@ -107,13 +112,17 @@ def timed(table, name, func):
 
 
 def stage_times(workload):
-    """ms per distribution call on each size's first pair, per stage."""
+    """ms per distribution call on each size's first two pairs, per stage.
+
+    The calls alternate the two pairs, as one pair called again would
+    return the memo's table without running the engine.
+    """
     module = importlib.import_module("schurest.distribution")
     targets = {name: (importlib.import_module(owner), attr)
                for name, (owner, attr) in STAGES.items()}
     out = {}
     for d, n in workload.sizes:
-        rho, sigma = workload.pairs[(d, n)][0]
+        pairs = workload.pairs[(d, n)][:2]
         spent = dict.fromkeys(STAGES, 0.0)
         saved = {}
         for name, (owner, attr) in targets.items():
@@ -124,7 +133,7 @@ def stage_times(workload):
         try:
             while calls < 3 or total < STAGE_SECONDS:
                 start = time.perf_counter()
-                module.distribution(rho, sigma, n)
+                module.distribution(*pairs[calls % 2], n)
                 total += time.perf_counter() - start
                 calls += 1
         finally:
