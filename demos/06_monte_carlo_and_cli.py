@@ -82,7 +82,7 @@ def cli_section() -> None:
               f"bound_plus = {tail['bound_plus']}")
 
     print("\nRe-running any subcommand with the same arguments reproduces the bytes")
-    print("exactly; see `schurest verify` for the full invariant checklist.")
+    print("exactly; `schurest verify` checks that and the paper's finite-size claims.")
 
 
 def main() -> None:

@@ -54,23 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def log_schur_dim_counting(n: int, d: int) -> float:
-    """log of the polynomial counting estimate (n+1)^((d+2)(d-1)/2)."""
-    return (d + 2) * (d - 1) / 2 * math.log(n + 1)
-
-
 def mse_bound(n: int, varentropy: float, schur_dim: int) -> float:
     """(sqrt(V/n) + log(total block dimension)/n)**2."""
     if n < 1 or varentropy < 0 or schur_dim < 1:
         raise ValueError("need n >= 1, varentropy >= 0, schur_dim >= 1")
     return (math.sqrt(varentropy / n) + math.log(schur_dim) / n) ** 2
-
-
-def mse_bound_counting(n: int, d: int, varentropy: float) -> float:
-    """Same bound with the counting estimate in place of the exact dimension."""
-    if n < 1 or varentropy < 0:
-        raise ValueError("need n >= 1 and varentropy >= 0")
-    return (math.sqrt(varentropy / n) + log_schur_dim_counting(n, d) / n) ** 2
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)

@@ -8,7 +8,7 @@ Subcommands:
     tail             exact two-sided tail masses plus their optimized bounds
     normality        KS distance against the normal limit over a range of n
     complexity-scan  copies-versus-dimension tail check at calibrated budgets
-    verify           run the library invariant suite; nonzero exit on failure
+    verify           check the paper's finite-size claims and the rerun contract
     gen-state        write reproducible test states to JSON files
 
 Every command is a pure function of its argument list: floats serialize
@@ -19,7 +19,7 @@ table commands (dims, distribution, normality, complexity-scan) write the
 same columns as CSV or as JSON objects, one per row; JSON writes a
 non-finite cell as null.  Parse, validation, compute and io failures exit
 with status 2 and one line on stderr, its category picked in main (a library
-InputError is validation); verify exits with status 1 when an invariant fails.
+InputError is validation); verify exits with status 1 when a family fails.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p, formats=["csv", "json"])
     p.set_defaults(func=cmd_complexity_scan)
 
-    p = sub.add_parser("verify", help="run the library invariant suite")
+    p = sub.add_parser("verify", help="check the paper's finite-size claims and the rerun contract")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -5,12 +5,12 @@ non-negative integers with lam[0] <= ... <= lam[d-1] summing to n.
 young_columns is the one enumerator and enumerate_young reads it; the
 large-n scan walks its own triangular grids, and young_count counts
 without enumerating.  Every block dimension and count is exact (Python
-integers and fractions); the closed-form inequalities come as logs, so no
+integers and fractions); the type-class sandwich comes as logs, so no
 bound leaves the float range.  Kostka numbers are
 not here: the distribution engine reads them off as Schur coefficients.
-Symmetric-group characters, Schur polynomial expansions and the
-horizontal-strip Kostka recursion serve only as test oracles and live in
-the test tree.
+Symmetric-group characters, Schur polynomial expansions, the
+horizontal-strip Kostka recursion and the closed-form log bound on a block
+dimension serve only as test oracles and live in the test tree.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "total_schur_dim",
     "type_entropy_bounds",
     "weyl_dim",
-    "weyl_dim_log_bound",
     "young_columns",
     "young_count",
 ]
@@ -222,16 +221,3 @@ def type_entropy_bounds(lam: Sequence[int]) -> tuple[float, float, float]:
     )
     return entropy, n * entropy - (len(parts) - 1) * math.log(n + 1), n * entropy
 
-
-def weyl_dim_log_bound(n: int, d: int, s: float) -> float:
-    """Closed-form upper bound on the log of any unitary block dimension.
-
-    For every Young index with d parts and weight n,
-    log(weyl_dim) <= sum over l in 1..d-1 of (d-l)^(1-s) n^s / (s l^s),
-    valid for s in (0, 1).  Returns 0 for d = 1.
-    """
-    if not 0 < s < 1:
-        raise ValueError("need s in (0, 1)")
-    return math.fsum(
-        (d - level) ** (1 - s) * n**s / (s * level**s) for level in range(1, d)
-    )

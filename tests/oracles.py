@@ -27,6 +27,13 @@ arithmetic with the Jacobi-Trudi engine:
   per smallest part, read from its lookup tables by fancy indexing (the
   library reads the same tables as strided views over a triangular grid).
 
+log_schur_dim_counting, mse_bound_counting and weyl_dim_log_bound are the
+paper's closed-form polynomial bounds: the log of the counting estimate
+(n+1)^((d+2)(d-1)/2) of the total block dimension, the MSE bound with that
+estimate in place of the exact dimension, and a bound on the log of any
+unitary block dimension.  The library computes exact dimensions instead;
+the tests check total_schur_dim, weyl_dim and mse_bound against these.
+
 tail_bound_above and tail_bound_below are no independent route: each runs
 one of the library's two tail searches alone, the single-tail form that
 the tests hold the paired tail_bounds and scipy's Brent search against.
@@ -258,6 +265,35 @@ def total_schur_dim_by_enumeration(n: int, d: int) -> tuple[int, int]:
     weyl_dim per Young index, summed."""
     dims = [weyl_dim(lam) for lam in enumerate_young(n, d)]
     return sum(dims), len(dims)
+
+
+# ------------------------------------------------------- closed-form bounds
+
+
+def log_schur_dim_counting(n: int, d: int) -> float:
+    """log of the polynomial counting estimate (n+1)^((d+2)(d-1)/2)."""
+    return (d + 2) * (d - 1) / 2 * math.log(n + 1)
+
+
+def mse_bound_counting(n: int, d: int, varentropy: float) -> float:
+    """bounds.mse_bound with the counting estimate in place of the exact dimension."""
+    if n < 1 or varentropy < 0:
+        raise ValueError("need n >= 1 and varentropy >= 0")
+    return (math.sqrt(varentropy / n) + log_schur_dim_counting(n, d) / n) ** 2
+
+
+def weyl_dim_log_bound(n: int, d: int, s: float) -> float:
+    """Closed-form upper bound on the log of any unitary block dimension.
+
+    For every Young index with d parts and weight n,
+    log(weyl_dim) <= sum over l in 1..d-1 of (d-l)^(1-s) n^s / (s l^s),
+    valid for s in (0, 1).  Returns 0 for d = 1.
+    """
+    if not 0 < s < 1:
+        raise ValueError("need s in (0, 1)")
+    return math.fsum(
+        (d - level) ** (1 - s) * n**s / (s * level**s) for level in range(1, d)
+    )
 
 
 # ------------------------------------------------------------ brute backend

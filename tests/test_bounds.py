@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_sandwiched_renyi, tail_bound_above, tail_bound_below
+from oracles import (
+    log_schur_dim_counting,
+    mse_bound_counting,
+    reference_sandwiched_renyi,
+    tail_bound_above,
+    tail_bound_below,
+)
 from scipy.optimize import minimize_scalar
 
 from schurest import bounds, states
 from schurest.bounds import (
-    log_schur_dim_counting,
     mse_bound,
-    mse_bound_counting,
     sample_complexity_bound,
     tail_bounds,
     tomography_baseline,
@@ -57,7 +61,7 @@ def test_mse_bound_validation():
 def test_exact_dimension_never_beats_counting_bound():
     for d in (2, 3, 4):
         for n in range(1, 31):
-            for v in (0.0, 0.5, 2.0):
+            for v in (0.0, 0.5, 0.7, 2.0):
                 assert mse_bound(n, v, total_schur_dim(n, d).total) <= (
                     mse_bound_counting(n, d, v) + 1e-15
                 )
@@ -395,9 +399,10 @@ def test_complexity_calibration_identity():
 def test_complexity_exact_below_simple_on_grid():
     for c in (0.1, 1.0, 10.0, 100.0):
         for c0 in (0.0, 1.0, 10.0):
-            report = sample_complexity_bound(c, c0, 1.0)
-            assert report.exact <= report.simple + 1e-10
-            assert report.exact > 0 or c0 == 0
+            for epsilon in (0.5, 1.0):
+                report = sample_complexity_bound(c, c0, epsilon)
+                assert report.exact <= report.simple + 1e-10
+                assert report.exact > 0 or c0 == 0
 
 
 def test_complexity_half_point_is_analytic():

@@ -27,6 +27,7 @@ from schurest.distribution import distribution
 from schurest.estimator import estimate_report, tail_report
 from schurest.partitions import total_schur_dim
 from schurest.states import MAX_DIM, load_state, relative_entropy, relative_varentropy
+from schurest import verification
 from schurest.verification import run_verification
 
 
@@ -655,13 +656,38 @@ class TestVerify:
         results = run_verification(seed=0)
         failures = [(name, detail) for name, ok, detail in results if not ok]
         assert failures == []
-        assert len(results) >= 20
+        assert [name for name, _, _ in results] == [
+            "fisher inner product equals varentropy",
+            "MSE bound",
+            "tail bounds dominate exact tails",
+            "byte-identical reruns",
+        ]
 
     def test_cli_exit_and_report(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.strip().endswith("invariant families hold")
+
+    def test_failing_families_exit_one(self, capsys, monkeypatch):
+        def violated(seed):
+            verification._check(seed < 0, f"margin below zero at seed {seed}")
+
+        def crashed(seed):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(verification, "FAMILIES", [
+            ("holds", lambda seed: None),
+            ("violated claim", violated),
+            ("crashing claim", crashed),
+        ])
+        assert main(["verify", "--seed", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "[PASS] holds\n"
+            "[FAIL] violated claim: margin below zero at seed 3\n"
+            "[FAIL] crashing claim: TypeError: unsupported operand\n"
+            "1/3 invariant families hold\n"
+        )
 
 
 class TestEntryPoint:

@@ -172,7 +172,7 @@ def test_coupling_walk_matches_jacobi_trudi(n):
 # ------------------------------------------------------ structural oracles
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (2, 7), (3, 4), (4, 3)])
+@pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 3)])
 def test_normalization_and_unit_mass(d, n):
     rho, sigma = random_pair(d, seed=100 * d + n)
     dist = distribution(rho, sigma, n)
@@ -233,21 +233,24 @@ def test_mean_identity(d, n):
 def test_unitary_covariance():
     from schurest.states import haar_unitary
 
-    rho, sigma = random_pair(3, seed=300)
-    u = haar_unitary(3, np.random.default_rng(4))
-    rho_u = DensityMatrix(u @ rho.mat @ u.conj().T)
-    sigma_u = DensityMatrix(u @ sigma.mat @ u.conj().T)
-    a = distribution(rho, sigma, 3)
-    b = distribution(rho_u, sigma_u, 3)
-    assert a.youngs == b.youngs and a.weights == b.weights
-    np.testing.assert_allclose(a.p, b.p, atol=1e-11)
-    np.testing.assert_allclose(a.log_q, b.log_q, atol=1e-11)
+    for d, n in ((3, 3), (2, 4)):
+        rho, sigma = random_pair(d, seed=300)
+        u = haar_unitary(d, np.random.default_rng(4))
+        rho_u = DensityMatrix(u @ rho.mat @ u.conj().T)
+        sigma_u = DensityMatrix(u @ sigma.mat @ u.conj().T)
+        a = distribution(rho, sigma, n)
+        b = distribution(rho_u, sigma_u, n)
+        assert a.youngs == b.youngs and a.weights == b.weights
+        np.testing.assert_allclose(a.p, b.p, atol=1e-11)
+        np.testing.assert_allclose(a.log_q, b.log_q, atol=1e-11)
 
 
 # ----------------------------------------------------- oracle equivalence
 
 
 @pytest.mark.parametrize("compute,d,n", [
+    (distribution, 2, 6),
+    (distribution, 3, 4),
     (distribution, 3, 12),
     (distribution, 4, 10),
     (distribution, 5, 8),
@@ -834,7 +837,8 @@ def test_renyi_trace_alpha_validation():
 # ----------------------------------------------------------- diagnostics
 
 
-@pytest.mark.parametrize("n,d", [(6, 2), (5, 3), (6, 4), (4, 5), (3, 6), (20, 3), (16, 4), (10, 5)])
+@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (3, 3), (5, 3), (6, 4), (4, 5), (3, 6), (20, 3), (16, 4),
+                                 (10, 5)])
 def test_atom_table_matches_kostka_loop(n, d):
     # reference: one strip-recursion kostka call per (Young index, weight),
     # Young index first; the largest K checked is 30, at (16, 4) and (10, 5)
@@ -846,6 +850,9 @@ def test_atom_table_matches_kostka_loop(n, d):
     assert dist.youngs == tuple(young for young, _, _ in atoms)
     assert dist.weights == tuple(weight for _, weight, _ in atoms)
     assert dist.mult.tolist() == [k for _, _, k in atoms]
+    # the weight multiplicities of a Young index tile its unitary block
+    for young in enumerate_young(n, d):
+        assert sum(int(m) for y, m in zip(dist.youngs, dist.mult) if y == young) == weyl_dim(young)
 
 
 @pytest.mark.parametrize("offset", [0.3, 1e-3j])

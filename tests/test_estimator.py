@@ -127,7 +127,7 @@ def test_self_estimation_bias_bounded_by_dimension_term():
     assert rep.mse <= (math.log(total_schur_dim(4, 3).total) / 4) ** 2 + 1e-12
 
 
-@pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
+@pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 3), (3, 4), (3, 8)])
 def test_mean_above_center_within_sandwich(d, n):
     for seed in (0, 1, 2):
         rho, sigma = random_pair(d, seed=100 * d + n + seed)
@@ -265,6 +265,16 @@ def test_sampling_mean_and_mse_consistent():
     fourth = math.fsum((dist.p * (dist.x - center) ** 4).tolist())
     mse_sd = math.sqrt(max(fourth - exact**2, 0.0) / m)
     assert abs(empirical_mse - exact) < 4 * mse_sd
+    # Kolmogorov-Smirnov distance of the draws to the exact law of x, on
+    # both sides of every atom; 1.63/sqrt(m) is the 1 % critical value
+    values, inverse = np.unique(dist.x, return_inverse=True)
+    masses = np.bincount(inverse, weights=dist.p, minlength=len(values))
+    cdf = np.cumsum(masses)
+    ordered = np.sort(draws[:, 0])
+    right = np.searchsorted(ordered, values, side="right") / m
+    left = np.searchsorted(ordered, values, side="left") / m
+    ks = max(np.abs(right - cdf).max(), np.abs(left - (cdf - masses)).max())
+    assert ks < 1.63 / math.sqrt(m)
 
 
 def test_empirical_cdf_converges():

@@ -15,10 +15,11 @@ from oracles import (
     character,
     cycle_types,
     kostka,
+    log_schur_dim_counting,
     schur_eval,
     total_schur_dim_by_enumeration,
+    weyl_dim_log_bound,
 )
-from schurest.bounds import log_schur_dim_counting
 from schurest.partitions import (
     compositions,
     enumerate_young,
@@ -27,7 +28,6 @@ from schurest.partitions import (
     total_schur_dim,
     type_entropy_bounds,
     weyl_dim,
-    weyl_dim_log_bound,
     young_count,
 )
 
@@ -380,6 +380,11 @@ def test_type_entropy_bounds_examples():
     assert lo <= math.log(6) <= up
     H, lo, up = type_entropy_bounds((1, 2))
     assert lo <= math.log(3) <= up
+    for d in (2, 3, 4):
+        for n in range(1, 21):
+            for lam in enumerate_young(n, d):
+                _, lo, up = type_entropy_bounds(lam)
+                assert lo - 1e-12 <= math.log(multinomial(lam)) <= up + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -414,7 +419,7 @@ def test_weyl_dim_log_bound_examples_and_validity():
     assert weyl_dim_log_bound(2, 1, 0.5) == 0.0
     assert abs(weyl_dim_log_bound(2, 2, 0.5) - 2 * math.sqrt(2)) < 1e-12
     for d in (2, 3, 4):
-        for n in (2, 5, 10, 30):
+        for n in (*range(1, 11), 30):
             for s in (0.25, 0.5, 0.75):
                 bound = weyl_dim_log_bound(n, d, s)
                 for lam in enumerate_young(n, d):

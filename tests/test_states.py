@@ -146,30 +146,33 @@ def test_state_dimension_cap(build):
 
 
 def test_relative_entropy_nonnegative_random():
-    for seed in range(30):
+    for seed in range(102):
         d = 2 + seed % 3
         rho, sigma = random_pair(d, seed)
         val = relative_entropy(rho, sigma)
         assert val >= -1e-12
-    rho, _ = random_pair(3, 999)
-    assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
+        assert val > 1e-8  # the two states of a pair differ
+    for d in (2, 3, 4):
+        rho, _ = random_pair(d, 999)
+        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_unitary_invariance_of_divergences():
     rng = np.random.default_rng(7)
-    rho, sigma = random_pair(3, 5)
-    u = haar_unitary(3, rng)
-    rho_u = DensityMatrix(u @ rho.mat @ u.conj().T)
-    sigma_u = DensityMatrix(u @ sigma.mat @ u.conj().T)
-    assert relative_entropy(rho_u, sigma_u) == pytest.approx(
-        relative_entropy(rho, sigma), abs=1e-10
-    )
-    assert relative_varentropy(rho_u, sigma_u) == pytest.approx(
-        relative_varentropy(rho, sigma), abs=1e-10
-    )
-    assert sandwiched_renyi(rho_u, sigma_u, 1.7) == pytest.approx(
-        sandwiched_renyi(rho, sigma, 1.7), abs=1e-10
-    )
+    for d in (3, 2):
+        rho, sigma = random_pair(d, 5)
+        u = haar_unitary(d, rng)
+        rho_u = DensityMatrix(u @ rho.mat @ u.conj().T)
+        sigma_u = DensityMatrix(u @ sigma.mat @ u.conj().T)
+        assert relative_entropy(rho_u, sigma_u) == pytest.approx(
+            relative_entropy(rho, sigma), abs=1e-10
+        )
+        assert relative_varentropy(rho_u, sigma_u) == pytest.approx(
+            relative_varentropy(rho, sigma), abs=1e-10
+        )
+        assert sandwiched_renyi(rho_u, sigma_u, 1.7) == pytest.approx(
+            sandwiched_renyi(rho, sigma, 1.7), abs=1e-10
+        )
 
 
 # ------------------------------------------------------------- varentropy
@@ -280,14 +283,15 @@ def test_renyi_trivial_and_classical():
 
 
 def test_renyi_monotone_and_continuous_at_one():
-    for seed in range(8):
-        rho, sigma = random_pair(2, seed)
-        d_value = relative_entropy(rho, sigma)
-        grid = [0.3, 0.5, 0.8, 0.999, 1.001, 1.2, 2.0]
-        values = renyi_curve(rho, sigma)(np.array(grid)).tolist()
-        assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
-        assert abs(values[grid.index(0.999)] - d_value) < 5e-3 * (1 + abs(d_value))
-        assert abs(values[grid.index(1.001)] - d_value) < 5e-3 * (1 + abs(d_value))
+    for d in (2, 3):
+        for seed in range(8):
+            rho, sigma = random_pair(d, seed)
+            d_value = relative_entropy(rho, sigma)
+            grid = [0.3, 0.5, 0.8, 0.999, 1.001, 1.2, 2.0]
+            values = renyi_curve(rho, sigma)(np.array(grid)).tolist()
+            assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
+            assert abs(values[grid.index(0.999)] - d_value) < 5e-3 * (1 + abs(d_value))
+            assert abs(values[grid.index(1.001)] - d_value) < 5e-3 * (1 + abs(d_value))
 
 
 def test_renyi_rejects_bad_alpha():

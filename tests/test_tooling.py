@@ -146,6 +146,18 @@ def test_the_stage_timer_wraps_functions_that_exist():
         assert callable(getattr(importlib.import_module(owner), attr, None)), (owner, attr)
 
 
+def test_a_failing_measurement_child_raises_runtime_error(tmp_path):
+    # a checkout whose package fails on import makes the child exit at once;
+    # the error names the checkout and carries the child's stderr
+    package = tmp_path / "broken" / "src" / "schurest"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise ImportError("this checkout is broken")\n')
+    checkout = str(tmp_path / "broken")
+    with pytest.raises(RuntimeError, match="this checkout is broken") as info:
+        load_op_times().run_child(checkout)
+    assert f"child on {checkout} failed" in str(info.value)
+
+
 def bounds_callers(name):
     """The functions in bounds.py that call `name` by its bare name."""
     tree = ast.parse((ROOT / "src" / "schurest" / "bounds.py").read_text())

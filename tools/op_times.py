@@ -242,7 +242,8 @@ def run_child(*checkouts):
            *(os.path.join(checkout, "src") for checkout in checkouts)]
     done = subprocess.run(cmd, env=quiet_env(), capture_output=True, text=True, timeout=900)
     if done.returncode != 0:
-        raise RuntimeError(f"child on {checkout} failed: {done.stderr.strip()[-800:]}")
+        raise RuntimeError(f"child on {', '.join(checkouts)} failed: "
+                           f"{done.stderr.strip()[-800:]}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
