@@ -31,9 +31,10 @@ grids pay little per-call overhead; a grid of at least _CHUNK_CELLS points
 takes one Young index per chunk, with the memory of a one-index loop.  A
 chunk's Jacobi-Trudi minors have order d-1: at d = 2 and 3 their
 determinants are closed forms evaluated elementwise over the chunk, and at
-d >= 4 one stacked LU (np.linalg.det), the pivoted path on which the
-near-pure accuracy there was measured.  Batching leaves every float as a
-one-index loop gives it (tests/test_distribution.py).  The same
+d >= 4 one Gaussian elimination with partial pivoting, run elementwise over
+the chunk, which is as accurate as LAPACK's LU on the near-pure
+cancellations there.  Batching leaves every float as a one-index loop
+gives it (both in tests/test_distribution.py).  The same
 routine at rho_tilde = I gives the multiplicities, since the Kostka number
 is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
 coefficients to integers and raises ArithmeticError if any lies more than
@@ -83,9 +84,10 @@ from .states import DensityMatrix, InputError, SigmaSpectrum, check_pair, sigma_
 # d = 3 pair aborts on mass below NEG_ABORT near n = 60.  The work guard
 # bounds the cost.
 JT_MAX_N = 30
-# warm calls took 1.7-3.4e-8 s per work unit from d = 4 to 9 on a 2-vCPU VM,
-# so the limit keeps a call near 4-8 s and under 0.6 GB; it admits every
-# d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine twice,
+# warm calls at each d's largest admitted n took 0.9-2.2e-8 s per work unit
+# from d = 4 to 9 on a 2-vCPU VM (1.4-2.0e-8 when np.linalg.det took the
+# minors), so the limit keeps a call near 1-5 s and under 0.5 GB; it admits
+# every d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine twice,
 # once at rho_tilde = I for the Kostka table, so it can take twice as long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
@@ -142,6 +144,7 @@ class _AtomTable:
     """
 
     columns: tuple[tuple[int, ...], ...]  # every weight; the per-Young row columns
+    column_matrix: np.ndarray  # the weights as float rows, one per column
     v_dim: np.ndarray  # per Young index: dimV as a float
     log_v: np.ndarray  # per Young index: log dimV
     log_ratio: np.ndarray  # per Young index: log of the sn_dim size ratio
@@ -153,9 +156,8 @@ class _AtomTable:
     weights: tuple[tuple[int, ...], ...]  # per atom
 
     def weight_log_s(self, log_s: np.ndarray) -> np.ndarray:
-        """Per atom: sum_i mu_i log s_i, one dot product per weight."""
-        per_column = np.array([float(np.dot(weight, log_s)) for weight in self.columns])
-        return per_column[self.weight_pos]
+        """Per atom: sum_i mu_i log s_i, one matrix product over the weights."""
+        return (self.column_matrix @ log_s)[self.weight_pos]
 
 
 @lru_cache(maxsize=None)
@@ -183,6 +185,7 @@ def _atom_table(n: int, d: int) -> _AtomTable:
     mult = mult_matrix[young_idx, weight_pos]
     return _AtomTable(
         columns=plan.columns,
+        column_matrix=np.array(plan.columns, dtype=float),
         v_dim=np.array(v_dims),
         log_v=np.array(log_v),
         log_ratio=np.array(log_ratio),
@@ -252,6 +255,10 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
 # takes one Young index per chunk.  The plan keeps its phase rows only when
 # all of them fit in as many cells.
 _CHUNK_CELLS = 2**12
+# _block_dets eliminates at most this many grid points at a time: at (7, 7)
+# slices of 2^12 or 2^13 points took 2.1 s of minors where the whole 8^6-point
+# grid took 4.7 s and np.linalg.det 2.7 s (2-vCPU Xeon VM, 2 MB L2 per core)
+_DET_TILE = 2**13
 
 
 def _phase_row(grid: np.ndarray, roots: np.ndarray, subset: np.ndarray) -> np.ndarray:
@@ -394,20 +401,67 @@ def _block_dets(blocks: np.ndarray) -> np.ndarray:
     """Determinants of a stack of Jacobi-Trudi blocks, one per grid point.
 
     blocks[y, i, j, g] is entry (i, j) of block y at grid point g; the
-    result is the (Y, G) array of determinants.  Orders 1 and 2 (d = 2
-    and 3) are in closed form, the entry and a*d - b*c, elementwise over
-    the stack: np.linalg.det would send each tiny matrix through LAPACK's
-    LU, slogdet and exp, which at (3, 20) took 4-5 ms of a 5 ms engine
-    call on a 2-vCPU Xeon VM.  Order 0 and orders >= 3 stay on np.linalg.det's pivoted LU: a
-    cofactor expansion's accuracy on the near-pure cancellations at d = 4
-    (tests/test_distribution.py) is unmeasured.
+    result is the (Y, G) array of determinants, computed elementwise over
+    the stack with no gather.  Order 0 (d = 1) gives ones, and orders 1 and
+    2 (d = 2 and 3) are in closed form, the entry and a*d - b*c.  Orders >=
+    3 run _eliminate on slices of at most _DET_TILE grid points, whose
+    columns stay in cache through its O(order^3) passes; each point's
+    determinant is the same whatever the slicing.
     """
     order = blocks.shape[1]
+    if order == 0:
+        return np.ones((blocks.shape[0], blocks.shape[-1]), dtype=complex)
     if order == 1:
         return blocks[:, 0, 0]
     if order == 2:
         return blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    return np.linalg.det(np.moveaxis(blocks, -1, 1))
+    dets = np.empty((blocks.shape[0], blocks.shape[-1]), dtype=complex)
+    for start in range(0, blocks.shape[-1], _DET_TILE):
+        dets[:, start:start + _DET_TILE] = _eliminate(blocks[..., start:start + _DET_TILE])
+    return dets
+
+
+def _eliminate(blocks: np.ndarray) -> np.ndarray:
+    """Determinants of a (Y, m, m, G) stack, m >= 2, by Gaussian elimination
+    with partial pivoting, elementwise over the stack.
+
+    This is the algorithm of LAPACK's LU, whose backward stability keeps
+    the near-pure accuracy np.linalg.det had (tests/test_distribution.py),
+    without its per-matrix LAPACK call, slogdet and exp: at (4, 16) the
+    minors took 79 of a 101 ms engine call through np.linalg.det on a
+    2-vCPU Xeon VM, and take about 23 ms this way.
+
+    At column k the pivot is the first row, from k down, with the largest
+    |re| + |im| in that column (LAPACK's izamax): each later row that beats
+    the pivot so far on the strict > test swaps with it through np.where,
+    and each swap flips the sign.  The determinant is the signed product of
+    the pivots.  A zero pivot means its whole column is zero from row k
+    down, so it is divided as 1: the factors are zeros, no division by zero
+    occurs, and the product carries the zero, as np.linalg.det gives.
+    """
+    order = blocks.shape[1]
+    # rows[i][j] is entry (i, k + j) while column k is eliminated, a (Y, G) array
+    rows = [[blocks[:, i, j] for j in range(order)] for i in range(order)]
+    det = flip = None
+    for k in range(order):
+        pivot = rows[k]
+        if k + 1 < order:
+            best = np.abs(pivot[0].real) + np.abs(pivot[0].imag)
+            for i in range(k + 1, order):
+                size = np.abs(rows[i][0].real) + np.abs(rows[i][0].imag)
+                swap = size > best
+                best = np.where(swap, size, best)
+                flip = swap if flip is None else flip ^ swap
+                pivot, rows[i] = ([np.where(swap, b, a) for a, b in zip(pivot, rows[i])],
+                                  [np.where(swap, a, b) for a, b in zip(pivot, rows[i])])
+        head = pivot[0]
+        det = head if det is None else det * head
+        if k + 1 < order:
+            divisor = np.where(head == 0, 1, head)
+            for i in range(k + 1, order):
+                factor = rows[i][0] / divisor
+                rows[i] = [b - factor * a for a, b in zip(pivot[1:], rows[i][1:])]
+    return np.where(flip, -det, det)
 
 
 def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
@@ -422,8 +476,8 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     has degree n, so its values on the (n+1)^(d-1) grid fix every
     coefficient, and an FFT over the grid axes returns them all.  Each
     chunk of Young indices takes one gather of its blocks from h, their
-    determinants through _block_dets (closed form at orders 1 and 2, one
-    stacked LU at order >= 3), one power of e_d per run of equal last parts
+    determinants through _block_dets (closed form at orders 1 and 2,
+    elementwise pivoted elimination at order >= 3), one power of e_d per run of equal last parts
     (Young indices come sorted by lam_d, so per distinct part) and one FFT.
     Row y, column c holds the coefficient of the plan's y-th Young index at
     its c-th weight.

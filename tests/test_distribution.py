@@ -15,6 +15,7 @@ Oracles kept independent of the engine under test (most in oracles.py):
 import dataclasses
 import math
 import time
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -476,34 +477,74 @@ def test_h_recurrence_gives_the_bits_of_a_term_by_term_loop(d):
             assert module._complete(e, n).tobytes() == h.tobytes()
 
 
-@pytest.mark.parametrize("order", [1, 2])
+def degenerate_stacks(blocks):
+    """Copies of a (Y, m, m, G) stack, m >= 2, on which elimination meets a
+    zero pivot or cancels a whole row: a zero first column, row 1 equal to
+    row 0, and a zero second pivot.  In the last, row 0 starts with a power
+    of two near its old size and rows i >= 1 with 2^-i times row 0's first
+    two entries, so every factor of the first step is exact and leaves
+    their second column exactly zero."""
+    zero_column = blocks.copy()
+    zero_column[:, :, 0] = 0
+    equal_rows = blocks.copy()
+    equal_rows[:, 1] = equal_rows[:, 0]
+    zero_second = blocks.copy()
+    zero_second[:, 0, 0] = 2.0 ** np.round(np.log2(np.abs(zero_second[:, 0, 0])))
+    for i in range(1, blocks.shape[1]):
+        zero_second[:, i, :2] = 2.0**-i * zero_second[:, 0, :2]
+    return zero_column, equal_rows, zero_second
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
 def test_small_jacobi_trudi_blocks_match_lapack_det(order):
-    # the closed forms agree with LU to a few ulps of the product scale;
+    # the closed forms (orders 1, 2) and the pivoted elimination (orders
+    # >= 3) agree with LU to a few ulps of the product scale, the row-norm
+    # product that bounds |det| (the tighter |a||d| + |b||c| at order 2);
     # np.linalg.det returns exp(log|det|), whose relative error grows with
-    # |log|det||, hence the log term
+    # |log|det||, hence the log term.  The elimination's degenerate stacks
+    # meet the same bound, and no stack raises a floating-point warning.
     from schurest import distribution as module
 
     rng = np.random.default_rng(order)
     for scale in (1.0, 1e-8, 1e6):
         blocks = scale * (rng.standard_normal((40, order, order, 17))
                           + 1j * rng.standard_normal((40, order, order, 17)))
-        closed = module._block_dets(blocks)
-        lapack = np.linalg.det(np.moveaxis(blocks, -1, 1))
-        size = np.abs(blocks)
-        product = size[:, 0, 0] if order == 1 else (size[:, 0, 0] * size[:, 1, 1]
-                                                     + size[:, 0, 1] * size[:, 1, 0])
-        assert closed.shape == lapack.shape == (40, 17)
-        ulps = np.abs(closed - lapack) / (np.finfo(float).eps * product)
-        assert np.all(ulps <= 4 * (1 + np.abs(np.log(product))))
+        stacks = [blocks, *degenerate_stacks(blocks)] if order >= 3 else [blocks]
+        for stack in stacks:
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                ours = module._block_dets(stack)
+            lapack = np.linalg.det(np.moveaxis(stack, -1, 1))
+            size = np.abs(stack)
+            product = (size[:, 0, 0] * size[:, 1, 1] + size[:, 0, 1] * size[:, 1, 0]
+                       if order == 2 else np.prod(np.linalg.norm(stack, axis=2), axis=1))
+            assert ours.shape == lapack.shape == (40, 17)
+            assert np.all(np.isfinite(ours))
+            ulps = np.abs(ours - lapack) / (np.finfo(float).eps * product)
+            assert np.all(ulps <= 4 * (1 + np.abs(np.log(product))))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_block_dets_give_the_same_bits_in_any_grid_slicing(monkeypatch, order):
+    # the elimination is elementwise, so slicing the grid changes no bit
+    from schurest import distribution as module
+
+    rng = np.random.default_rng(10 + order)
+    blocks = rng.standard_normal((3, order, order, 17)) + 1j * rng.standard_normal(
+        (3, order, order, 17))
+    whole = module._block_dets(blocks)
+    for tile in (1, 5, 16):
+        monkeypatch.setattr(module, "_DET_TILE", tile)
+        assert module._block_dets(blocks).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("d, n", [(3, 20), (4, 6)])
-def test_engine_sends_only_blocks_of_order_three_up_to_lapack(monkeypatch, d, n):
-    # at d = 3 only the d sizes of principal minor of rho_tilde reach
-    # np.linalg.det; at d = 4 every chunk's 3 x 3 blocks do as well
+def test_engine_sends_only_principal_minors_to_lapack(monkeypatch, d, n):
+    # only the d sizes of principal minor of rho_tilde reach np.linalg.det;
+    # every Jacobi-Trudi block, 3 x 3 ones at d = 4 included, stays in
+    # _block_dets
     from schurest import distribution as module
 
-    plan = module._plan(n, d)
     shapes = []
 
     def counted(a, det=np.linalg.det):
@@ -512,9 +553,7 @@ def test_engine_sends_only_blocks_of_order_three_up_to_lapack(monkeypatch, d, n)
 
     monkeypatch.setattr(np.linalg, "det", counted)
     module._schur_coefficients(np.eye(d), n)
-    minors = [(j, j) for j in range(1, d + 1)]
-    blocks = [(d - 1, d - 1)] * len(plan.chunks) if d >= 4 else []
-    assert shapes == minors + blocks
+    assert shapes == [(j, j) for j in range(1, d + 1)]
 
 
 def test_large_n_stability():
@@ -647,6 +686,42 @@ def test_near_pure_lam_marginal_within_1e9_at_the_size_limit(d, n):
 def test_well_conditioned_lam_marginal_matches_reference():
     rho, sigma = random_mixed(3, 8, floor=0.05), random_mixed(3, 7)
     assert lam_marginal_error(rho, sigma, 30) <= 1e-14
+
+
+def test_pivoted_elimination_is_as_accurate_as_lu_on_near_pure_blocks():
+    # the engine's own 3 x 3 Jacobi-Trudi blocks of the near-pure d = 4 pair
+    # at n = 24, every Young index at every 211th grid point, the first
+    # (z = 1, where the blocks cancel hardest) included.  The exact
+    # determinant of each block's float entries is a cofactor expansion at
+    # REFERENCE_DIGITS digits, sharing no code with either method.  A
+    # block's error enters p times dimV |e_d|^lam_d = dimV det(rho)^lam_d,
+    # so that is its weight: in those units LU's worst error is 5.9e-10, the
+    # elimination's 1.0e-9 and a float cofactor expansion's 3.2e-8.
+    from schurest import distribution as module
+
+    rho, sigma = NEAR_PURE_PAIRS[4]
+    n = 24
+    plan = module._plan(n, 4)
+    h = module._complete(module._elementary(
+        module._rho_in_reference_basis(rho, sigma_spectrum(sigma)), plan), n)
+    blocks = h[:, ::211][plan.idx]
+    assert blocks.shape == (len(plan.blocks), 3, 3, 75)
+    results = {"elimination": module._block_dets(blocks),
+               "lu": np.linalg.det(np.moveaxis(blocks, -1, 1))}
+    det_rho = mpmath.mpf(float(np.linalg.det(rho.mat).real))
+    worst = dict.fromkeys(results, mpmath.mpf(0))
+    with mpmath.workdps(REFERENCE_DIGITS):
+        for y, g in np.ndindex(blocks.shape[0], blocks.shape[-1]):
+            m = [[mpmath.mpc(blocks[y, i, j, g]) for j in range(3)] for i in range(3)]
+            exact = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                     - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                     + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+            young = plan.blocks[y]
+            weight = sn_dim(young)[0] * det_rho ** young[0]
+            for name, dets in results.items():
+                error = weight * abs(mpmath.mpc(dets[y, g]) - exact)
+                worst[name] = max(worst[name], error)
+    assert 0 < worst["elimination"] <= 2 * worst["lu"]
 
 
 # ----------------------------------------------- full-group dense oracle

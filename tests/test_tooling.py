@@ -115,9 +115,9 @@ def test_only_the_engine_plan_builds_the_grid_and_the_subsets():
 
 
 def test_the_engine_takes_its_jacobi_trudi_blocks_only_through_the_helper():
-    # _block_dets picks the closed form or LU by the blocks' order; a det
-    # of the gathered blocks beside it would bypass that choice, and only
-    # the e_j minors of rho_tilde go to np.linalg.det directly
+    # _block_dets picks the closed form or the pivoted elimination by the
+    # blocks' order; a det of the gathered blocks beside it would bypass
+    # that choice, and only the e_j minors of rho_tilde go to np.linalg.det
     tree = ast.parse((ROOT / "src" / "schurest" / "distribution.py").read_text())
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     engine = functions["_schur_coefficients"]
@@ -128,7 +128,7 @@ def test_the_engine_takes_its_jacobi_trudi_blocks_only_through_the_helper():
     assert len(gathers) == 1 and takers == {"_block_dets"}
     dets = {name for name, func in functions.items() for node in ast.walk(func)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.det"}
-    assert dets == {"_elementary", "_block_dets"}
+    assert dets == {"_elementary"}
 
 
 def load_op_times():
