@@ -87,8 +87,9 @@ JT_MAX_N = 30
 # warm calls at each d's largest admitted n took 0.9-2.2e-8 s per work unit
 # from d = 4 to 9 on a 2-vCPU VM (1.4-2.0e-8 when np.linalg.det took the
 # minors), so the limit keeps a call near 1-5 s and under 0.5 GB; it admits
-# every d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine twice,
-# once at rho_tilde = I for the Kostka table, so it can take twice as long.
+# every d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine
+# twice, once at rho_tilde = I for the Kostka table, so it can take twice as
+# long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
 # the Kostka table rounds engine coefficients at rho_tilde = I; the worst gap
@@ -422,14 +423,13 @@ def _block_dets(blocks: np.ndarray) -> np.ndarray:
 
 
 def _eliminate(blocks: np.ndarray) -> np.ndarray:
-    """Determinants of a (Y, m, m, G) stack, m >= 2, by Gaussian elimination
-    with partial pivoting, elementwise over the stack.
+    """Determinants of a (Y, m, m, G) stack by Gaussian elimination with
+    partial pivoting, elementwise over the stack.
 
     This is the algorithm of LAPACK's LU, whose backward stability keeps
     the near-pure accuracy np.linalg.det had (tests/test_distribution.py),
-    without its per-matrix LAPACK call, slogdet and exp: at (4, 16) the
-    minors took 79 of a 101 ms engine call through np.linalg.det on a
-    2-vCPU Xeon VM, and take about 23 ms this way.
+    without its per-matrix LAPACK call, slogdet and exp, which took 79 of a
+    101 ms engine call at (4, 16) on a 2-vCPU Xeon VM.
 
     At column k the pivot is the first row, from k down, with the largest
     |re| + |im| in that column (LAPACK's izamax): each later row that beats
@@ -442,25 +442,23 @@ def _eliminate(blocks: np.ndarray) -> np.ndarray:
     order = blocks.shape[1]
     # rows[i][j] is entry (i, k + j) while column k is eliminated, a (Y, G) array
     rows = [[blocks[:, i, j] for j in range(order)] for i in range(order)]
-    det = flip = None
-    for k in range(order):
+    det, flip = 1, False
+    for k in range(order - 1):
         pivot = rows[k]
-        if k + 1 < order:
-            best = np.abs(pivot[0].real) + np.abs(pivot[0].imag)
-            for i in range(k + 1, order):
-                size = np.abs(rows[i][0].real) + np.abs(rows[i][0].imag)
-                swap = size > best
-                best = np.where(swap, size, best)
-                flip = swap if flip is None else flip ^ swap
-                pivot, rows[i] = ([np.where(swap, b, a) for a, b in zip(pivot, rows[i])],
-                                  [np.where(swap, a, b) for a, b in zip(pivot, rows[i])])
-        head = pivot[0]
-        det = head if det is None else det * head
-        if k + 1 < order:
-            divisor = np.where(head == 0, 1, head)
-            for i in range(k + 1, order):
-                factor = rows[i][0] / divisor
-                rows[i] = [b - factor * a for a, b in zip(pivot[1:], rows[i][1:])]
+        best = np.abs(pivot[0].real) + np.abs(pivot[0].imag)
+        for i in range(k + 1, order):
+            size = np.abs(rows[i][0].real) + np.abs(rows[i][0].imag)
+            swap = size > best
+            best = np.where(swap, size, best)
+            flip = flip ^ swap
+            pivot, rows[i] = ([np.where(swap, b, a) for a, b in zip(pivot, rows[i])],
+                              [np.where(swap, a, b) for a, b in zip(pivot, rows[i])])
+        det = det * pivot[0]
+        divisor = np.where(pivot[0] == 0, 1, pivot[0])
+        for i in range(k + 1, order):
+            factor = rows[i][0] / divisor
+            rows[i] = [b - factor * a for a, b in zip(pivot[1:], rows[i][1:])]
+    det = det * rows[-1][0]
     return np.where(flip, -det, det)
 
 
@@ -477,8 +475,9 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     coefficient, and an FFT over the grid axes returns them all.  Each
     chunk of Young indices takes one gather of its blocks from h, their
     determinants through _block_dets (closed form at orders 1 and 2,
-    elementwise pivoted elimination at order >= 3), one power of e_d per run of equal last parts
-    (Young indices come sorted by lam_d, so per distinct part) and one FFT.
+    elementwise pivoted elimination at order >= 3), one power of e_d per
+    run of equal last parts (Young indices come sorted by lam_d, so per
+    distinct part) and one FFT.
     Row y, column c holds the coefficient of the plan's y-th Young index at
     its c-th weight.
     """

@@ -68,7 +68,8 @@ WORKLOADS = ("exact-small", "exact-large")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
 SEED = 7  # the op-time children's inputs
-# a (4, 16) operation takes 0.2-0.5 s, so exact-large gets 30-75 of them per child
+# a (4, 16) operation takes about 0.05 s, so exact-large gets about 100 of them
+# per child
 OP_SECONDS = {"exact-small": 3.0, "exact-large": 15.0}
 STAGE_SECONDS = 0.4  # per size and child
 AB_ROUNDS = {"exact-small": 400, "exact-large": 30}
