@@ -80,16 +80,15 @@ from .states import DensityMatrix, InputError, SigmaSpectrum, check_pair, sigma_
 
 # JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
 # near-pure states at d >= 3: a (3, 30) marginal is already off by 8.1e-9
-# and a (4, 24) one by 4.0e-9 (tests/test_distribution.py), and past it a
+# and a (4, 24) one by 3.9e-9 (tests/test_distribution.py), and past it a
 # d = 3 pair aborts on mass below NEG_ABORT near n = 60.  The work guard
 # bounds the cost.
 JT_MAX_N = 30
 # warm calls at each d's largest admitted n took 0.9-2.2e-8 s per work unit
-# from d = 4 to 9 on a 2-vCPU VM (1.4-2.0e-8 when np.linalg.det took the
-# minors), so the limit keeps a call near 1-5 s and under 0.5 GB; it admits
-# every d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine
-# twice, once at rho_tilde = I for the Kostka table, so it can take twice as
-# long.
+# from d = 4 to 9 on a 2-vCPU VM, so the limit keeps a call near 1-5 s and
+# under 0.5 GB; it admits every d <= 4 up to n = 30.  The first call at a
+# new (n, d) runs the engine twice, once at rho_tilde = I for the Kostka
+# table, so it can take twice as long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
 # the Kostka table rounds engine coefficients at rho_tilde = I; the worst gap
@@ -258,7 +257,7 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
 _CHUNK_CELLS = 2**12
 # _block_dets eliminates at most this many grid points at a time: at (7, 7)
 # slices of 2^12 or 2^13 points took 2.1 s of minors where the whole 8^6-point
-# grid took 4.7 s and np.linalg.det 2.7 s (2-vCPU Xeon VM, 2 MB L2 per core)
+# grid took 4.7 s (2-vCPU Xeon VM, 2 MB L2 per core)
 _DET_TILE = 2**13
 
 
@@ -428,8 +427,9 @@ def _eliminate(blocks: np.ndarray) -> np.ndarray:
 
     This is the algorithm of LAPACK's LU, whose backward stability keeps
     the near-pure accuracy np.linalg.det had (tests/test_distribution.py),
-    without its per-matrix LAPACK call, slogdet and exp, which took 79 of a
-    101 ms engine call at (4, 16) on a 2-vCPU Xeon VM.
+    without its per-matrix LAPACK call, slogdet and exp: at (4, 16) on a
+    2-vCPU Xeon VM the minors took 77 of a 99 ms engine call that way and
+    take 25 of 47 ms this way (BENCH_pivoted_minors.json).
 
     At column k the pivot is the first row, from k down, with the largest
     |re| + |im| in that column (LAPACK's izamax): each later row that beats

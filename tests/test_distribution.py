@@ -9,7 +9,8 @@ Oracles kept independent of the engine under test (most in oracles.py):
   in turn against a full permutation-group average (brute only ever
   touches one representative per class),
 - the exact identity tying the estimate's mean to the relative entropy,
-- a 50-digit Jacobi-Trudi expansion in coefficient space (mpmath, no FFT).
+- a 50-digit Jacobi-Trudi expansion in coefficient space (mpmath, no FFT),
+- 50-digit cofactor expansions of the engine's own Jacobi-Trudi blocks.
 """
 
 import dataclasses
@@ -663,7 +664,7 @@ def lam_marginal_error(rho, sigma, n):
 # Near-pure states lose precision to cancellation in the Jacobi-Trudi
 # determinant at d >= 3, inside the size limits: measured errors were
 # 8.2e-12 at (3, 20), 2.3e-10 at (3, 25) and 8.1e-9 at (3, 30) for the
-# first pair, and 8.8e-12 at (4, 16), 1.8e-10 at (4, 20) and 4.0e-9 at
+# first pair, and 8.9e-12 at (4, 16), 1.8e-10 at (4, 20) and 3.9e-9 at
 # (4, 24) for the last.  Well-conditioned pairs stay near 1e-15.
 NEAR_PURE_PAIRS = {
     3: (random_pure_depolarized(3, 3, 0.01), random_mixed(3, 103)),
@@ -691,7 +692,7 @@ def test_well_conditioned_lam_marginal_matches_reference():
 def test_pivoted_elimination_is_as_accurate_as_lu_on_near_pure_blocks():
     # the engine's own 3 x 3 Jacobi-Trudi blocks of the near-pure d = 4 pair
     # at n = 24, every Young index at every 211th grid point, the first
-    # (z = 1, where the blocks cancel hardest) included.  The exact
+    # (z = 1, whose values are the lambda-marginals) included.  The exact
     # determinant of each block's float entries is a cofactor expansion at
     # REFERENCE_DIGITS digits, sharing no code with either method.  A
     # block's error enters p times dimV |e_d|^lam_d = dimV det(rho)^lam_d,

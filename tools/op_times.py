@@ -68,7 +68,7 @@ WORKLOADS = ("exact-small", "exact-large")
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
 SEED = 7  # the op-time children's inputs
-# a (4, 16) operation takes about 0.05 s, so exact-large gets about 100 of them
+# a (4, 16) operation takes about 0.06 s, so exact-large gets about 230 of them
 # per child
 OP_SECONDS = {"exact-small": 3.0, "exact-large": 15.0}
 STAGE_SECONDS = 0.4  # per size and child
