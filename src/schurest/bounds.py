@@ -53,10 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import check_copies
+
 
 def mse_bound(n: int, varentropy: float, schur_dim: int) -> float:
     """(sqrt(V/n) + log(total block dimension)/n)**2."""
-    if n < 1 or varentropy < 0 or schur_dim < 1:
+    check_copies(n)
+    if not (n >= 1 and varentropy >= 0 and schur_dim >= 1):
         raise ValueError("need n >= 1, varentropy >= 0, schur_dim >= 1")
     return (math.sqrt(varentropy / n) + math.log(schur_dim) / n) ** 2
 
@@ -320,6 +323,7 @@ def tail_bounds(n: int, schur_dim: int, rate_above: float, rate_below: float,
     renyi, of two orders.
     """
     # numpy scalars would leak into the results and warn at 0 * inf in the Brent step
+    check_copies(n)
     n, rate_above, rate_below = int(n), float(rate_above), float(rate_below)
     if n < 1 or schur_dim < 1:
         raise ValueError("need n >= 1 and schur_dim >= 1")
@@ -372,7 +376,7 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
     exact  = (sqrt(c0/c) + min_s c^(s-1)/(s(1-s)))^2 / eps^2 over s in (0,1)
     simple = (sqrt(c0) + 4)^2 / (c eps^2), the s = 1/2 specialization.
     """
-    if c <= 0 or c0 < 0 or epsilon <= 0:
+    if not (c > 0 and c0 >= 0 and epsilon > 0):
         raise ValueError("need c > 0, c0 >= 0, epsilon > 0")
     # the log of the inner term, (s - 1) log c - log s - log(1 - s), is
     # strictly convex in s; its derivative log c - 1/s + 1/(1 - s) vanishes
@@ -389,6 +393,6 @@ def sample_complexity_bound(c: float, c0: float, epsilon: float) -> ComplexityBo
 def tomography_baseline(d: int, t: float, eps_prime: float) -> float:
     """Sample-count proxy for estimating the divergence via full state
     reconstruction, when the reference spectrum is floored at exp(-t d)."""
-    if d < 2 or t <= 0 or eps_prime <= 0:
+    if not (d >= 2 and t > 0 and eps_prime > 0):
         raise ValueError("need d >= 2, t > 0, eps_prime > 0")
     return d**2 * (math.log(d) + t * d) ** 2 / eps_prime**2

@@ -28,13 +28,14 @@ index's Jacobi-Trudi index block, the weights' grid positions) is built
 once per (n, d) in a cached plan.  The engine takes the Young indices in
 chunks of at most _CHUNK_CELLS grid cells, each with one FFT, so small
 grids pay little per-call overhead; a grid of at least _CHUNK_CELLS points
-takes one Young index per chunk, with the memory of a one-index loop.  A
-chunk's Jacobi-Trudi minors have order d-1: at d = 2 and 3 their
-determinants are closed forms evaluated elementwise over the chunk, and at
-d >= 4 one Gaussian elimination with partial pivoting, run elementwise over
-the chunk, which is as accurate as LAPACK's LU on the near-pure
-cancellations there.  Batching leaves every float as a one-index loop
-gives it (both in tests/test_distribution.py).  The same
+takes one Young index per chunk.  A chunk's Jacobi-Trudi minors have order
+d-1: at d = 2 and 3 their determinants are closed forms evaluated
+elementwise over the chunk's gathered blocks, and at d >= 4 one Gaussian
+elimination with partial pivoting, as accurate as LAPACK's LU on the
+near-pure cancellations there, run elementwise over blocks gathered one
+slice of at most _DET_TILE grid points at a time, so no stack of blocks
+wider than a slice is built.  Batching and slicing leave every float as a
+one-index loop gives it (both in tests/test_distribution.py).  The same
 routine at rho_tilde = I gives the multiplicities, since the Kostka number
 is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
 coefficients to integers and raises ArithmeticError if any lies more than
@@ -61,11 +62,10 @@ returned table is read-only, as it may be handed to more than one caller.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -76,7 +76,7 @@ from .partitions import (
     type_entropy_bounds,
     young_count,
 )
-from .states import DensityMatrix, InputError, SigmaSpectrum, check_pair, sigma_spectrum
+from .states import DensityMatrix, SigmaSpectrum, check_copies, check_pair, sigma_spectrum
 
 # JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
 # near-pure states at d >= 3: a (3, 30) marginal is already off by 8.1e-9
@@ -85,10 +85,11 @@ from .states import DensityMatrix, InputError, SigmaSpectrum, check_pair, sigma_
 # bounds the cost.
 JT_MAX_N = 30
 # warm calls at each d's largest admitted n took 0.9-2.2e-8 s per work unit
-# from d = 4 to 9 on a 2-vCPU VM, so the limit keeps a call near 1-5 s and
-# under 0.5 GB; it admits every d <= 4 up to n = 30.  The first call at a
-# new (n, d) runs the engine twice, once at rho_tilde = I for the Kostka
-# table, so it can take twice as long.
+# from d = 4 to 9 on a 2-vCPU VM, so the limit keeps a call near 1-5 s; a
+# process's peak RSS over a cold and a warm call stayed under 0.2 GB at each
+# d's largest admitted n, 183 MB at (8, 5) the most.  It admits every d <= 4
+# up to n = 30.  The first call at a new (n, d) runs the engine twice, once
+# at rho_tilde = I for the Kostka table, so it can take twice as long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
 # the Kostka table rounds engine coefficients at rho_tilde = I; the worst gap
@@ -143,8 +144,7 @@ class _AtomTable:
     rounded.
     """
 
-    columns: tuple[tuple[int, ...], ...]  # every weight; the per-Young row columns
-    column_matrix: np.ndarray  # the weights as float rows, one per column
+    column_matrix: np.ndarray  # every weight as a float row, one per per-Young row column
     v_dim: np.ndarray  # per Young index: dimV as a float
     log_v: np.ndarray  # per Young index: log dimV
     log_ratio: np.ndarray  # per Young index: log of the sn_dim size ratio
@@ -184,7 +184,6 @@ def _atom_table(n: int, d: int) -> _AtomTable:
     young_idx, weight_pos = np.nonzero(mult_matrix)
     mult = mult_matrix[young_idx, weight_pos]
     return _AtomTable(
-        columns=plan.columns,
         column_matrix=np.array(plan.columns, dtype=float),
         v_dim=np.array(v_dims),
         log_v=np.array(log_v),
@@ -202,10 +201,11 @@ def _rho_in_reference_basis(rho: DensityMatrix, spec: SigmaSpectrum) -> np.ndarr
     return spec.basis.conj().T @ rho.mat @ spec.basis
 
 
-def _assemble(n, d, backend, spec, block_rows, max_imag):
+def _assemble(n, d, spec, block_rows, max_imag):
     """Build the distribution from per-Young rows of raw probabilities.
 
-    block_rows[y, c] is the raw p of Young index y and weight columns[c].
+    block_rows[y, c] is the raw p of Young index y and the plan's weight
+    columns[c].
     """
     table = _atom_table(n, d)
     p = block_rows[table.young_idx, table.weight_pos]
@@ -227,7 +227,7 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
     dist = OutcomeDistribution(
         n=n,
         d=d,
-        backend=backend,
+        backend="jacobi_trudi",
         sigma_values=spec.values.copy(),
         youngs=table.youngs,
         weights=table.weights,
@@ -255,9 +255,9 @@ def _assemble(n, d, backend, spec, block_rows, max_imag):
 # takes one Young index per chunk.  The plan keeps its phase rows only when
 # all of them fit in as many cells.
 _CHUNK_CELLS = 2**12
-# _block_dets eliminates at most this many grid points at a time: at (7, 7)
-# slices of 2^12 or 2^13 points took 2.1 s of minors where the whole 8^6-point
-# grid took 4.7 s (2-vCPU Xeon VM, 2 MB L2 per core)
+# _block_dets gathers and eliminates at most this many grid points at a
+# time: at (7, 7) slices of 2^12 or 2^13 points took 2.1 s of minors where
+# the whole 8^6-point grid took 4.7 s (2-vCPU Xeon VM, 2 MB L2 per core)
 _DET_TILE = 2**13
 
 
@@ -272,9 +272,8 @@ class _Plan:
 
     The grid is the torus z_k = exp(2 pi i j_k / (n+1)) for k < d-1 and
     z_(d-1) = 1, its G = (n+1)^(d-1) points in C order over (j_0, ...,
-    j_(d-2)).  A chunk (start, stop, runs) holds the Young indices
-    start..stop-1, and each run (k, lo, hi) the chunk's indices lo..hi-1,
-    whose last part lam_d is k.
+    j_(d-2)).  The engine takes the Young indices in chunks of step
+    consecutive ones (the last chunk may be shorter).
     """
 
     blocks: tuple[tuple[int, ...], ...]  # every Young index, enumerate_young order
@@ -284,7 +283,8 @@ class _Plan:
     subsets: tuple[np.ndarray, ...]  # per size j = 1..d: the j-subsets as rows, combinations order
     phases: tuple[np.ndarray, ...] | None  # per size j: each subset's phase row; None past the cap
     idx: np.ndarray  # per Young index: its (d-1) x (d-1) Jacobi-Trudi block of h indices
-    chunks: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]
+    step: int  # Young indices per chunk
+    last: np.ndarray  # per Young index: its last part lam_d, the power of e_d it takes
     flat: np.ndarray  # per weight: grid position of its coefficient
 
     def phase_rows(self, j: int):
@@ -310,20 +310,11 @@ def _plan(n: int, d: int) -> _Plan:
     # lam = young[::-1] has descending parts, so lam_d is young[0]
     idx = np.array([[[max(young[d - 1 - i] - young[0] - i + j, -1) for j in range(d - 1)]
                      for i in range(d - 1)] for young in blocks], dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // grid.shape[1])
-    chunks = []
-    for start in range(0, len(blocks), step):
-        stop = min(start + step, len(blocks))
-        runs, lo = [], 0
-        for k, run in groupby(young[0] for young in blocks[start:stop]):
-            hi = lo + len(list(run))
-            runs.append((k, lo, hi))
-            lo = hi
-        chunks.append((start, stop, tuple(runs)))
     flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], (size,) * (d - 1))
     return _Plan(blocks=blocks, columns=columns, grid=grid, roots=roots, subsets=subsets,
                  phases=phases, idx=idx.reshape(len(blocks), d - 1, d - 1),
-                 chunks=tuple(chunks), flat=flat)
+                 step=max(1, _CHUNK_CELLS // grid.shape[1]),
+                 last=np.array([young[0] for young in blocks], dtype=np.int64), flat=flat)
 
 
 def _work(n: int, d: int) -> int:
@@ -344,13 +335,11 @@ def _work(n: int, d: int) -> int:
 def check_size(n: int, d: int) -> None:
     """Raise ValueError when distribution would refuse (n, d) for its size.
 
-    Needs an integer n (InputError otherwise: a float or a bool is no copy
-    count, even when it equals one), n >= 1, n <= JT_MAX_N and _work(n, d)
-    <= JT_MAX_WORK; the check builds no table, so callers can vet a whole
-    range of n first.
+    Needs an integer n (check_copies raises InputError otherwise), n >= 1,
+    n <= JT_MAX_N and _work(n, d) <= JT_MAX_WORK; the check builds no
+    table, so callers can vet a whole range of n first.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise InputError(f"need an integer number of copies, got {n!r}")
+    check_copies(n)
     if n < 1:
         raise ValueError("need n >= 1")
     if n > JT_MAX_N:
@@ -382,10 +371,7 @@ def _elementary(rt: np.ndarray, plan: _Plan) -> np.ndarray:
 def _complete(e: np.ndarray, n: int) -> np.ndarray:
     """h_k(rho_tilde Z) for k = 0..n+d-2 from the rows e_0..e_d, by
     h_k = sum_j (-1)^(j-1) e_j h_(k-j); row n+d-1 is zero, so index -1
-    reads zero.
-
-    The signed rows (-1)^(j-1) e_j are formed once per call, not once per
-    term; each term is the same product as before, added in the same order.
+    reads zero.  The signed rows (-1)^(j-1) e_j are formed once per call.
     """
     d = len(e) - 1
     signed = [(-1) ** (j - 1) * e[j] for j in range(1, d + 1)]
@@ -397,27 +383,29 @@ def _complete(e: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _block_dets(blocks: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of Jacobi-Trudi blocks, one per grid point.
+def _block_dets(h: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Determinants of the Jacobi-Trudi blocks h[idx], one per grid point.
 
-    blocks[y, i, j, g] is entry (i, j) of block y at grid point g; the
-    result is the (Y, G) array of determinants, computed elementwise over
-    the stack with no gather.  Order 0 (d = 1) gives ones, and orders 1 and
-    2 (d = 2 and 3) are in closed form, the entry and a*d - b*c.  Orders >=
-    3 run _eliminate on slices of at most _DET_TILE grid points, whose
-    columns stay in cache through its O(order^3) passes; each point's
-    determinant is the same whatever the slicing.
+    idx[y] is block y's (m, m) array of rows of h, whose columns are the
+    grid points; the result is the (Y, G) array of determinants, computed
+    elementwise over the blocks.  Order 0 (d = 1) gives ones, and orders 1
+    and 2 (d = 2 and 3) are in closed form on the whole gathered stack, the
+    entry and a*d - b*c.  Orders >= 3 gather and run _eliminate one slice
+    of at most _DET_TILE grid points at a time, so no stack wider than a
+    slice is built and its columns stay in cache through the O(m^3)
+    passes; each point's determinant is the same whatever the slicing.
     """
-    order = blocks.shape[1]
+    order = idx.shape[1]
     if order == 0:
-        return np.ones((blocks.shape[0], blocks.shape[-1]), dtype=complex)
-    if order == 1:
-        return blocks[:, 0, 0]
-    if order == 2:
+        return np.ones((len(idx), h.shape[1]), dtype=complex)
+    if order <= 2:
+        blocks = h[idx]
+        if order == 1:
+            return blocks[:, 0, 0]
         return blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    dets = np.empty((blocks.shape[0], blocks.shape[-1]), dtype=complex)
-    for start in range(0, blocks.shape[-1], _DET_TILE):
-        dets[:, start:start + _DET_TILE] = _eliminate(blocks[..., start:start + _DET_TILE])
+    dets = np.empty((len(idx), h.shape[1]), dtype=complex)
+    for start in range(0, h.shape[1], _DET_TILE):
+        dets[:, start:start + _DET_TILE] = _eliminate(h[idx, start:start + _DET_TILE])
     return dets
 
 
@@ -472,12 +460,12 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
     the determinant the cancellation it suffers on near-pure states.  s_lam
     has degree n, so its values on the (n+1)^(d-1) grid fix every
-    coefficient, and an FFT over the grid axes returns them all.  Each
-    chunk of Young indices takes one gather of its blocks from h, their
-    determinants through _block_dets (closed form at orders 1 and 2,
-    elementwise pivoted elimination at order >= 3), one power of e_d per
-    run of equal last parts (Young indices come sorted by lam_d, so per
-    distinct part) and one FFT.
+    coefficient, and an FFT over the grid axes returns them all.  The
+    powers e_d^k for k = 0..n//d are formed once per call.  Each chunk of
+    Young indices takes its determinants from _block_dets, which gathers
+    the blocks from h (closed form at orders 1 and 2, elementwise pivoted
+    elimination one grid slice at a time at order >= 3), then each Young
+    index's power of e_d, picked by its last part, and one FFT.
     Row y, column c holds the coefficient of the plan's y-th Young index at
     its c-th weight.
     """
@@ -486,15 +474,18 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     e = _elementary(rt, plan)
     h = _complete(e, n)
     shape = (n + 1,) * (d - 1)
+    # one scalar power per row: e ** 2 takes numpy's square, whose bits an
+    # array of exponents would not give
+    powers = np.array([e[d] ** k for k in range(n // d + 1)])
     rows = np.empty((len(plan.blocks), len(plan.columns)), dtype=complex)
-    for start, stop, runs in plan.chunks:
-        values = _block_dets(h[plan.idx[start:stop]])
-        for k, lo, hi in runs:
-            # the power stays the left factor: numpy's complex product is not
-            # bitwise symmetric, and this order gives a one-index loop's bits
-            np.multiply(e[d] ** k, values[lo:hi], out=values[lo:hi])
+    for start in range(0, len(plan.blocks), plan.step):
+        chunk = slice(start, start + plan.step)
+        values = _block_dets(h, plan.idx[chunk])
+        # the power stays the left factor: numpy's complex product is not
+        # bitwise symmetric, and this order gives a one-index loop's bits
+        np.multiply(powers[plan.last[chunk]], values, out=values)
         coeffs = np.fft.fftn(values.reshape(-1, *shape), axes=range(1, d), norm="forward")
-        rows[start:stop] = coeffs.reshape(stop - start, -1)[:, plan.flat]
+        rows[chunk] = coeffs.reshape(len(values), -1)[:, plan.flat]
     return rows
 
 
@@ -538,6 +529,6 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n)
     coeffs = table.v_dim[:, None] * rows
     max_imag = float(np.abs(coeffs.imag).max())
-    dist = _assemble(n, d, "jacobi_trudi", spec, coeffs.real, max_imag)
+    dist = _assemble(n, d, spec, coeffs.real, max_imag)
     _last = key, dist
     return dist

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import sample_complexity_bound, tomography_baseline
-from .states import DensityMatrix, random_mixed, relative_varentropy
+from .states import DensityMatrix, check_copies, random_mixed, relative_varentropy
 
 SCAN_MAX_D = 4
 # the scan refuses more Young indices than this (about 15 s at d = 4)
@@ -306,6 +306,7 @@ def uniform_reference_scan(d: int, n: int, q: float, epsilon: float) -> UniformR
     """Exact strict tail masses of the estimate for (geometric state, I/d)."""
     if not 2 <= d <= SCAN_MAX_D:
         raise ValueError(f"scan supports 2 <= d <= {SCAN_MAX_D}")
+    check_copies(n)
     if n < 1 or not epsilon > 0:
         raise ValueError("need n >= 1 and epsilon > 0")
     _check_scan_size(d, n)
@@ -357,8 +358,8 @@ def varentropy_scale_proxy(d: int, seeds=range(8)) -> float:
 
 def calibrated_budget(c0: float, epsilon: float = 0.5) -> float:
     """Budget constant making the simplified complexity bound hit BUDGET_TARGET."""
-    if epsilon <= 0:
-        raise ValueError("need epsilon > 0")
+    if not (c0 >= 0 and epsilon > 0):
+        raise ValueError("need c0 >= 0 and epsilon > 0")
     return (math.sqrt(c0) + 4) ** 2 / (BUDGET_TARGET * epsilon**2)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -31,6 +32,17 @@ MAX_DIM = 1024  # a random pair with D and V: about 9 s and 190 MB on 2 vCPUs, g
 
 class InputError(ValueError):
     """An input outside a rule the library computes under."""
+
+
+def check_copies(n) -> None:
+    """Raise InputError unless n is an integer copy count.
+
+    A float or a bool is no copy count, even when it equals one; numpy
+    integers pass, so callers that need a Python int take int(n) after.
+    The range of n is each caller's own rule.
+    """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise InputError(f"need an integer number of copies, got {n!r}")
 
 
 def _check_dim(d: int) -> None:

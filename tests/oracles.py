@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import groupby
@@ -60,6 +60,7 @@ from schurest.distribution import (
     OutcomeDistribution,
     _assemble,
     _atom_table,
+    _plan,
     _rho_in_reference_basis,
 )
 from schurest.partitions import (
@@ -377,7 +378,7 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
     if d**n > BRUTE_MAX_STRINGS or n > BRUTE_MAX_N:
         raise ValueError(f"brute backend limited to d^n <= {BRUTE_MAX_STRINGS}, n <= {BRUTE_MAX_N}")
     rt = _rho_in_reference_basis(rho, spec)
-    weights = _atom_table(n, d).columns
+    weights = _plan(n, d).columns
     digits = string_digits(n, d)
     occ = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
     codes = _weight_codes([tuple(row) for row in occ], n)
@@ -390,7 +391,7 @@ def brute_distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution
         t_rows[ci] = _projected_traces(rt, digits, type_idx, len(weights), inv)
     max_imag = float(np.abs(t_rows.imag).max())
     block_rows = _neumaier_accumulate(_class_coefficients(n, d), t_rows.real.copy())
-    return _assemble(n, d, "brute", spec, block_rows, max_imag)
+    return replace(_assemble(n, d, spec, block_rows, max_imag), backend="brute")
 
 
 def lam_marginal(dist: OutcomeDistribution) -> dict[tuple[int, ...], float]:

@@ -25,6 +25,7 @@ from schurest.distribution import distribution
 from schurest.estimator import tail_probabilities, tail_report
 from schurest.partitions import total_schur_dim
 from schurest.states import (
+    InputError,
     diagonal_state,
     random_mixed,
     relative_entropy,
@@ -56,6 +57,30 @@ def test_mse_bound_validation():
         mse_bound(1, -0.1, 2)
     with pytest.raises(ValueError):
         mse_bound_counting(1, 2, -0.1)
+
+
+# a float or a bool is no copy count, even when it equals one; a numpy
+# integer is one, and gives the int's result
+COPY_COUNTS = [4.7, 12.0, True, np.int64(4)]
+
+
+def same_as_int_or_refused(call, n):
+    if isinstance(n, np.integer):
+        assert call(n) == call(int(n))
+    else:
+        with pytest.raises(InputError, match="integer number of copies"):
+            call(n)
+
+
+@pytest.mark.parametrize("n", COPY_COUNTS)
+def test_mse_bound_takes_only_an_integer_copy_count(n):
+    same_as_int_or_refused(lambda n: mse_bound(n, 1.0, 5), n)
+
+
+@pytest.mark.parametrize("args", [(4, math.nan, 5), (4, 1.0, math.nan)])
+def test_mse_bound_refuses_nan(args):
+    with pytest.raises(ValueError):
+        mse_bound(*args)
 
 
 def test_exact_dimension_never_beats_counting_bound():
@@ -206,6 +231,14 @@ def test_tail_bound_validation():
         tail_bounds(0, 2, 0.1, 0.1, unread)
     with pytest.raises(ValueError):
         tail_bounds(2, 0, 0.1, 0.1, unread)
+
+
+@pytest.mark.parametrize("n", COPY_COUNTS)
+def test_tail_bounds_take_only_an_integer_copy_count(n):
+    rho, sigma = random_pair(2, seed=3)
+    div = relative_entropy(rho, sigma)
+    same_as_int_or_refused(
+        lambda n: tail_bounds(n, 5, div + 0.5, div - 0.5, renyi_curve(rho, sigma)), n)
 
 
 # ----------------------------------------------- bounded Brent refinement
@@ -423,6 +456,12 @@ def test_complexity_validation():
         sample_complexity_bound(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)])
+def test_complexity_refuses_nan(args):
+    with pytest.raises(ValueError):
+        sample_complexity_bound(*args)
+
+
 # ---------------------------------------------------- tomography baseline
 
 
@@ -446,6 +485,12 @@ def test_tomography_validation():
         tomography_baseline(1, 1.0, 1.0)
     with pytest.raises(ValueError):
         tomography_baseline(2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [(3, math.nan, 0.5), (3, 1.0, math.nan)])
+def test_tomography_refuses_nan(args):
+    with pytest.raises(ValueError):
+        tomography_baseline(*args)
 
 
 # ------------------------------------------------- cross-formula sanity

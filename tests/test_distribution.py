@@ -428,8 +428,7 @@ def test_engine_chunks_give_the_bytes_of_one_young_index_at_a_time(monkeypatch, 
             patch.setattr(module, "_CHUNK_CELLS", 1)
             patch.setattr(module, "_plan", module._plan.__wrapped__)
             plan = module._plan(n, d)
-            assert plan.phases is None
-            assert all(stop - start == 1 for start, stop, *_ in plan.chunks)
+            assert plan.phases is None and plan.step == 1
             single = [module._schur_coefficients(rt, n) for rt in matrices]
         for a, b in zip(batched, single):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -441,24 +440,20 @@ def test_engine_grid_past_the_cap_runs_one_young_index_per_chunk(n, d):
 
     plan = module._plan(n, d)
     assert plan.grid.shape[1] >= module._CHUNK_CELLS
-    assert [chunk[:2] for chunk in plan.chunks] == [(y, y + 1) for y in range(len(plan.blocks))]
+    assert plan.step == 1
 
 
 @pytest.mark.parametrize("n, d", [(8, 2), (30, 2), (6, 3), (20, 3), (5, 4)])
 def test_engine_chunks_cover_the_young_indices_within_the_cap(n, d):
+    # a chunk of step Young indices is the most that fits in _CHUNK_CELLS
+    # cells, and last holds each Young index's lam_d, its power of e_d
     from schurest import distribution as module
 
     plan = module._plan(n, d)
     size = plan.grid.shape[1]
-    starts = [start for start, _, _ in plan.chunks] + [len(plan.blocks)]
-    assert starts == [0] + [stop for _, stop, _ in plan.chunks]
-    for start, stop, runs in plan.chunks:
-        assert 0 < (stop - start) * size <= module._CHUNK_CELLS
-        bounds = [lo for _, lo, _ in runs] + [stop - start]
-        assert bounds == [0] + [hi for _, _, hi in runs]
-        assert [k for k, lo, hi in runs for _ in range(lo, hi)] == [
-            young[0] for young in plan.blocks[start:stop]]
-        assert len({k for k, _, _ in runs}) == len(runs)
+    assert plan.step * size <= module._CHUNK_CELLS < (plan.step + 1) * size
+    assert plan.last.tolist() == [young[0] for young in plan.blocks]
+    assert plan.last.max() == n // d
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -496,6 +491,15 @@ def degenerate_stacks(blocks):
     return zero_column, equal_rows, zero_second
 
 
+def stack_dets(stack):
+    """_block_dets on a given (Y, m, m, G) stack: its entries become the
+    rows of h, and each block's index array names its own m^2 rows."""
+    from schurest import distribution as module
+
+    y, m, _, g = stack.shape
+    return module._block_dets(stack.reshape(-1, g), np.arange(y * m * m).reshape(y, m, m))
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
 def test_small_jacobi_trudi_blocks_match_lapack_det(order):
     # the closed forms (orders 1, 2) and the pivoted elimination (orders
@@ -514,7 +518,7 @@ def test_small_jacobi_trudi_blocks_match_lapack_det(order):
         for stack in stacks:
             with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
-                ours = module._block_dets(stack)
+                ours = stack_dets(stack)
             lapack = np.linalg.det(np.moveaxis(stack, -1, 1))
             size = np.abs(stack)
             product = (size[:, 0, 0] * size[:, 1, 1] + size[:, 0, 1] * size[:, 1, 0]
@@ -527,16 +531,42 @@ def test_small_jacobi_trudi_blocks_match_lapack_det(order):
 
 @pytest.mark.parametrize("order", [3, 4, 5])
 def test_block_dets_give_the_same_bits_in_any_grid_slicing(monkeypatch, order):
-    # the elimination is elementwise, so slicing the grid changes no bit
+    # the elimination is elementwise, so the engine's coefficients keep
+    # their bits whatever slices of the grid _block_dets gathers
     from schurest import distribution as module
 
-    rng = np.random.default_rng(10 + order)
-    blocks = rng.standard_normal((3, order, order, 17)) + 1j * rng.standard_normal(
-        (3, order, order, 17))
-    whole = module._block_dets(blocks)
+    d, n = {3: (4, 6), 4: (5, 4), 5: (6, 3)}[order]
+    spec = sigma_spectrum(random_mixed(d, 20 + d, floor=0.05))
+    matrices = [np.eye(d), module._rho_in_reference_basis(random_mixed(d, 2), spec)]
+    whole = [module._schur_coefficients(rt, n) for rt in matrices]
     for tile in (1, 5, 16):
         monkeypatch.setattr(module, "_DET_TILE", tile)
-        assert module._block_dets(blocks).tobytes() == whole.tobytes()
+        for rt, rows in zip(matrices, whole):
+            assert module._schur_coefficients(rt, n).tobytes() == rows.tobytes()
+
+
+def test_elimination_never_sees_a_gather_wider_than_a_slice(monkeypatch):
+    # at (4, 24) the grid has 15,625 points, past one _DET_TILE slice; each
+    # stack _eliminate receives owns its memory, so no gather of the whole
+    # grid's blocks is ever built
+    from schurest import distribution as module
+
+    n, d = 24, 4
+    assert module._plan(n, d).grid.shape[1] > module._DET_TILE
+    widths = []
+
+    def recorded(stack, eliminate=module._eliminate):
+        root = stack
+        while root.base is not None:
+            root = root.base
+        # the grid points the stack's memory spans, at Y m^2 entries per point
+        widths.append((stack.shape[-1], root.size // (stack.size // stack.shape[-1])))
+        return eliminate(stack)
+
+    monkeypatch.setattr(module, "_eliminate", recorded)
+    module._schur_coefficients(np.eye(d), n)
+    assert len(widths) == 2 * len(module._plan(n, d).blocks)
+    assert all(width == root <= module._DET_TILE for width, root in widths)
 
 
 @pytest.mark.parametrize("d, n", [(3, 20), (4, 6)])
@@ -707,7 +737,7 @@ def test_pivoted_elimination_is_as_accurate_as_lu_on_near_pure_blocks():
         module._rho_in_reference_basis(rho, sigma_spectrum(sigma)), plan), n)
     blocks = h[:, ::211][plan.idx]
     assert blocks.shape == (len(plan.blocks), 3, 3, 75)
-    results = {"elimination": module._block_dets(blocks),
+    results = {"elimination": module._block_dets(h[:, ::211], plan.idx),
                "lu": np.linalg.det(np.moveaxis(blocks, -1, 1))}
     det_rho = mpmath.mpf(float(np.linalg.det(rho.mat).real))
     worst = dict.fromkeys(results, mpmath.mpf(0))
@@ -988,7 +1018,7 @@ def test_small_negative_probability_is_clamped():
     from schurest.distribution import _assemble
 
     spec = sigma_spectrum(DensityMatrix(np.eye(2) / 2))
-    dist = _assemble(2, 2, "brute", spec, _two_copy_rows([0.25, 0.5 + 2e-8, 0.25]), 0.0)
+    dist = _assemble(2, 2, spec, _two_copy_rows([0.25, 0.5 + 2e-8, 0.25]), 0.0)
     assert dist.weights[-1] == (1, 1) and dist.youngs[-1] == (1, 1)
     assert dist.neg_clip == pytest.approx(-1e-8, rel=1e-6)
     assert dist.p[-1] == 0.0
@@ -1001,4 +1031,4 @@ def test_large_negative_probability_aborts_at_first_atom():
     spec = sigma_spectrum(DensityMatrix(np.eye(2) / 2))
     rows = _two_copy_rows([-0.25 - 4e-6, 0.5 + 4e-6, 0.25])  # two atoms at -2e-6
     with pytest.raises(ArithmeticError, match=r"at \(0, 2\), \(0, 2\):"):
-        _assemble(2, 2, "brute", spec, rows, 0.0)
+        _assemble(2, 2, spec, rows, 0.0)

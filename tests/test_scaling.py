@@ -33,7 +33,7 @@ from schurest.scaling import (
     uniform_reference_scan,
     varentropy_scale_proxy,
 )
-from schurest.states import DensityMatrix, relative_entropy
+from schurest.states import DensityMatrix, InputError, relative_entropy
 
 
 def grid_young(n, d, prefix, row, t):
@@ -264,6 +264,15 @@ class TestScan:
         with pytest.raises(ValueError):
             uniform_reference_scan(2, 10, q=1.0, epsilon=0.3)
 
+    @pytest.mark.parametrize("n", [4.7, 12.0, True, np.int64(4)])
+    def test_takes_only_an_integer_copy_count(self, n):
+        # a float or a bool is no copy count, even when it equals one
+        if isinstance(n, np.integer):
+            assert uniform_reference_scan(2, n, 0.9, 0.5) == uniform_reference_scan(2, 4, 0.9, 0.5)
+        else:
+            with pytest.raises(InputError, match="integer number of copies"):
+                uniform_reference_scan(2, n, 0.9, 0.5)
+
     @pytest.mark.parametrize("epsilon", [math.nan, -math.inf, -0.0])
     def test_rejects_epsilon_not_above_zero(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
@@ -299,6 +308,11 @@ class TestBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             calibrated_budget(1.0, epsilon=-1.0)
+        with pytest.raises(ValueError):
+            calibrated_budget(1.0, math.nan)
+        for c0 in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                calibrated_budget(c0)
 
 
 class TestVarentropyProxy:

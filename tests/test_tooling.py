@@ -116,16 +116,28 @@ def test_only_the_engine_plan_builds_the_grid_and_the_subsets():
 
 def test_the_engine_takes_its_jacobi_trudi_blocks_only_through_the_helper():
     # _block_dets picks the closed form or the pivoted elimination by the
-    # blocks' order; a det of the gathered blocks beside it would bypass
-    # that choice, and only the e_j minors of rho_tilde go to np.linalg.det
+    # blocks' order and gathers them from h itself, the elimination's one
+    # grid slice at a time; a gather in the engine would build a chunk's
+    # whole stack, and only the e_j minors of rho_tilde go to np.linalg.det
     tree = ast.parse((ROOT / "src" / "schurest" / "distribution.py").read_text())
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    engine = functions["_schur_coefficients"]
-    gathers = [node for node in ast.walk(engine)
-               if isinstance(node, ast.Subscript) and "plan.idx" in ast.unparse(node.slice)]
-    takers = {ast.unparse(call.func) for call in ast.walk(engine) if isinstance(call, ast.Call)
-              if any(arg is gather for arg in call.args for gather in gathers)}
-    assert len(gathers) == 1 and takers == {"_block_dets"}
+
+    def gathers(func):
+        return [node for node in ast.walk(func)
+                if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "h"]
+
+    def takers(func, args):
+        return {ast.unparse(call.func) for call in ast.walk(func) if isinstance(call, ast.Call)
+                if any(arg is taken for arg in call.args for taken in args)}
+
+    engine, helper = functions["_schur_coefficients"], functions["_block_dets"]
+    assert not gathers(engine)
+    blocks = [node for node in ast.walk(engine)
+              if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "plan.idx"]
+    assert len(blocks) == 1 and takers(engine, blocks) == {"_block_dets"}
+    sliced = [node for node in gathers(helper) if isinstance(node.slice, ast.Tuple)]
+    assert len(gathers(helper)) == 2 and len(sliced) == 1
+    assert takers(helper, sliced) == {"_eliminate"}
     dets = {name for name, func in functions.items() for node in ast.walk(func)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.det"}
     assert dets == {"_elementary"}

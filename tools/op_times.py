@@ -21,7 +21,9 @@ measurement runs in fresh processes:
   pairs in turn, so that every call misses the memo and runs the engine,
   for STAGE_SECONDS (three calls at least), with the engine
   stages wrapped in timers: ``e`` (distribution._elementary), ``h``
-  (_complete), ``minors`` (_block_dets), ``fft`` (np.fft.fftn) and
+  (_complete), ``minors`` (_block_dets, which gathers the Jacobi-Trudi
+  blocks from h, so the gather is timed with them; a tree that gathers
+  outside it times the gather under ``other``), ``fft`` (np.fft.fftn) and
   ``assembly`` (_assemble).  A stage that the tree does not define reads
   null; ``other`` is the rest of the call.
 - benchmark runs: the command of ``BENCHMARK.json`` in each checkout, on
