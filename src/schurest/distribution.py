@@ -114,7 +114,10 @@ class OutcomeDistribution:
     x: np.ndarray  # -log_q / n
     x_star: np.ndarray  # -H(lam/n) - sum_i (mu_i/n) log s_i
     gap_bound: np.ndarray  # per-block bound on x - x_star
-    max_imag: float  # largest imaginary residue dropped during assembly
+    # largest dimV * |Im s_lam| at the engine grid's self-conjugate points
+    # (z = 1 among them), whose values are real in exact arithmetic; the
+    # engine's real transform drops those imaginary parts
+    max_imag: float
     neg_clip: float  # most negative raw probability clamped to zero
 
     def __len__(self) -> int:
@@ -171,9 +174,9 @@ def _atom_table(n: int, d: int) -> _AtomTable:
         log_ratio.append(math.log(ratio))
         entropy.append(type_entropy_bounds(young)[0])
     # K_lam,mu = [z^mu] s_lam(Z): the engine's coefficients at rho_tilde = I
-    rows = _schur_coefficients(np.eye(d), n)
-    mult_matrix = np.maximum(np.rint(rows.real), 0)
-    gap = max(float(np.abs(rows.real - mult_matrix).max()), float(np.abs(rows.imag).max()))
+    rows, _ = _schur_coefficients(np.eye(d), n)
+    mult_matrix = np.maximum(np.rint(rows), 0)
+    gap = float(np.abs(rows - mult_matrix).max())
     if gap > KOSTKA_TOL:
         raise ArithmeticError(
             f"Kostka coefficients at (n, d) = ({n}, {d}) are {gap:.3e} off a non-negative "
@@ -270,22 +273,27 @@ def _phase_row(grid: np.ndarray, roots: np.ndarray, subset: np.ndarray) -> np.nd
 class _Plan:
     """The engine's index arrays for one (n, d), built once (see _schur_coefficients).
 
-    The grid is the torus z_k = exp(2 pi i j_k / (n+1)) for k < d-1 and
-    z_(d-1) = 1, its G = (n+1)^(d-1) points in C order over (j_0, ...,
-    j_(d-2)).  The engine takes the Young indices in chunks of step
-    consecutive ones (the last chunk may be shorter).
+    The grid is half the torus z_k = exp(2 pi i j_k / (n+1)) for k < d-1
+    and z_(d-1) = 1: j_k runs over 0..n for k < d-2 and the last axis
+    j_(d-2) over 0..(n+1)//2, so G = (n+1)^(d-2) * ((n+1)//2 + 1) points
+    in C order over (j_0, ..., j_(d-2)), the half an inverse real FFT
+    reads (at d = 1, the one point z = 1).  The engine takes the Young
+    indices in chunks of step consecutive ones (the last chunk may be
+    shorter).
     """
 
     blocks: tuple[tuple[int, ...], ...]  # every Young index, enumerate_young order
     columns: tuple[tuple[int, ...], ...]  # every weight, compositions order
+    shape: tuple[int, ...]  # the half grid's shape, ((n+1)//2 + 1) on the last axis
     grid: np.ndarray  # (d-1, G): each grid point's exponents j_k
+    real: np.ndarray  # the self-conjugate grid points, each j_k 0 or (n+1)/2; z = 1 first
     roots: np.ndarray  # the (n+1)-th roots of unity
     subsets: tuple[np.ndarray, ...]  # per size j = 1..d: the j-subsets as rows, combinations order
     phases: tuple[np.ndarray, ...] | None  # per size j: each subset's phase row; None past the cap
     idx: np.ndarray  # per Young index: its (d-1) x (d-1) Jacobi-Trudi block of h indices
     step: int  # Young indices per chunk
     last: np.ndarray  # per Young index: its last part lam_d, the power of e_d it takes
-    flat: np.ndarray  # per weight: grid position of its coefficient
+    flat: np.ndarray  # per weight: its coefficient's position on the full (n+1)^(d-1) torus
 
     def phase_rows(self, j: int):
         """The phase rows of the j-subsets, in combinations order."""
@@ -299,7 +307,8 @@ def _plan(n: int, d: int) -> _Plan:
     size = n + 1
     blocks = tuple(enumerate_young(n, d))
     columns = tuple(compositions(n, d))
-    grid = np.indices((size,) * (d - 1)).reshape(d - 1, size ** (d - 1))
+    shape = (*(size,) * (d - 2), size // 2 + 1) if d > 1 else ()
+    grid = np.indices(shape).reshape(d - 1, math.prod(shape))
     roots = np.exp(2j * np.pi * np.arange(size) / size)
     subsets = tuple(np.array(list(combinations(range(d), j)), dtype=np.int64).reshape(-1, j)
                     for j in range(1, d + 1))
@@ -311,8 +320,9 @@ def _plan(n: int, d: int) -> _Plan:
     idx = np.array([[[max(young[d - 1 - i] - young[0] - i + j, -1) for j in range(d - 1)]
                      for i in range(d - 1)] for young in blocks], dtype=np.int64)
     flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], (size,) * (d - 1))
-    return _Plan(blocks=blocks, columns=columns, grid=grid, roots=roots, subsets=subsets,
-                 phases=phases, idx=idx.reshape(len(blocks), d - 1, d - 1),
+    return _Plan(blocks=blocks, columns=columns, shape=shape, grid=grid,
+                 real=np.flatnonzero((2 * grid % size == 0).all(axis=0)), roots=roots,
+                 subsets=subsets, phases=phases, idx=idx.reshape(len(blocks), d - 1, d - 1),
                  step=max(1, _CHUNK_CELLS // grid.shape[1]),
                  last=np.array([young[0] for young in blocks], dtype=np.int64), flat=flat)
 
@@ -320,9 +330,11 @@ def _plan(n: int, d: int) -> _Plan:
 def _work(n: int, d: int) -> int:
     """Work units of one distribution call: (n+1)^(d-1) * (2^d + d^2 * Y).
 
-    The grid has (n+1)^(d-1) points.  At each, the elementary functions
-    sum 2^d principal minors, and each of the Y Young indices costs one
-    (d-1) x (d-1) determinant and its share of one FFT, about d^2.  Y is
+    The count is per point of the full (n+1)^(d-1) torus, about twice the
+    half the engine evaluates (see _Plan).  At each point, the elementary
+    functions sum 2^d principal minors, and each of the Y Young indices
+    costs one (d-1) x (d-1) determinant and its share of one FFT, about
+    d^2.  Y is
     counted only until the work passes JT_MAX_WORK, so past the limit the
     value is a lower bound.  The count is per engine pass: a cold call at a
     new (n, d) runs two, one for the Kostka table and one for p.
@@ -450,8 +462,10 @@ def _eliminate(blocks: np.ndarray) -> np.ndarray:
     return np.where(flip, -det, det)
 
 
-def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
-    """[z^mu] s_lam(rho_tilde Z) for every Young index lam and weight mu of (n, d), as a complex array.
+def _schur_coefficients(rt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """[z^mu] s_lam(rho_tilde Z) for every Young index lam and weight mu of
+    (n, d), as a real array, and per Young index the largest |Im s_lam| at
+    the grid's self-conjugate points.
 
     First e_j(rho_tilde Z) for j = 0..d on the grid of the (n, d) plan
     (_elementary), then h_k (_complete), and with descending parts lam_1
@@ -459,34 +473,46 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
     The last row of that d x d matrix is (0, ..., 0, 1), so the leading
     (d-1) x (d-1) minor is the determinant.  Factoring out e_d^lam_d spares
     the determinant the cancellation it suffers on near-pure states.  s_lam
-    has degree n, so its values on the (n+1)^(d-1) grid fix every
-    coefficient, and an FFT over the grid axes returns them all.  The
+    has degree n, so its values on the (n+1)^(d-1) torus fix every
+    coefficient.  The coefficients are real (each is p / dimV), so s_lam
+    at conj(z) is conj(s_lam(z)): the half of the torus in the plan fixes
+    the rest, and one inverse real FFT of the conjugated values returns
+    every coefficient, its default norm supplying the 1/(n+1)^(d-1).  The
     powers e_d^k for k = 0..n//d are formed once per call.  Each chunk of
     Young indices takes its determinants from _block_dets, which gathers
     the blocks from h (closed form at orders 1 and 2, elementwise pivoted
     elimination one grid slice at a time at order >= 3), then each Young
-    index's power of e_d, picked by its last part, and one FFT.
-    Row y, column c holds the coefficient of the plan's y-th Young index at
-    its c-th weight.
+    index's power of e_d, picked by its last part, and one transform (none
+    at d = 1, whose one point z = 1 is the only coefficient).  Row y,
+    column c holds the coefficient of the plan's y-th Young index at its
+    c-th weight.  The values at the self-conjugate points (each z_k = +-1,
+    z = 1 among them) are real in exact arithmetic, and the real transform
+    drops their imaginary parts; their largest |Im| is returned as a
+    measure of the roundoff there.
     """
     d = rt.shape[0]
     plan = _plan(n, d)
     e = _elementary(rt, plan)
     h = _complete(e, n)
-    shape = (n + 1,) * (d - 1)
     # one scalar power per row: e ** 2 takes numpy's square, whose bits an
     # array of exponents would not give
     powers = np.array([e[d] ** k for k in range(n // d + 1)])
-    rows = np.empty((len(plan.blocks), len(plan.columns)), dtype=complex)
+    rows = np.empty((len(plan.blocks), len(plan.columns)))
+    imag = np.empty(len(plan.blocks))
     for start in range(0, len(plan.blocks), plan.step):
         chunk = slice(start, start + plan.step)
         values = _block_dets(h, plan.idx[chunk])
         # the power stays the left factor: numpy's complex product is not
         # bitwise symmetric, and this order gives a one-index loop's bits
         np.multiply(powers[plan.last[chunk]], values, out=values)
-        coeffs = np.fft.fftn(values.reshape(-1, *shape), axes=range(1, d), norm="forward")
+        imag[chunk] = np.abs(values[:, plan.real].imag).max(axis=1)
+        if d == 1:
+            coeffs = values.real
+        else:
+            coeffs = np.fft.irfftn(values.conj().reshape(-1, *plan.shape),
+                                   s=(n + 1,) * (d - 1), axes=range(1, d))
         rows[chunk] = coeffs.reshape(len(values), -1)[:, plan.flat]
-    return rows
+    return rows, imag
 
 
 # distribution's memo: (key, table) of the last table it returned, or None.
@@ -526,9 +552,7 @@ def distribution(rho: DensityMatrix, sigma, n: int) -> OutcomeDistribution:
     if last is not None and last[0] == key:
         return last[1]
     table = _atom_table(n, d)
-    rows = _schur_coefficients(_rho_in_reference_basis(rho, spec), n)
-    coeffs = table.v_dim[:, None] * rows
-    max_imag = float(np.abs(coeffs.imag).max())
-    dist = _assemble(n, d, spec, coeffs.real, max_imag)
+    rows, imag = _schur_coefficients(_rho_in_reference_basis(rho, spec), n)
+    dist = _assemble(n, d, spec, table.v_dim[:, None] * rows, float((table.v_dim * imag).max()))
     _last = key, dist
     return dist

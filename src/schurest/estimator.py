@@ -13,6 +13,7 @@ pair on one instance shares the table through distribution's memo.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,14 @@ class EstimatorReport:
     ks: float | None  # None when the varentropy degenerates
 
 
-def exact_mse(dist: OutcomeDistribution, center: float) -> float:
-    """Exact mean square deviation of the estimate from a center value."""
+def _check_center(center: float) -> None:
     if not math.isfinite(center):
         raise ValueError("center must be finite")
+
+
+def exact_mse(dist: OutcomeDistribution, center: float) -> float:
+    """Exact mean square deviation of the estimate from a center value."""
+    _check_center(center)
     return math.fsum((dist.p * (dist.x - center) ** 2).tolist())
 
 
@@ -101,6 +106,7 @@ def tail_probabilities(dist: OutcomeDistribution, center: float, epsilon: float,
     """
     if not epsilon > 0:  # also refuses NaN, for which every comparison is False
         raise ValueError("need epsilon > 0")
+    _check_center(center)  # a NaN center compares False everywhere and empties both tails
     hi, lo = center + epsilon, center - epsilon
     above = math.fsum(dist.p[dist.x > hi].tolist())
     below = math.fsum(dist.p[dist.x < lo].tolist())
@@ -130,9 +136,9 @@ def tail_report(rho, sigma, n: int, epsilon: float) -> TailReport:
 
 def sample_outcomes(dist: OutcomeDistribution, m: int, seed: int = 0) -> np.ndarray:
     """m inverse-CDF draws over the deterministic atom order; returns (m, 2)
-    rows of (x, x_star)."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    rows of (x, x_star); m is an integer, numpy integers included."""
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"need an integer m >= 1, got {m!r}")
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     cumulative = np.cumsum(dist.p)
@@ -155,7 +161,8 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 def normality_report(dist: OutcomeDistribution, center: float, varentropy: float) -> NormalityReport:
     """Exact Kolmogorov-Smirnov distance between the standardized estimate
     sqrt(n)(x - center)/sqrt(varentropy) and the standard normal."""
-    if varentropy <= 0:
+    _check_center(center)
+    if not varentropy > 0:  # also refuses NaN
         raise ValueError("varentropy must be positive; constant log-ratio instances "
                          "have no normal limit")
     n = dist.n

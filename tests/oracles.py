@@ -11,6 +11,11 @@ arithmetic with the Jacobi-Trudi engine:
   characters and the permutation action on basis strings;
 - reference_lam_marginal evaluates each Young index's mass dimV * s_lam
   by the bialternant formula in 300-digit mpmath;
+- torus_schur_coefficients evaluates s_lam(rho_tilde Z) on the whole
+  torus, e_j from principal minors of rho_tilde Z at each point and s_lam
+  as the full d x d Jacobi-Trudi determinant by LAPACK, and reads every
+  coefficient with one forward FFT (the engine evaluates half the torus,
+  factors out e_d and takes one inverse real FFT);
 - kostka counts semistandard fillings by a horizontal-strip recursion (the
   library reads Kostka numbers off the engine at rho_tilde = I), and
   schur_eval expands a Schur polynomial over them;
@@ -49,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Iterator, Sequence
 
 import mpmath
@@ -428,6 +433,42 @@ def reference_lam_marginal(rho: DensityMatrix, n: int) -> dict[tuple[int, ...], 
             schur = alternant([lam[j] + d - 1 - j for j in range(d)]) / vandermonde
             out[young] = sn_dim(young)[0] * schur
         return out
+
+
+# ------------------------------------------------------ full-torus transform
+
+
+def torus_schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
+    """[z^mu] s_lam(rho_tilde Z), rows in enumerate_young order and columns
+    in compositions order at d >= 2, from s_lam on every point of the torus z_k =
+    exp(2 pi i j_k / (n+1)), k < d-1, z_(d-1) = 1, and one np.fft.fftn.
+
+    The real parts are returned; the imaginary parts are roundoff, as every
+    coefficient is p / dimV.
+    """
+    d = len(rt)
+    size = n + 1
+    j = np.indices((size,) * (d - 1)).reshape(d - 1, -1)
+    z = np.vstack([np.exp(2j * np.pi * j / size), np.ones((1, j.shape[1]))])
+    # rho_tilde Z at every grid point, as a (G, d, d) stack
+    mat = rt[None, :, :] * z.T[:, None, :]
+    e = [np.ones(j.shape[1], dtype=complex)]
+    for k in range(1, d + 1):
+        e.append(sum(np.linalg.det(mat[:, list(s)][:, :, list(s)])
+                     for s in combinations(range(d), k)))
+    h = [e[0]]
+    for k in range(1, n + d):
+        h.append(sum((-1) ** (i - 1) * e[i] * h[k - i] for i in range(1, min(k, d) + 1)))
+    zero = np.zeros(j.shape[1], dtype=complex)
+    rows = []
+    for young in enumerate_young(n, d):
+        lam = young[::-1]
+        jt = np.array([[h[lam[a] - a + b] if lam[a] - a + b >= 0 else zero for b in range(d)]
+                       for a in range(d)])
+        values = np.linalg.det(np.moveaxis(jt, -1, 0)).reshape((size,) * (d - 1))
+        coeffs = np.fft.fftn(values, norm="forward").real
+        rows.append([coeffs[weight[:-1]] for weight in compositions(n, d)])
+    return np.array(rows)
 
 
 # --------------------------------------------------------- dense block ops

@@ -37,9 +37,10 @@ from oracles import (
     schur_eval,
     schur_projector,
     string_digits,
+    torus_schur_coefficients,
     type_mask,
 )
-from schurest.distribution import JT_MAX_N, JT_MAX_WORK, _work, distribution
+from schurest.distribution import JT_MAX_N, JT_MAX_WORK, _work, check_size, distribution
 from schurest.partitions import (
     compositions,
     enumerate_young,
@@ -431,11 +432,13 @@ def test_engine_chunks_give_the_bytes_of_one_young_index_at_a_time(monkeypatch, 
             assert plan.phases is None and plan.step == 1
             single = [module._schur_coefficients(rt, n) for rt in matrices]
         for a, b in zip(batched, single):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            for part_a, part_b in zip(a, b):
+                assert part_a.shape == part_b.shape and part_a.tobytes() == part_b.tobytes()
 
 
-@pytest.mark.parametrize("n, d", [(15, 4), (16, 4), (7, 5)])
+@pytest.mark.parametrize("n, d", [(19, 4), (20, 4), (9, 5)])
 def test_engine_grid_past_the_cap_runs_one_young_index_per_chunk(n, d):
+    # half grids of 4,400, 4,851 and 6,000 points
     from schurest import distribution as module
 
     plan = module._plan(n, d)
@@ -541,17 +544,19 @@ def test_block_dets_give_the_same_bits_in_any_grid_slicing(monkeypatch, order):
     whole = [module._schur_coefficients(rt, n) for rt in matrices]
     for tile in (1, 5, 16):
         monkeypatch.setattr(module, "_DET_TILE", tile)
-        for rt, rows in zip(matrices, whole):
-            assert module._schur_coefficients(rt, n).tobytes() == rows.tobytes()
+        for rt, (rows, imag) in zip(matrices, whole):
+            sliced = module._schur_coefficients(rt, n)
+            assert sliced[0].tobytes() == rows.tobytes()
+            assert sliced[1].tobytes() == imag.tobytes()
 
 
 def test_elimination_never_sees_a_gather_wider_than_a_slice(monkeypatch):
-    # at (4, 24) the grid has 15,625 points, past one _DET_TILE slice; each
-    # stack _eliminate receives owns its memory, so no gather of the whole
-    # grid's blocks is ever built
+    # at (4, 26) the half grid has 27 * 27 * 14 = 10,206 points, past one
+    # _DET_TILE slice; each stack _eliminate receives owns its memory, so no
+    # gather of the whole grid's blocks is ever built
     from schurest import distribution as module
 
-    n, d = 24, 4
+    n, d = 26, 4
     assert module._plan(n, d).grid.shape[1] > module._DET_TILE
     widths = []
 
@@ -585,6 +590,43 @@ def test_engine_sends_only_principal_minors_to_lapack(monkeypatch, d, n):
     monkeypatch.setattr(np.linalg, "det", counted)
     module._schur_coefficients(np.eye(d), n)
     assert shapes == [(j, j) for j in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("d, sizes", [(2, (9, 12)), (3, (7, 8)), (4, (5, 6)), (5, (3, 4))])
+def test_half_torus_rows_match_a_full_torus_fft(d, sizes):
+    # n + 1 odd and even, so the half grid both has and lacks a Nyquist
+    # plane; well-conditioned and near-pure pairs
+    from schurest import distribution as module
+
+    spec = sigma_spectrum(random_mixed(d, 100 + d))
+    for rho in (random_mixed(d, 3), random_mixed(d, 4, floor=0.05),
+                random_pure_depolarized(d, 7, 0.001)):
+        rt = module._rho_in_reference_basis(rho, spec)
+        for n in sizes:
+            rows, _ = module._schur_coefficients(rt, n)
+            assert np.abs(rows - torus_schur_coefficients(rt, n)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (3, 8), (4, 6)])
+def test_max_imag_measures_the_self_conjugate_residue(d, n):
+    # the principal minors of a rho_tilde with complex off-diagonals carry
+    # roundoff in their imaginary parts, which the values at z = 1 keep
+    from schurest import distribution as module
+
+    rho, sigma = random_pair(d, seed=70 + d)
+    rt = module._rho_in_reference_basis(rho, sigma_spectrum(sigma))
+    assert np.abs(rt[np.triu_indices(d, 1)].imag).min() > 1e-3
+    assert 0 < distribution(rho, sigma, n).max_imag < 1e-12
+
+
+def test_largest_admitted_copy_count_per_dimension():
+    # the work guard counts the full torus, so the half grid admits the
+    # sizes it always did
+    limits = {2: 30, 3: 30, 4: 30, 5: 16, 6: 10, 7: 7, 8: 5, 9: 3, 10: 2}
+    for d, largest in limits.items():
+        check_size(largest, d)
+        with pytest.raises(ValueError):
+            check_size(largest + 1, d)
 
 
 def test_large_n_stability():
@@ -721,13 +763,14 @@ def test_well_conditioned_lam_marginal_matches_reference():
 
 def test_pivoted_elimination_is_as_accurate_as_lu_on_near_pure_blocks():
     # the engine's own 3 x 3 Jacobi-Trudi blocks of the near-pure d = 4 pair
-    # at n = 24, every Young index at every 211th grid point, the first
-    # (z = 1, whose values are the lambda-marginals) included.  The exact
-    # determinant of each block's float entries is a cofactor expansion at
-    # REFERENCE_DIGITS digits, sharing no code with either method.  A
-    # block's error enters p times dimV |e_d|^lam_d = dimV det(rho)^lam_d,
-    # so that is its weight: in those units LU's worst error is 5.9e-10, the
-    # elimination's 1.0e-9 and a float cofactor expansion's 3.2e-8.
+    # at n = 24, every Young index at every 109th point of the 8,125-point
+    # half grid, the first (z = 1, whose values are the lambda-marginals)
+    # included.  The exact determinant of each block's float entries is a
+    # cofactor expansion at REFERENCE_DIGITS digits, sharing no code with
+    # either method.  A block's error enters p times dimV |e_d|^lam_d = dimV
+    # det(rho)^lam_d, so that is its weight: in those units LU's worst error
+    # is 5.9e-10, the elimination's 5.2e-10 and a float cofactor
+    # expansion's 3.8e-8.
     from schurest import distribution as module
 
     rho, sigma = NEAR_PURE_PAIRS[4]
@@ -735,9 +778,9 @@ def test_pivoted_elimination_is_as_accurate_as_lu_on_near_pure_blocks():
     plan = module._plan(n, 4)
     h = module._complete(module._elementary(
         module._rho_in_reference_basis(rho, sigma_spectrum(sigma)), plan), n)
-    blocks = h[:, ::211][plan.idx]
+    blocks = h[:, ::109][plan.idx]
     assert blocks.shape == (len(plan.blocks), 3, 3, 75)
-    results = {"elimination": module._block_dets(h[:, ::211], plan.idx),
+    results = {"elimination": module._block_dets(h[:, ::109], plan.idx),
                "lu": np.linalg.det(np.moveaxis(blocks, -1, 1))}
     det_rho = mpmath.mpf(float(np.linalg.det(rho.mat).real))
     worst = dict.fromkeys(results, mpmath.mpf(0))
@@ -966,7 +1009,12 @@ def test_atom_table_refuses_off_integer_kostka_rows(monkeypatch, offset):
     from schurest import distribution as module
 
     engine = module._schur_coefficients
-    monkeypatch.setattr(module, "_schur_coefficients", lambda *args: engine(*args) + offset)
+
+    def shifted(*args):
+        rows, imag = engine(*args)
+        return rows + offset, imag
+
+    monkeypatch.setattr(module, "_schur_coefficients", shifted)
     with pytest.raises(ArithmeticError, match=r"\(n, d\) = \(5, 3\)"):
         module._atom_table.__wrapped__(5, 3)
 

@@ -226,6 +226,15 @@ def test_tail_validation():
         tail_report(rho, sigma, 6, math.nan)
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_tails_refuse_a_center_that_is_not_finite(center):
+    # a NaN center once gave both tails as 0, and an infinite one a
+    # delta_minus of nearly 1
+    rho, sigma = random_pair(2, seed=19)
+    with pytest.raises(ValueError, match="center must be finite"):
+        tail_probabilities(distribution(rho, sigma, 3), center, 0.3)
+
+
 # --------------------------------------------------------------- sampling
 
 
@@ -295,6 +304,14 @@ def test_sampling_validation():
         sample_outcomes(dist, 0)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True])
+def test_sampling_refuses_a_count_that_is_no_integer(m):
+    # 2.5 once reached numpy and raised its TypeError
+    rho, sigma = random_pair(2, seed=43)
+    with pytest.raises(ValueError, match="integer m"):
+        sample_outcomes(distribution(rho, sigma, 3), m)
+
+
 # -------------------------------------------------------------- normality
 
 
@@ -303,6 +320,18 @@ def test_normality_rejects_degenerate_varentropy():
     dist = distribution(sigma, sigma, 3)
     with pytest.raises(ValueError):
         normality_report(dist, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("center, varentropy, message", [
+    (math.nan, 1.0, "center must be finite"),
+    (math.inf, 1.0, "center must be finite"),
+    (0.1, math.nan, "varentropy must be positive"),
+])
+def test_normality_refuses_a_nan_center_or_varentropy(center, varentropy, message):
+    # each once returned ks = nan
+    rho, sigma = random_pair(2, seed=47)
+    with pytest.raises(ValueError, match=message):
+        normality_report(distribution(rho, sigma, 3), center, varentropy)
 
 
 def test_normal_cdf_matches_high_precision_reference():

@@ -154,8 +154,9 @@ def load_op_times():
 def test_the_stage_timer_wraps_functions_that_exist():
     # tools/op_times.py reads a stage it cannot find as null, so a renamed
     # engine function would blank that column of every BENCH file it writes
-    for owner, attr in load_op_times().STAGES.values():
-        assert callable(getattr(importlib.import_module(owner), attr, None)), (owner, attr)
+    for targets in load_op_times().STAGES.values():
+        for owner, attr in targets:
+            assert callable(getattr(importlib.import_module(owner), attr, None)), (owner, attr)
 
 
 def test_a_failing_measurement_child_raises_runtime_error(tmp_path):

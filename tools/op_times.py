@@ -23,9 +23,12 @@ measurement runs in fresh processes:
   stages wrapped in timers: ``e`` (distribution._elementary), ``h``
   (_complete), ``minors`` (_block_dets, which gathers the Jacobi-Trudi
   blocks from h, so the gather is timed with them; a tree that gathers
-  outside it times the gather under ``other``), ``fft`` (np.fft.fftn) and
-  ``assembly`` (_assemble).  A stage that the tree does not define reads
-  null; ``other`` is the rest of the call.
+  outside it times the gather under ``other``), ``fft`` (whichever of
+  np.fft.fftn and np.fft.irfftn the tree calls, so a tree that takes the
+  full-torus forward FFT and one that takes the half-torus inverse real
+  FFT both file their transform here) and ``assembly`` (_assemble).  A
+  stage none of whose functions the tree defines reads null; ``other`` is
+  the rest of the call.
 - benchmark runs: the command of ``BENCHMARK.json`` in each checkout, on
   every workload listed there, for its ``run_seconds``, with ``--trace 0``
   and seed BENCH_SEED + pair.
@@ -76,13 +79,14 @@ OP_SECONDS = {"exact-small": 3.0, "exact-large": 15.0}
 STAGE_SECONDS = 0.4  # per size and child
 AB_ROUNDS = {"exact-small": 400, "exact-large": 30}
 BENCH_SEED = 3100
-# each engine stage: the (module, function) a timer wraps while distribution runs
+# each engine stage: the (module, function) pairs timers wrap while distribution
+# runs, their times added up
 STAGES = {
-    "e": ("schurest.distribution", "_elementary"),
-    "h": ("schurest.distribution", "_complete"),
-    "minors": ("schurest.distribution", "_block_dets"),
-    "fft": ("numpy.fft", "fftn"),
-    "assembly": ("schurest.distribution", "_assemble"),
+    "e": [("schurest.distribution", "_elementary")],
+    "h": [("schurest.distribution", "_complete")],
+    "minors": [("schurest.distribution", "_block_dets")],
+    "fft": [("numpy.fft", "fftn"), ("numpy.fft", "irfftn")],
+    "assembly": [("schurest.distribution", "_assemble")],
 }
 
 
@@ -121,17 +125,18 @@ def stage_times(workload):
     return the memo's table without running the engine.
     """
     module = importlib.import_module("schurest.distribution")
-    targets = {name: (importlib.import_module(owner), attr)
-               for name, (owner, attr) in STAGES.items()}
+    targets = [(name, importlib.import_module(owner), attr)
+               for name, pairs in STAGES.items() for owner, attr in pairs]
     out = {}
     for d, n in workload.sizes:
         pairs = workload.pairs[(d, n)][:2]
         spent = dict.fromkeys(STAGES, 0.0)
-        saved = {}
-        for name, (owner, attr) in targets.items():
+        saved = []  # (stage, owner, attr, function) of each wrapped function
+        for name, owner, attr in targets:
             if hasattr(owner, attr):
-                saved[name] = getattr(owner, attr)
-                setattr(owner, attr, timed(spent, name, saved[name]))
+                saved.append((name, owner, attr, getattr(owner, attr)))
+                setattr(owner, attr, timed(spent, name, saved[-1][3]))
+        timed_stages = {name for name, *_ in saved}
         calls, total = 0, 0.0
         try:
             while calls < 3 or total < STAGE_SECONDS:
@@ -140,10 +145,11 @@ def stage_times(workload):
                 total += time.perf_counter() - start
                 calls += 1
         finally:
-            for name, func in saved.items():
-                setattr(targets[name][0], targets[name][1], func)
-        row = {name: (1e3 * spent[name] / calls if name in saved else None) for name in STAGES}
-        row["other"] = 1e3 * (total - sum(spent[name] for name in saved)) / calls
+            for _, owner, attr, func in saved:
+                setattr(owner, attr, func)
+        row = {name: (1e3 * spent[name] / calls if name in timed_stages else None)
+               for name in STAGES}
+        row["other"] = 1e3 * (total - sum(spent.values())) / calls
         row["distribution"] = 1e3 * total / calls
         row["calls"] = calls
         out[f"{d},{n}"] = row
