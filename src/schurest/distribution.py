@@ -22,28 +22,30 @@ P_lam P_mu] at every d.  Since (rho_tilde Z)^(x)n commutes with P_lam for
 diagonal markers Z = diag(z), p(lam, mu) = dimV * [z^mu] s_lam(rho_tilde Z).
 The Schur polynomial is a Jacobi-Trudi determinant in the complete
 symmetric functions h_k(rho_tilde Z), evaluated on a grid of roots of
-unity; an FFT over the grid reads off every coefficient.  What the engine
-needs from (n, d) alone (the grid, the subset index arrays, each Young
-index's Jacobi-Trudi index block, the weights' grid positions) is built
-once per (n, d) in a cached plan.  The engine takes the Young indices in
-chunks of at most _CHUNK_CELLS grid cells, each with one FFT, so small
-grids pay little per-call overhead; a grid of at least _CHUNK_CELLS points
-takes one Young index per chunk.  A chunk's Jacobi-Trudi minors have order
-d-1: at d = 2 and 3 their determinants are closed forms evaluated
-elementwise over the chunk's gathered blocks, and at d >= 4 one Gaussian
-elimination with partial pivoting, as accurate as LAPACK's LU on the
-near-pure cancellations there, run elementwise over blocks gathered one
-slice of at most _DET_TILE grid points at a time, so no stack of blocks
-wider than a slice is built.  Batching and slicing leave every float as a
-one-index loop gives it (both in tests/test_distribution.py).  The same
-routine at rho_tilde = I gives the multiplicities, since the Kostka number
-is K_lam,mu = [z^mu] s_lam(Z): the cached (n, d) atom table rounds those
-coefficients to integers and raises ArithmeticError if any lies more than
-KOSTKA_TOL from a non-negative integer.  The cost is set by (n, d) alone,
-and one work guard, checked before any table is built, refuses sizes past
-JT_MAX_WORK (see _work).  The independent references the tests compare
-against (basis-string sums weighted by characters, dense projectors, the
-horizontal-strip Kostka recursion) live in the test tree.
+unity.  Its coefficients are real, so its values at conjugate points are
+conjugate: the grid is half the torus, and one inverse real FFT over it
+reads off every coefficient.  What the engine needs from (n, d) alone (the
+grid, the subset index arrays, each Young index's Jacobi-Trudi index block,
+the weights' positions on the torus) is built once per (n, d) in a cached
+plan.  The engine takes the Young indices in chunks of at most _CHUNK_CELLS
+grid cells, each with one transform, so small grids pay little per-call
+overhead; a grid of at least _CHUNK_CELLS points takes one Young index per
+chunk.  A chunk's Jacobi-Trudi minors have order d-1: at d = 2 and 3 their
+determinants are closed forms evaluated elementwise over the chunk's
+gathered blocks, and at d >= 4 one Gaussian elimination with partial
+pivoting, as accurate as LAPACK's LU on the near-pure cancellations there,
+run elementwise over blocks gathered one slice of at most _DET_TILE grid
+points at a time, so no stack of blocks wider than a slice is built.
+Batching and slicing leave every float as a one-index loop gives it (both
+in tests/test_distribution.py).  The same routine at rho_tilde = I gives
+the multiplicities, since the Kostka number is K_lam,mu = [z^mu] s_lam(Z):
+the cached (n, d) atom table rounds those coefficients to integers and
+raises ArithmeticError if any lies more than KOSTKA_TOL from a
+non-negative integer.  The cost is set by (n, d) alone, and one work guard,
+checked before any table is built, refuses sizes past JT_MAX_WORK (see
+_work).  The independent references the tests compare against
+(basis-string sums weighted by characters, dense projectors, the
+horizontal-strip Kostka recursion, a full-torus FFT) live in the test tree.
 
 Roundoff can leave tiny negative raw probabilities: values in (-1e-6, 0)
 are clamped to zero (and the worst one recorded); anything at or below
@@ -78,22 +80,25 @@ from .partitions import (
 )
 from .states import DensityMatrix, SigmaSpectrum, check_copies, check_pair, sigma_spectrum
 
-# JT_MAX_N bounds the cancellation in the Jacobi-Trudi determinant on
-# near-pure states at d >= 3: a (3, 30) marginal is already off by 8.1e-9
-# and a (4, 24) one by 3.9e-9 (tests/test_distribution.py), and past it a
-# d = 3 pair aborts on mass below NEG_ABORT near n = 60.  The work guard
-# bounds the cost.
+# JT_MAX_N bounds the error on near-pure states at d >= 3
+# (tests/test_distribution.py).  A (3, 30) marginal is off by 9.5e-9, of
+# which the engine's rows, before _assemble, carry 3.6e-9 from the
+# Jacobi-Trudi cancellation; a (4, 24) one is off by 4.7e-9, of which the
+# rows carry 3.0e-10 and _assemble's renormalisation over the clamped
+# negatives the rest.  Past it the d = 3 pair aborts on mass below
+# NEG_ABORT from n = 46.  The work guard bounds the cost.
 JT_MAX_N = 30
-# warm calls at each d's largest admitted n took 0.9-2.2e-8 s per work unit
-# from d = 4 to 9 on a 2-vCPU VM, so the limit keeps a call near 1-5 s; a
-# process's peak RSS over a cold and a warm call stayed under 0.2 GB at each
-# d's largest admitted n, 183 MB at (8, 5) the most.  It admits every d <= 4
-# up to n = 30.  The first call at a new (n, d) runs the engine twice, once
-# at rho_tilde = I for the Kostka table, so it can take twice as long.
+# warm calls at each d's largest admitted n took 0.6-1.2e-8 s per work unit
+# from d = 4 to 11 on a 2-vCPU VM, so the limit keeps a call near 1-2.5 s; a
+# process's peak RSS over a cold and a warm call stayed under 0.15 GB at
+# each d's largest admitted n, 139 MB at (4, 30) the most.  It admits every
+# d <= 4 up to n = 30.  The first call at a new (n, d) runs the engine
+# twice, once at rho_tilde = I for the Kostka table, so it can take twice as
+# long.
 JT_MAX_WORK = 250_000_000
 NEG_ABORT = -1e-6
 # the Kostka table rounds engine coefficients at rho_tilde = I; the worst gap
-# to an integer measured up to each d's size limit was 7.7e-12, at (4, 30)
+# to an integer measured up to each d's size limit was 8.6e-12, at (4, 30)
 KOSTKA_TOL = 1e-6
 
 
@@ -334,9 +339,8 @@ def _work(n: int, d: int) -> int:
     half the engine evaluates (see _Plan).  At each point, the elementary
     functions sum 2^d principal minors, and each of the Y Young indices
     costs one (d-1) x (d-1) determinant and its share of one FFT, about
-    d^2.  Y is
-    counted only until the work passes JT_MAX_WORK, so past the limit the
-    value is a lower bound.  The count is per engine pass: a cold call at a
+    d^2.  Y is counted only until the work passes JT_MAX_WORK, so past the
+    limit the value is a lower bound.  The count is per engine pass: a cold call at a
     new (n, d) runs two, one for the Kostka table and one for p.
     """
     grid = (n + 1) ** (d - 1)

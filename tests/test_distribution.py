@@ -733,11 +733,14 @@ def lam_marginal_error(rho, sigma, n):
                      for young, value in reference_lam_marginal(rho, n).items()))
 
 
-# Near-pure states lose precision to cancellation in the Jacobi-Trudi
-# determinant at d >= 3, inside the size limits: measured errors were
-# 8.2e-12 at (3, 20), 2.3e-10 at (3, 25) and 8.1e-9 at (3, 30) for the
-# first pair, and 8.9e-12 at (4, 16), 1.8e-10 at (4, 20) and 3.9e-9 at
-# (4, 24) for the last.  Well-conditioned pairs stay near 1e-15.
+# Near-pure states lose precision at d >= 3, inside the size limits:
+# measured errors were 1.1e-11 at (3, 20), 2.7e-10 at (3, 25) and 9.5e-9 at
+# (3, 30) for the first pair, and 1.1e-11 at (4, 16), 2.2e-10 at (4, 20)
+# and 4.7e-9 at (4, 24) for the last.  Before _assemble the engine's rows
+# are off by 4.8e-12, 9.2e-11 and 3.6e-9 at d = 3, the Jacobi-Trudi
+# cancellation, but by 1.1e-12, 1.2e-11 and 3.0e-10 at d = 4, where most of
+# the error is _assemble's renormalisation over the tens of thousands of
+# clamped negatives.  Well-conditioned pairs stay near 1e-15.
 NEAR_PURE_PAIRS = {
     3: (random_pure_depolarized(3, 3, 0.01), random_mixed(3, 103)),
     4: (random_pure_depolarized(4, 11, 0.001), random_mixed(4, 111)),
@@ -749,8 +752,9 @@ def test_near_pure_lam_marginal_within_1e10_at_moderate_n(d, n):
     assert lam_marginal_error(*NEAR_PURE_PAIRS[d], n) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="Jacobi-Trudi cancellation on near-pure states "
-                   "passes the 1e-9 backend-agreement target inside JT_MAX_N")
+@pytest.mark.xfail(strict=True, reason="near-pure states pass the 1e-9 backend-agreement "
+                   "target inside JT_MAX_N: Jacobi-Trudi cancellation at d = 3, "
+                   "_assemble's renormalisation at d = 4")
 @pytest.mark.parametrize("d,n", [(3, 30), (4, 24)])
 def test_near_pure_lam_marginal_within_1e9_at_the_size_limit(d, n):
     assert lam_marginal_error(*NEAR_PURE_PAIRS[d], n) <= 1e-9
