@@ -291,7 +291,7 @@ class _Plan:
     columns: tuple[tuple[int, ...], ...]  # every weight, compositions order
     shape: tuple[int, ...]  # the half grid's shape, ((n+1)//2 + 1) on the last axis
     grid: np.ndarray  # (d-1, G): each grid point's exponents j_k
-    real: np.ndarray  # the self-conjugate grid points, each j_k 0 or (n+1)/2; z = 1 first
+    self_conjugate: np.ndarray  # grid points with each j_k 0 or (n+1)/2; z = 1 first
     roots: np.ndarray  # the (n+1)-th roots of unity
     subsets: tuple[np.ndarray, ...]  # per size j = 1..d: the j-subsets as rows, combinations order
     phases: tuple[np.ndarray, ...] | None  # per size j: each subset's phase row; None past the cap
@@ -326,8 +326,9 @@ def _plan(n: int, d: int) -> _Plan:
                      for i in range(d - 1)] for young in blocks], dtype=np.int64)
     flat = np.ravel_multi_index(np.array(columns, dtype=np.int64).T[:-1], (size,) * (d - 1))
     return _Plan(blocks=blocks, columns=columns, shape=shape, grid=grid,
-                 real=np.flatnonzero((2 * grid % size == 0).all(axis=0)), roots=roots,
-                 subsets=subsets, phases=phases, idx=idx.reshape(len(blocks), d - 1, d - 1),
+                 self_conjugate=np.flatnonzero((2 * grid % size == 0).all(axis=0)),
+                 roots=roots, subsets=subsets, phases=phases,
+                 idx=idx.reshape(len(blocks), d - 1, d - 1),
                  step=max(1, _CHUNK_CELLS // grid.shape[1]),
                  last=np.array([young[0] for young in blocks], dtype=np.int64), flat=flat)
 
@@ -509,7 +510,7 @@ def _schur_coefficients(rt: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
         # the power stays the left factor: numpy's complex product is not
         # bitwise symmetric, and this order gives a one-index loop's bits
         np.multiply(powers[plan.last[chunk]], values, out=values)
-        imag[chunk] = np.abs(values[:, plan.real].imag).max(axis=1)
+        imag[chunk] = np.abs(values[:, plan.self_conjugate].imag).max(axis=1)
         if d == 1:
             coeffs = values.real
         else:

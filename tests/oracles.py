@@ -439,9 +439,10 @@ def reference_lam_marginal(rho: DensityMatrix, n: int) -> dict[tuple[int, ...], 
 
 
 def torus_schur_coefficients(rt: np.ndarray, n: int) -> np.ndarray:
-    """[z^mu] s_lam(rho_tilde Z), rows in enumerate_young order and columns
-    in compositions order at d >= 2, from s_lam on every point of the torus z_k =
-    exp(2 pi i j_k / (n+1)), k < d-1, z_(d-1) = 1, and one np.fft.fftn.
+    """[z^mu] s_lam(rho_tilde Z) at d >= 2, rows in enumerate_young order
+    and columns in compositions order, from s_lam on every point of the
+    torus z_k = exp(2 pi i j_k / (n+1)), k < d-1, z_(d-1) = 1, and one
+    np.fft.fftn.
 
     The real parts are returned; the imaginary parts are roundoff, as every
     coefficient is p / dimV.

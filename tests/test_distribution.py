@@ -620,8 +620,8 @@ def test_max_imag_measures_the_self_conjugate_residue(d, n):
 
 
 def test_largest_admitted_copy_count_per_dimension():
-    # the work guard counts the full torus, so the half grid admits the
-    # sizes it always did
+    # the work guard counts the full torus, not the half grid the engine
+    # evaluates, so the limits are the full-torus count's
     limits = {2: 30, 3: 30, 4: 30, 5: 16, 6: 10, 7: 7, 8: 5, 9: 3, 10: 2}
     for d, largest in limits.items():
         check_size(largest, d)
